@@ -361,175 +361,6 @@ def bench_large_topology(quick: bool) -> Optional[Dict[str, object]]:
     return _run_large_topology(2_000 if quick else 100_000)
 
 
-# ----------------------------------------------------------------------
-# Sharded single-run scaling (repro.shard)
-# ----------------------------------------------------------------------
-#: The scale probe again, but under the per-edge loss discipline the
-#: sharded runtime requires, at a parameterized shard count.  Serial
-#: (shards=1) and sharded legs run the *same* discipline so their wall
-#: times are comparable and their signatures must match byte for byte.
-_SHARD_SCALING_CHILD = """\
-import hashlib, json, resource, sys, time
-from repro.scenarios.config import SimulationConfig
-from repro.scenarios.runner import run_scenario
-from repro.scenarios.serialize import config_digest
-
-n = int(sys.argv[1])
-shards = int(sys.argv[2])
-config = SimulationConfig(
-    n_dispatchers=n, n_patterns=70, pi_max=2, publish_rate=200.0 / n,
-    sim_time=3.0, measure_start=0.5, measure_end=2.5, buffer_size=32,
-    gossip_interval=0.1, error_rate=0.1, loss_discipline="per-edge",
-    algorithm="combined-pull", tree_style="scale-free",
-    workload_model="aggregate", seed=1, shards=shards,
-)
-start = time.perf_counter()
-result = run_scenario(config)
-elapsed = time.perf_counter() - start
-peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-if sys.platform == "darwin":
-    peak //= 1024
-# signature()[0] is the config; swap in its shard-agnostic digest so the
-# hash compares across shard counts the way config equality does (the
-# `shards` field is compare-excluded but still shows up in repr()).
-signature = (config_digest(config),) + result.signature()[1:]
-print(json.dumps({
-    "seconds": round(elapsed, 3),
-    "max_rss_kb": int(peak),
-    "signature_sha256": hashlib.sha256(
-        repr(signature).encode()
-    ).hexdigest(),
-    "delivery_rate": round(result.delivery_rate, 6),
-    "sim_events_processed": result.sim_events_processed,
-}))
-"""
-
-
-def _run_shard_cell(
-    n_dispatchers: int, shards: int
-) -> Optional[Dict[str, object]]:
-    """Run one per-edge scale cell in a child process (RSS isolation, as
-    for :func:`_run_large_topology`); ``None`` on trees without the
-    sharded runtime."""
-    env = dict(os.environ)
-    src = str(REPO_ROOT / "src")
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = f"{src}{os.pathsep}{existing}" if existing else src
-    try:
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                _SHARD_SCALING_CHILD,
-                str(n_dispatchers),
-                str(shards),
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-    except (subprocess.CalledProcessError, OSError):
-        return None
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
-def bench_shard_scaling(quick: bool) -> Optional[Dict[str, object]]:
-    """Sharded execution of a single large run vs. the same run serial.
-
-    The acceptance criterion for the sharded runtime is **>= 2x at
-    shards=4 on a host with >= 4 cores**, with byte-identical signatures.
-    The signature assertion bites on every host; the speedup is only
-    meaningful when each worker process actually gets a core, so the
-    record carries ``cpu_count`` and readers must interpret
-    ``speedup_vs_serial`` against it (on a single-core host the sharded
-    leg measures seam/synchronization overhead, not speedup -- exactly as
-    ``sweep_scaling`` documents for its jobs=4 leg).
-
-    ``seconds``/``max_rss_kb`` carry the *sharded* leg so the --check
-    gate bounds the sharded runtime's time and memory like any other core
-    bench; the serial leg of the same cell is gated by large_topology.
-    """
-    n, shards = (2_000, 2) if quick else (100_000, 4)
-    serial = _run_shard_cell(n, 1)
-    sharded = _run_shard_cell(n, shards)
-    if serial is None or sharded is None:
-        return None
-    if serial["signature_sha256"] != sharded["signature_sha256"]:
-        raise RuntimeError(
-            f"shard_scaling: shards={shards} signature diverged from serial "
-            f"({sharded['signature_sha256'][:12]} != "
-            f"{serial['signature_sha256'][:12]})"
-        )
-    return {
-        "seconds": sharded["seconds"],
-        "serial_seconds": serial["seconds"],
-        "speedup_vs_serial": round(serial["seconds"] / sharded["seconds"], 3),
-        "n_dispatchers": n,
-        "shards": shards,
-        "cpu_count": os.cpu_count(),
-        "signatures_match": True,
-        "delivery_rate": sharded["delivery_rate"],
-        "max_rss_kb": sharded["max_rss_kb"],
-        "criterion": (
-            ">=2x at shards=4 with byte-identical signatures, on a host "
-            "with >=4 cores; single-core hosts measure seam overhead only"
-        ),
-    }
-
-
-def shard_smoke(report_path: Optional[Path]) -> int:
-    """CI entry point: a 2-shard figure cell must match serial exactly.
-
-    Runs the quick figure scenario (combined pull, lossy links) under the
-    per-edge discipline twice -- serial and shards=2 -- and fails unless
-    ``RunResult.signature()`` is byte-identical.  Writes the partition
-    plan's cut report (plus round/seam-traffic counts) to ``report_path``
-    for upload as a CI artifact, so seam-traffic regressions are visible
-    in the job output history.
-    """
-    from repro.scenarios.experiments import shardify
-    from repro.scenarios.runner import run_scenario
-    from repro.shard.runner import ShardedRunner
-
-    config = shardify(_figure_config(quick=True), 2)
-    if config.shards != 2:
-        print("shard-smoke: cell did not shardify", file=sys.stderr)
-        return 1
-    serial = run_scenario(config.replace(shards=1))
-    runner = ShardedRunner(config)
-    sharded = runner.run()
-    match = sharded.signature() == serial.signature()
-    report: Dict[str, object] = {
-        "match": match,
-        "rounds": runner.rounds,
-        "seam_messages": runner.seam_messages,
-        "serial_seconds": serial.wall_clock_seconds,
-        "sharded_seconds": sharded.wall_clock_seconds,
-        "delivery_rate": round(sharded.delivery_rate, 6),
-        **runner.plan.report(),
-    }
-    if report_path is not None:
-        report_path.write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"wrote {report_path}", file=sys.stderr)
-    print(
-        f"shard-smoke: shards=2 cut={report['cut_edges']}/"
-        f"{report['total_edges']} rounds={runner.rounds} "
-        f"seam={runner.seam_messages} match={match}",
-        file=sys.stderr,
-    )
-    if not match:
-        print(
-            "shard-smoke FAIL: sharded signature diverged from serial",
-            file=sys.stderr,
-        )
-        return 1
-    print("shard-smoke passed", file=sys.stderr)
-    return 0
-
-
 def scale_smoke(time_budget_s: float, rss_budget_kb: int) -> int:
     """CI entry point: a 10⁴-node probe with hard time and memory bounds.
 
@@ -731,7 +562,6 @@ BENCHES = {
     "figure_scenario": bench_figure_scenario,
     "faults_scenario": bench_faults_scenario,
     "large_topology": bench_large_topology,
-    "shard_scaling": bench_shard_scaling,
     "lint_analysis": bench_lint_analysis,
     "campaign_journal": bench_campaign_journal,
 }
@@ -793,7 +623,6 @@ CORE_BENCHES = (
     "cache_churn",
     "table_matching",
     "large_topology",
-    "shard_scaling",
     "lint_analysis",
     "campaign_journal",
 )
@@ -1017,19 +846,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=800.0,
         help="--scale-smoke peak-RSS budget in MB (default 800)",
     )
-    parser.add_argument(
-        "--shard-smoke",
-        action="store_true",
-        help="run only the 2-shard vs serial signature check on the quick "
-        "figure cell (CI shard-smoke job); exits 1 on any divergence",
-    )
-    parser.add_argument(
-        "--shard-report",
-        type=Path,
-        default=None,
-        help="--shard-smoke: also write the partition cut report (JSON) "
-        "here for artifact upload",
-    )
     args = parser.parse_args(argv)
 
     if args.self_test:
@@ -1039,9 +855,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return scale_smoke(
             args.scale_time_budget, int(args.scale_rss_budget_mb * 1024)
         )
-
-    if args.shard_smoke:
-        return shard_smoke(args.shard_report)
 
     if args.check and args.baseline is None:
         parser.error("--check requires --baseline")

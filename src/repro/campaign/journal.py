@@ -46,7 +46,9 @@ __all__ = ["CampaignJournal", "JournalEntry", "atomic_write_text"]
 
 #: Bumped when the record layout changes incompatibly; loaders skip (and
 #: report) records from other schemas instead of mis-parsing them.
-SCHEMA_VERSION = 1
+#: Version 2 dropped four ``SimulationConfig`` fields: schema-1 configs
+#: no longer decode, and every cell digest changed.
+SCHEMA_VERSION = 2
 
 
 def atomic_write_text(path: Path, text: str) -> None:

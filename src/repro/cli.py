@@ -3,9 +3,9 @@
 ::
 
     repro-pubsub run   [--algorithm X] [--error-rate E] [--n N] ...
-    repro-pubsub compare [--error-rate E] [--jobs N] [--shards S] ...
+    repro-pubsub compare [--error-rate E] [--jobs N] ...
     repro-pubsub figure {3a,3b,4-buffer,4-interval,5,6,7,8,9a,9b,10,churn} [--jobs N]
-                        [--shards S] [--campaign-dir DIR]
+                        [--campaign-dir DIR]
     repro-pubsub faults --injector {crash,churn,burst-loss,partition,combined} ...
     repro-pubsub campaign status DIR
     repro-pubsub campaign resume DIR [--jobs N]
@@ -66,7 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_scenario_arguments(compare_parser, with_algorithm=False)
     _add_jobs_argument(compare_parser)
-    _add_shards_argument(compare_parser)
 
     figure_parser = subparsers.add_parser(
         "figure", help="regenerate one of the paper's figures"
@@ -82,7 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--chart", action="store_true", help="also draw an ASCII chart"
     )
     _add_jobs_argument(figure_parser)
-    _add_shards_argument(figure_parser)
     figure_parser.add_argument(
         "--campaign-dir",
         default=None,
@@ -146,7 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--chart", action="store_true", help="also draw an ASCII chart"
     )
     _add_jobs_argument(resume_parser)
-    _add_shards_argument(resume_parser)
 
     subparsers.add_parser("list-algorithms", help="list recovery algorithms")
     return parser
@@ -182,20 +179,6 @@ def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
         help=(
             "worker processes for independent scenario cells "
             "(1 = serial, 0 = all CPUs); results are identical either way"
-        ),
-    )
-
-
-def _add_shards_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help=(
-            "split each single run over this many shard workers "
-            "(byte-identical results; lossy cells switch to the per-edge "
-            "loss discipline, cells the sharded runtime cannot execute "
-            "fall back to serial -- see docs/PERFORMANCE.md)"
         ),
     )
 
@@ -306,9 +289,7 @@ _FIGURES = {
 }
 
 
-def _run_figure(
-    which: str, jobs: int, campaign_dir, chart: bool, shards: int = 1
-) -> int:
+def _run_figure(which: str, jobs: int, campaign_dir, chart: bool) -> int:
     """Shared body of ``figure`` and ``campaign resume``."""
     from repro.parallel.executor import CellFailureError
 
@@ -322,9 +303,7 @@ def _run_figure(
             }
         )
     try:
-        result = _FIGURES[which](
-            jobs=jobs, campaign_dir=campaign_dir, shards=shards
-        )
+        result = _FIGURES[which](jobs=jobs, campaign_dir=campaign_dir)
     except CellFailureError as error:
         print(f"campaign incomplete: {error}", file=sys.stderr)
         print(
@@ -365,7 +344,7 @@ def _campaign_status(directory: str) -> int:
     return 0
 
 
-def _campaign_resume(directory: str, jobs: int, chart: bool, shards: int = 1) -> int:
+def _campaign_resume(directory: str, jobs: int, chart: bool) -> int:
     from repro.campaign.journal import CampaignJournal
 
     journal = CampaignJournal(directory)
@@ -381,7 +360,7 @@ def _campaign_resume(directory: str, jobs: int, chart: bool, shards: int = 1) ->
     if command.get("kind") != "figure" or command.get("which") not in _FIGURES:
         print(f"unsupported campaign manifest: {command}", file=sys.stderr)
         return 1
-    return _run_figure(command["which"], jobs, directory, chart, shards)
+    return _run_figure(command["which"], jobs, directory, chart)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -415,9 +394,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     if args.command == "compare":
         configs = [
-            experiments.shardify(
-                _config_from_args(args, algorithm=algorithm), args.shards
-            )
+            _config_from_args(args, algorithm=algorithm)
             for algorithm in PAPER_ALGORITHMS
         ]
         results = map_scenarios(configs, jobs=args.jobs)
@@ -440,13 +417,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         return 0
     if args.command == "figure":
-        return _run_figure(
-            args.which, args.jobs, args.campaign_dir, args.chart, args.shards
-        )
+        return _run_figure(args.which, args.jobs, args.campaign_dir, args.chart)
     if args.command == "campaign":
         if args.campaign_command == "status":
             return _campaign_status(args.dir)
-        return _campaign_resume(args.dir, args.jobs, args.chart, args.shards)
+        return _campaign_resume(args.dir, args.jobs, args.chart)
     return 1  # pragma: no cover - argparse enforces choices
 
 

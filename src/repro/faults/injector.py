@@ -66,15 +66,6 @@ class FaultInjector:
         The dedicated ``"faults"`` random stream.
     plan:
         What to inject.
-    locality:
-        Sharded runs replicate the injector on every shard so network state
-        (down nodes, cut links) and ``"faults"``-stream draws stay identical
-        everywhere, but a restarted node's timers must only be re-armed on
-        the shard that owns it.  ``locality[node_id]`` is that ownership
-        test; ``None`` (serial runs) re-arms unconditionally.  ``callbacks``
-        counts the injector's engine-event firings -- replicated on every
-        shard but single events in a serial run -- for the merged
-        ``sim_events_processed`` correction.
     """
 
     def __init__(
@@ -86,7 +77,6 @@ class FaultInjector:
         publishers: Sequence,
         rng: random.Random,
         plan: FaultPlan,
-        locality: Optional[Sequence[bool]] = None,
     ) -> None:
         self.sim = sim
         self.network = network
@@ -95,8 +85,6 @@ class FaultInjector:
         self.publishers = publishers
         self.rng = rng
         self.plan = plan
-        self.locality = locality
-        self.callbacks = 0
         self.stats = FaultStats()
         self._started = False
 
@@ -129,11 +117,6 @@ class FaultInjector:
     # Crashes
     # ------------------------------------------------------------------
     def _crash(self, node_id: int, duration: Optional[float]) -> None:
-        # ``callbacks`` tallies the four callbacks reachable under shard
-        # validation (scripted crashes/partitions and their restart/heal
-        # follow-ups); the churn/partition processes that would skew the
-        # tally inline-call these are forbidden in sharded configs.
-        self.callbacks += 1
         network = self.network
         if network.is_down(node_id):
             self.stats.crashes_skipped += 1
@@ -148,7 +131,6 @@ class FaultInjector:
             self.sim.schedule_call(duration, self._restart, node_id)
 
     def _restart(self, node_id: int) -> None:
-        self.callbacks += 1
         network = self.network
         if not network.is_down(node_id):
             return  # already restarted (defensive; plans should not overlap)
@@ -156,15 +138,11 @@ class FaultInjector:
         # Volatile buffers do not survive the crash...
         dispatcher.cache.clear()
         network.set_node_down(node_id, False)
-        # State wipes replay on every shard (replicas stay in lockstep);
-        # timers are re-armed only where the node actually runs.
-        local = self.locality is None or self.locality[node_id]
         if node_id < len(self.recoveries):
             recovery = self.recoveries[node_id]
             recovery.on_restart()
-            if local:
-                recovery.start()
-        if local and node_id < len(self.publishers):
+            recovery.start()
+        if node_id < len(self.publishers):
             self.publishers[node_id].start()
         self.stats.restarts += 1
 
@@ -189,7 +167,6 @@ class FaultInjector:
     def _partition(
         self, edge: Optional[Tuple[int, int]], duration: float
     ) -> None:
-        self.callbacks += 1
         network = self.network
         if edge is None:
             edges = network.edges()
@@ -235,7 +212,6 @@ class FaultInjector:
         ]
 
     def _heal(self, cut: Tuple[Tuple[int, int], ...]) -> None:
-        self.callbacks += 1
         network = self.network
         restored = 0
         for edge in cut:

@@ -82,34 +82,6 @@ class MessageCounters:
         self._delivered[kind] += 1
 
     # ------------------------------------------------------------------
-    # Sharded-run merge
-    # ------------------------------------------------------------------
-    def absorb(self, other: "MessageCounters") -> None:
-        """Fold another shard's tallies into this one.
-
-        Every transmission, drop, and delivery happens on exactly one
-        shard (replicated components never send), so summing the per-kind
-        totals and per-node columns reproduces the serial counters.
-        """
-        if other.node_count != self.node_count:
-            raise ValueError(
-                f"cannot absorb counters for {other.node_count} nodes "
-                f"into counters for {self.node_count}"
-            )
-        for kind in range(_KIND_COUNT):
-            self._sent[kind] += other._sent[kind]
-            self._dropped[kind] += other._dropped[kind]
-            self._delivered[kind] += other._delivered[kind]
-        for column, other_column in (
-            (self._gossip_by_node, other._gossip_by_node),
-            (self._events_by_node, other._events_by_node),
-            (self._oob_by_node, other._oob_by_node),
-        ):
-            for node_id, count in enumerate(other_column):
-                if count:
-                    column[node_id] += count
-
-    # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def sent(self, kind: MessageKind) -> int:

@@ -152,20 +152,6 @@ class DeliveryStats:
         )
 
 
-class _EventIdShim:
-    """Stand-in for an :class:`Event` during journal replay.
-
-    ``DeliveryTracker.on_deliver`` touches only ``event.event_id``, so the
-    sharded merge replays journalled deliveries without reconstructing the
-    full event.
-    """
-
-    __slots__ = ("event_id",)
-
-    def __init__(self, event_id: EventId) -> None:
-        self.event_id = event_id
-
-
 class DeliveryTracker:
     """Track expected vs. actual deliveries for every published event.
 
@@ -230,60 +216,6 @@ class DeliveryTracker:
         if recovered:
             record.recovered += 1
             record.recovered_latency_sum += latency
-
-    # ------------------------------------------------------------------
-    # Sharded-run merge
-    # ------------------------------------------------------------------
-    def absorb(self, other: "DeliveryTracker") -> None:
-        """Take over another shard's event records.
-
-        Each event is registered (``on_publish``) on exactly one shard --
-        the one owning its publisher -- so the record keys are disjoint by
-        construction; an overlap means the ownership map is broken and is
-        reported loudly rather than silently double-counted.
-        """
-        if other._compact != self._compact:
-            raise ValueError("cannot absorb a tracker with a different layout")
-        overlap = self._records.keys() & other._records.keys()
-        if overlap:
-            raise ValueError(
-                "event published on two shards: "
-                f"{sorted(overlap)[:3]}{'...' if len(overlap) > 3 else ''}"
-            )
-        self._records.update(other._records)
-        self.untracked_deliveries += other.untracked_deliveries
-        self.unexpected_deliveries += other.unexpected_deliveries
-        self.duplicate_deliveries += other.duplicate_deliveries
-
-    def sort_records(self) -> None:
-        """Restore global publish-order iteration after :meth:`absorb`.
-
-        :meth:`stats` accumulates per-event latency sums in record
-        iteration order, and float addition is order-sensitive; a serial
-        run inserts records in publish order while ``absorb`` concatenates
-        whole shards.  Sorting by publish time (stable, over the
-        shard-index concatenation order) restores the serial accumulation
-        sequence -- records published at exactly equal float times are the
-        only ones whose serial interleaving is unrecoverable, and those
-        do not occur under the continuous (Poisson) publish processes the
-        sharded runtime requires.
-        """
-        self._records = dict(
-            sorted(self._records.items(), key=lambda item: item[1].publish_time)
-        )
-
-    def replay_delivery(
-        self, node_id: int, event_id: EventId, recovered: bool, now: float
-    ) -> None:
-        """Re-apply one journalled delivery (sharded-run merge).
-
-        Sharded runs journal deliveries instead of applying them so the
-        merge can replay the global sequence in serial time order --
-        per-event latency sums are float accumulations whose value depends
-        on addition order.  ``on_deliver`` only reads ``event.event_id``,
-        so a shim carrying just the id replays exactly.
-        """
-        self.on_deliver(node_id, _EventIdShim(event_id), recovered, now)  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------
     # Reporting

@@ -18,14 +18,16 @@ between two dispatchers:
 
 Zero-cost hooks
 ---------------
-``transmit`` and ``_deliver`` are *instance attributes bound at setup time*,
-not methods: the constructor picks the lossless, Bernoulli, or loss-model
-transmit variant and the fast or crash-checked delivery variant once, so the
-per-message hot path never branches on configuration that cannot change
-mid-run (see docs/PERFORMANCE.md, "Setup-time method binding").  A fault-free
-link therefore pays nothing for the fault machinery -- no ``loss_model is
-None`` test, no ``error_rate > 0`` test, no down-destination lookup.  The
-only mutation that can change a variant, :meth:`set_error_rate`, rebinds it.
+``_drop`` and ``_deliver`` are *instance attributes bound at setup time*,
+not methods: the constructor picks the loss draw (none, Bernoulli, or loss
+model) and the fast or crash-checked delivery variant once, so the single
+``transmit`` body never branches on configuration that cannot change
+mid-run (see docs/PERFORMANCE.md, "Setup-time method binding").  A
+fault-free link therefore pays nothing for the fault machinery -- no
+``loss_model is None`` test, no ``error_rate > 0`` test, no
+down-destination lookup -- and a lossless link's draw consumes no
+randomness.  The only mutation that can change the draw,
+:meth:`set_error_rate`, rebinds it.
 """
 
 from __future__ import annotations
@@ -88,23 +90,9 @@ class Link:
     loss_model:
         Optional stateful loss model (e.g. Gilbert--Elliott burst loss);
         when set, it replaces the inline Bernoulli ``error_rate`` draw.
-    dir_rngs:
-        Per-*direction* loss streams keyed by sender id (the "per-edge"
-        loss discipline): when set, loss draws consume the sender
-        direction's private stream instead of the shared ``rng``, making
-        each direction's drop sequence a function of its own traffic only.
-        Required by sharded execution (repro.shard), where the two
-        directions of a cut link run in different workers.
-    dir_models:
-        Per-direction loss models keyed by sender id; accompanies
-        ``dir_rngs`` under Gilbert--Elliott plans (burst state is per
-        direction for the same reason the stream is).
 
-    ``transmit(from_node, message) -> bool`` and ``_deliver`` are bound
-    per-instance in the constructor (see the module docstring); the
-    transmit variants share semantics and differ only in the loss decision
-    (and, for boundary links of a sharded run, in handing the arrival to
-    the seam outbox instead of the local calendar).
+    The loss draw ``_drop() -> bool`` and ``_deliver`` are bound
+    per-instance in the constructor (see the module docstring).
     """
 
     __slots__ = (
@@ -116,17 +104,13 @@ class Link:
         "error_rate",
         "rng",
         "loss_model",
-        "dir_rngs",
-        "dir_models",
         "up",
         "stats",
         "_busy_until",
         "_peer",
-        # Seam outbox of a sharded run; None on every non-boundary link.
-        "_outbox",
-        # Setup-time-bound hot-path entry points (instance attributes so the
+        # Setup-time-bound hot-path callables (instance attributes so the
         # per-message path never branches on static configuration).
-        "transmit",
+        "_drop",
         "_deliver",
     )
 
@@ -140,8 +124,6 @@ class Link:
         error_rate: float,
         rng: random.Random,
         loss_model: Optional["LossModel"] = None,
-        dir_rngs: Optional[dict] = None,
-        dir_models: Optional[dict] = None,
     ) -> None:
         if node_a == node_b:
             raise ValueError(f"self-link at node {node_a}")
@@ -157,66 +139,32 @@ class Link:
         self.error_rate = error_rate
         self.rng = rng
         self.loss_model = loss_model
-        self.dir_rngs = dir_rngs
-        self.dir_models = dir_models
         self.up = True
         self.stats = LinkStats()
         # Per-direction transmitter availability, keyed by sender id.
         self._busy_until = {node_a: 0.0, node_b: 0.0}
         # Sender id -> opposite endpoint, precomputed for the hot path.
         self._peer = {node_a: node_b, node_b: node_a}
-        self._outbox: Optional[list] = None
         self._deliver: Callable[[Message, int, int], None] = (
             self._deliver_checked if network.fault_hooks else self._deliver_fast
         )
-        self.transmit: Callable[[int, Message], bool]
-        self._bind_transmit()
+        self._drop: Callable[[], bool]
+        self._bind_drop()
 
-    def _bind_transmit(self) -> None:
-        """Select the transmit variant for the current loss configuration."""
-        if self._outbox is not None:
-            if self.dir_models is not None:
-                self.transmit = self._transmit_boundary_model
-            elif self.error_rate > 0.0:
-                self.transmit = self._transmit_boundary_bernoulli
-            else:
-                self.transmit = self._transmit_boundary_lossless
-        elif self.dir_models is not None:
-            self.transmit = self._transmit_model_per_edge
-        elif self.loss_model is not None:
-            self.transmit = self._transmit_model
-        elif self.dir_rngs is not None and self.error_rate > 0.0:
-            self.transmit = self._transmit_bernoulli_per_edge
+    def _bind_drop(self) -> None:
+        """Select the loss draw for the current loss configuration."""
+        if self.loss_model is not None:
+            self._drop = self._drop_model
         elif self.error_rate > 0.0:
-            self.transmit = self._transmit_bernoulli
+            self._drop = self._drop_bernoulli
         else:
-            self.transmit = self._transmit_lossless
-
-    def mark_boundary(self, outbox: list) -> None:
-        """Turn this link into a shard-boundary link.
-
-        Transmissions keep the exact serial semantics (counters, busy
-        queue, loss draw) up to the point the delivery would be scheduled;
-        instead of entering the local calendar the arrival is appended to
-        ``outbox`` as ``(arrival_time, kind, from_node, to_node, payload,
-        size_bits, sender)`` for the seam to route.  Loss draws on a
-        boundary link always use the per-direction streams -- sharded runs
-        with loss require the per-edge discipline (config validation), so
-        ``dir_rngs``/``dir_models`` are present whenever draws happen.
-        """
-        if self.error_rate > 0.0 and self.dir_rngs is None:
-            raise ValueError(
-                "boundary link with loss needs per-direction streams "
-                "(loss_discipline='per-edge')"
-            )
-        self._outbox = outbox
-        self._bind_transmit()
+            self._drop = self._drop_never
 
     def set_error_rate(self, error_rate: float) -> None:
-        """Change ε and rebind the transmit variant.
+        """Change ε and rebind the loss draw.
 
-        The loss decision is compiled into the bound ``transmit`` variant,
-        so mutating ``error_rate`` directly would not take effect; this is
+        The loss decision is compiled into the bound ``_drop`` draw, so
+        mutating ``error_rate`` directly would not take effect; this is
         the supported way to change it (tests use it to open and close loss
         windows).  Ignored for the loss decision while a ``loss_model`` is
         installed.
@@ -224,7 +172,7 @@ class Link:
         if not 0.0 <= error_rate <= 1.0:
             raise ValueError(f"error_rate must be in [0, 1], got {error_rate}")
         self.error_rate = error_rate
-        self._bind_transmit()
+        self._bind_drop()
 
     # ------------------------------------------------------------------
     def other_end(self, node: int) -> int:
@@ -239,18 +187,13 @@ class Link:
         return (self.node_a, self.node_b)
 
     # ------------------------------------------------------------------
-    # transmit variants -- ``self.transmit`` is bound to exactly one of
-    # these.  The shared preamble/postamble is duplicated on purpose: the
-    # whole point is that each variant is straight-line code with no
-    # configuration branches (docs/PERFORMANCE.md).
-    # ------------------------------------------------------------------
-    def _transmit_lossless(self, from_node: int, message: Message) -> bool:
-        """Transmit with ε = 0 and no loss model: no loss draw at all.
+    def transmit(self, from_node: int, message: Message) -> bool:
+        """Queue ``message`` on the sender's direction and schedule arrival.
 
-        Returns ``True`` if the message was *enqueued for transmission*,
-        ``False`` if the link is down.  The caller is charged for the send
-        in either case -- a dispatcher cannot know the link state before
-        trying.
+        Returns ``True`` if the message was *enqueued for transmission*
+        (lost or not), ``False`` if the link is down.  The caller is
+        charged for the send in either case -- a dispatcher cannot know
+        the link state before trying.
         """
         network = self.network
         observer = network.observer
@@ -272,6 +215,10 @@ class Link:
         done = start + serialization
         busy_until[from_node] = done
         stats.busy_time += serialization
+        if self._drop():
+            stats.lost += 1
+            observer.count_drop(kind)
+            return True
         # Deliveries are never cancelled, so the handle-free fast path
         # avoids one object allocation per transmission.
         sim.schedule_call_at(
@@ -283,257 +230,20 @@ class Link:
         )
         return True
 
-    def _transmit_bernoulli(self, from_node: int, message: Message) -> bool:
-        """Transmit with the paper's i.i.d. Bernoulli(ε) loss draw."""
-        network = self.network
-        observer = network.observer
-        stats = self.stats
-        kind = message.kind
-        stats.sent += 1
-        observer.count_send(kind, from_node)
-        if not self.up:
-            stats.dropped_down += 1
-            observer.count_drop(kind)
-            return False
-        sim = network.sim
-        serialization = message.size_bits / self.bandwidth_bps
-        busy_until = self._busy_until
-        start = busy_until[from_node]
-        now = sim._now
-        if now > start:
-            start = now
-        done = start + serialization
-        busy_until[from_node] = done
-        stats.busy_time += serialization
-        if self.rng.random() < self.error_rate:
-            stats.lost += 1
-            observer.count_drop(kind)
-            return True
-        sim.schedule_call_at(
-            done + self.propagation_delay,
-            self._deliver,
-            message,
-            from_node,
-            self._peer[from_node],
-        )
-        return True
-
-    def _transmit_model(self, from_node: int, message: Message) -> bool:
-        """Transmit through a stateful loss model (burst loss injection)."""
-        network = self.network
-        observer = network.observer
-        stats = self.stats
-        kind = message.kind
-        stats.sent += 1
-        observer.count_send(kind, from_node)
-        if not self.up:
-            stats.dropped_down += 1
-            observer.count_drop(kind)
-            return False
-        sim = network.sim
-        serialization = message.size_bits / self.bandwidth_bps
-        busy_until = self._busy_until
-        start = busy_until[from_node]
-        now = sim._now
-        if now > start:
-            start = now
-        done = start + serialization
-        busy_until[from_node] = done
-        stats.busy_time += serialization
-        if self.loss_model.should_drop(self.rng):
-            stats.lost += 1
-            observer.count_drop(kind)
-            return True
-        sim.schedule_call_at(
-            done + self.propagation_delay,
-            self._deliver,
-            message,
-            from_node,
-            self._peer[from_node],
-        )
-        return True
-
-    def _transmit_bernoulli_per_edge(self, from_node: int, message: Message) -> bool:
-        """Bernoulli(ε) loss drawn from the sender direction's own stream."""
-        network = self.network
-        observer = network.observer
-        stats = self.stats
-        kind = message.kind
-        stats.sent += 1
-        observer.count_send(kind, from_node)
-        if not self.up:
-            stats.dropped_down += 1
-            observer.count_drop(kind)
-            return False
-        sim = network.sim
-        serialization = message.size_bits / self.bandwidth_bps
-        busy_until = self._busy_until
-        start = busy_until[from_node]
-        now = sim._now
-        if now > start:
-            start = now
-        done = start + serialization
-        busy_until[from_node] = done
-        stats.busy_time += serialization
-        if self.dir_rngs[from_node].random() < self.error_rate:
-            stats.lost += 1
-            observer.count_drop(kind)
-            return True
-        sim.schedule_call_at(
-            done + self.propagation_delay,
-            self._deliver,
-            message,
-            from_node,
-            self._peer[from_node],
-        )
-        return True
-
-    def _transmit_model_per_edge(self, from_node: int, message: Message) -> bool:
-        """Per-direction loss model fed by the per-direction stream."""
-        network = self.network
-        observer = network.observer
-        stats = self.stats
-        kind = message.kind
-        stats.sent += 1
-        observer.count_send(kind, from_node)
-        if not self.up:
-            stats.dropped_down += 1
-            observer.count_drop(kind)
-            return False
-        sim = network.sim
-        serialization = message.size_bits / self.bandwidth_bps
-        busy_until = self._busy_until
-        start = busy_until[from_node]
-        now = sim._now
-        if now > start:
-            start = now
-        done = start + serialization
-        busy_until[from_node] = done
-        stats.busy_time += serialization
-        if self.dir_models[from_node].should_drop(self.dir_rngs[from_node]):
-            stats.lost += 1
-            observer.count_drop(kind)
-            return True
-        sim.schedule_call_at(
-            done + self.propagation_delay,
-            self._deliver,
-            message,
-            from_node,
-            self._peer[from_node],
-        )
-        return True
-
     # ------------------------------------------------------------------
-    # boundary variants -- bound by ``mark_boundary`` on the cut links of
-    # a sharded run.  Identical to their serial counterparts up to the
-    # scheduling decision: the arrival is exported at *send* time (the
-    # conservative-lookahead protocol guarantees arrival >= the current
-    # synchronization horizon, so the receiving shard always gets it in
-    # time to schedule it in its own calendar).
+    # loss draws -- ``self._drop`` is bound to exactly one.
     # ------------------------------------------------------------------
-    def _transmit_boundary_lossless(self, from_node: int, message: Message) -> bool:
-        """Boundary transmit with ε = 0 and no loss model."""
-        network = self.network
-        observer = network.observer
-        stats = self.stats
-        kind = message.kind
-        stats.sent += 1
-        observer.count_send(kind, from_node)
-        if not self.up:
-            stats.dropped_down += 1
-            observer.count_drop(kind)
-            return False
-        serialization = message.size_bits / self.bandwidth_bps
-        busy_until = self._busy_until
-        start = busy_until[from_node]
-        now = network.sim._now
-        if now > start:
-            start = now
-        done = start + serialization
-        busy_until[from_node] = done
-        stats.busy_time += serialization
-        self._outbox.append((
-            done + self.propagation_delay,
-            kind,
-            from_node,
-            self._peer[from_node],
-            message.payload,
-            message.size_bits,
-            message.sender,
-        ))
-        return True
+    def _drop_never(self) -> bool:
+        """ε = 0 and no loss model: nothing is lost, nothing is drawn."""
+        return False
 
-    def _transmit_boundary_bernoulli(self, from_node: int, message: Message) -> bool:
-        """Boundary transmit with a per-direction Bernoulli(ε) draw."""
-        network = self.network
-        observer = network.observer
-        stats = self.stats
-        kind = message.kind
-        stats.sent += 1
-        observer.count_send(kind, from_node)
-        if not self.up:
-            stats.dropped_down += 1
-            observer.count_drop(kind)
-            return False
-        serialization = message.size_bits / self.bandwidth_bps
-        busy_until = self._busy_until
-        start = busy_until[from_node]
-        now = network.sim._now
-        if now > start:
-            start = now
-        done = start + serialization
-        busy_until[from_node] = done
-        stats.busy_time += serialization
-        if self.dir_rngs[from_node].random() < self.error_rate:
-            stats.lost += 1
-            observer.count_drop(kind)
-            return True
-        self._outbox.append((
-            done + self.propagation_delay,
-            kind,
-            from_node,
-            self._peer[from_node],
-            message.payload,
-            message.size_bits,
-            message.sender,
-        ))
-        return True
+    def _drop_bernoulli(self) -> bool:
+        """The paper's i.i.d. Bernoulli(ε) loss draw."""
+        return self.rng.random() < self.error_rate
 
-    def _transmit_boundary_model(self, from_node: int, message: Message) -> bool:
-        """Boundary transmit through the per-direction loss model."""
-        network = self.network
-        observer = network.observer
-        stats = self.stats
-        kind = message.kind
-        stats.sent += 1
-        observer.count_send(kind, from_node)
-        if not self.up:
-            stats.dropped_down += 1
-            observer.count_drop(kind)
-            return False
-        serialization = message.size_bits / self.bandwidth_bps
-        busy_until = self._busy_until
-        start = busy_until[from_node]
-        now = network.sim._now
-        if now > start:
-            start = now
-        done = start + serialization
-        busy_until[from_node] = done
-        stats.busy_time += serialization
-        if self.dir_models[from_node].should_drop(self.dir_rngs[from_node]):
-            stats.lost += 1
-            observer.count_drop(kind)
-            return True
-        self._outbox.append((
-            done + self.propagation_delay,
-            kind,
-            from_node,
-            self._peer[from_node],
-            message.payload,
-            message.size_bits,
-            message.sender,
-        ))
-        return True
+    def _drop_model(self) -> bool:
+        """A stateful loss model's decision (burst loss injection)."""
+        return self.loss_model.should_drop(self.rng)
 
     # ------------------------------------------------------------------
     # delivery variants -- ``self._deliver`` is bound to exactly one.

@@ -90,16 +90,7 @@ class Network:
     loss_model_factory:
         Optional ``(node_a, node_b) -> LossModel`` called once per link;
         installs a stateful loss model (e.g. Gilbert--Elliott) in place of
-        the inline Bernoulli ``error_rate`` draw.  Under the per-edge
-        discipline (``link_rng_factory`` set) it is called once per link
-        *direction* instead, as ``factory(sender, receiver)``.
-    link_rng_factory:
-        Optional ``(from_node, to_node) -> random stream`` enabling the
-        per-edge loss discipline: every link direction gets a private
-        stream (and, with ``loss_model_factory``, a private loss model),
-        so loss draws depend only on that direction's own traffic instead
-        of the global transmission order.  Required by sharded execution;
-        see ``SimulationConfig.loss_discipline``.
+        the inline Bernoulli ``error_rate`` draw.
     oob_loss_model:
         Optional shared loss model for the out-of-band channel, replacing
         the Bernoulli ``oob_error_rate`` draw.
@@ -120,7 +111,6 @@ class Network:
         loss_rng: random.Random,
         observer: Optional[TrafficObserver] = None,
         loss_model_factory: Optional[Callable[[int, int], "LossModel"]] = None,
-        link_rng_factory: Optional[Callable[[int, int], random.Random]] = None,
         oob_loss_model: Optional["LossModel"] = None,
         fault_hooks: bool = False,
     ) -> None:
@@ -129,7 +119,6 @@ class Network:
         self._loss_rng = loss_rng
         self.observer: TrafficObserver = observer or _NullObserver()
         self._loss_model_factory = loss_model_factory
-        self._link_rng_factory = link_rng_factory
         self._oob_loss_model = oob_loss_model
         self.fault_hooks = fault_hooks
         self._nodes: Dict[int, Node] = {}
@@ -224,38 +213,16 @@ class Network:
         if key in self._links:
             raise ValueError(f"link {key} already exists")
         factory = self._loss_model_factory
-        rng_factory = self._link_rng_factory
-        if rng_factory is not None:
-            # Per-edge discipline: each direction owns its stream (and its
-            # loss model, when a factory is configured).
-            dir_rngs = {a: rng_factory(a, b), b: rng_factory(b, a)}
-            dir_models = (
-                {a: factory(a, b), b: factory(b, a)}
-                if factory is not None
-                else None
-            )
-            link = Link(
-                self,
-                a,
-                b,
-                bandwidth_bps=self.config.bandwidth_bps,
-                propagation_delay=self.config.propagation_delay,
-                error_rate=self.config.error_rate,
-                rng=self._loss_rng,
-                dir_rngs=dir_rngs,
-                dir_models=dir_models,
-            )
-        else:
-            link = Link(
-                self,
-                a,
-                b,
-                bandwidth_bps=self.config.bandwidth_bps,
-                propagation_delay=self.config.propagation_delay,
-                error_rate=self.config.error_rate,
-                rng=self._loss_rng,
-                loss_model=factory(a, b) if factory is not None else None,
-            )
+        link = Link(
+            self,
+            a,
+            b,
+            bandwidth_bps=self.config.bandwidth_bps,
+            propagation_delay=self.config.propagation_delay,
+            error_rate=self.config.error_rate,
+            rng=self._loss_rng,
+            loss_model=factory(a, b) if factory is not None else None,
+        )
         self._links[key] = link
         self._adjacency[a][b] = link
         self._adjacency[b][a] = link
@@ -335,40 +302,6 @@ class Network:
         self.send_oob = (
             self._send_oob_bernoulli if rate > 0.0 else self._send_oob_lossless
         )
-
-    def enable_shard_oob_export(self, is_local, outbox: list) -> None:
-        """Route out-of-band sends to foreign nodes into the seam outbox.
-
-        Installed by the sharded runtime on each worker's network: sends to
-        local destinations keep the variant bound at construction; sends to
-        nodes owned by another shard are charged at the sender (exactly as
-        serial would) and exported as ``(arrival_time, kind, from_node,
-        to_node, payload, size_bits, sender)``.  Sharded configs forbid
-        out-of-band loss (config validation), so a foreign send never draws
-        from any stream -- the serial and exported paths stay draw-for-draw
-        identical.
-        """
-        inner = self.send_oob
-        observer = self.observer
-        sim = self.sim
-        latency = self.config.oob_latency
-
-        def send_oob_shard(from_node: int, to_node: int, message: Message) -> bool:
-            if is_local[to_node]:
-                return inner(from_node, to_node, message)
-            observer.count_send(message.kind, from_node)
-            outbox.append((
-                sim._now + latency,
-                message.kind,
-                from_node,
-                to_node,
-                message.payload,
-                message.size_bits,
-                message.sender,
-            ))
-            return True
-
-        self.send_oob = send_oob_shard
 
     # ------------------------------------------------------------------
     # Out-of-band channel -- ``self.send_oob`` is bound at construction to

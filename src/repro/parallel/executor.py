@@ -51,7 +51,6 @@ __all__ = [
     "SerialExecutor",
     "ProcessExecutor",
     "resolve_jobs",
-    "resolve_shard_workers",
     "get_executor",
     "map_scenarios",
 ]
@@ -212,45 +211,6 @@ def resolve_jobs(jobs: JobsSpec) -> int:
     if jobs <= 0:
         return os.cpu_count() or 1
     return jobs
-
-
-#: One-shot latch so a long campaign of capped sharded runs logs the
-#: core-count note once, not once per run.
-_shard_cap_logged = False
-
-
-def resolve_shard_workers(shards: int) -> int:
-    """Worker-process count for a ``shards``-way single-run execution.
-
-    Unlike :func:`get_executor`'s experiment fan-out -- where an
-    over-subscribed pool is pure overhead and the request falls back to
-    serial -- a sharded run's *partition count* is part of the execution
-    plan and must never change with the host (the result is byte-identical
-    regardless, but the partition, seam traffic, and any cut report must
-    match what was asked for).  Only the *process* count is capped: each
-    worker process then hosts several shard replicas, stepped sequentially
-    within every synchronization round.  The parent drives all rounds, so
-    a capped run degrades to (at worst) in-process execution -- it cannot
-    deadlock waiting for workers that never got a core.
-    """
-    global _shard_cap_logged
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    cpus = os.cpu_count() or 1
-    if shards <= cpus:
-        return shards
-    if not _shard_cap_logged:
-        _log.info(
-            "shards=%d exceeds the %d available CPU(s); running all %d "
-            "partitions on %d worker process(es) (results are identical; "
-            "only wall-clock speedup is lost)",
-            shards,
-            cpus,
-            shards,
-            cpus,
-        )
-        _shard_cap_logged = True
-    return cpus
 
 
 def get_executor(

@@ -15,10 +15,7 @@ from __future__ import annotations
 
 import gc
 import time
-from typing import TYPE_CHECKING, List, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (shard -> builder)
-    from repro.shard.context import ShardContext
+from typing import List, Optional
 
 from repro.faults.injector import FaultInjector
 from repro.faults.loss import GilbertElliottFactory, GilbertElliottLoss
@@ -38,11 +35,7 @@ from repro.sim.rng import RandomStreams
 from repro.topology.generator import build_tree
 from repro.topology.reconfiguration import ReconfigurationEngine
 from repro.topology.tree import Tree
-from repro.workload.publishers import (
-    AggregatePublisherPool,
-    FilteredAggregatePublisherPool,
-    PublisherProcess,
-)
+from repro.workload.publishers import AggregatePublisherPool, PublisherProcess
 from repro.workload.subscriptions import assign_subscriptions
 
 __all__ = ["Simulation"]
@@ -51,24 +44,12 @@ __all__ = ["Simulation"]
 class Simulation:
     """A fully wired simulation, ready to :meth:`run`."""
 
-    def __init__(
-        self,
-        config: SimulationConfig,
-        tree: Optional[Tree] = None,
-        shard_context: Optional["ShardContext"] = None,
-    ) -> None:
+    def __init__(self, config: SimulationConfig, tree: Optional[Tree] = None) -> None:
         if config.algorithm not in ALGORITHMS:
             raise KeyError(
                 f"unknown algorithm {config.algorithm!r}; known: {sorted(ALGORITHMS)}"
             )
         self.config = config
-        # Sharded execution builds one full replica of the simulation per
-        # shard (every construction-time draw repeated identically) and
-        # filters at *runtime*: only locally-owned node processes are armed
-        # and every delivery is journalled instead of applied, so the merge
-        # can replay the global delivery sequence in serial order.  ``None``
-        # (the default) is the ordinary single-process run.
-        self.shard = shard_context
         self.streams = RandomStreams(config.seed)
         self.sim = Simulator()
 
@@ -119,15 +100,6 @@ class Simulation:
             # Crash-aware delivery variants are only bound when a fault plan
             # exists; otherwise the hot path carries zero fault accounting.
             fault_hooks=plan is not None,
-            # The per-edge discipline gives every link *direction* a private
-            # loss stream (and burst-chain state), so a direction's draw
-            # sequence depends only on its own traffic -- the property that
-            # lets a sharded run reproduce serial draws exactly.
-            link_rng_factory=(
-                (lambda a, b: self.streams.compact_stream(f"loss[{a}->{b}]"))
-                if config.loss_discipline == "per-edge"
-                else None
-            ),
         )
         self.pattern_space = PatternSpace(config.n_patterns)
         algorithm_cls = ALGORITHMS[config.algorithm]
@@ -138,9 +110,7 @@ class Simulation:
             self.pattern_space,
             config.buffer_size,
             record_routes=algorithm_cls.requires_route_recording,
-            on_deliver=(
-                self._on_deliver if shard_context is None else self._on_deliver_shard
-            ),
+            on_deliver=self._on_deliver,
             cache_policy=config.cache_policy,
             cache_rng_factory=(
                 (lambda node_id: self.streams.stream(f"cache[{node_id}]"))
@@ -189,28 +159,14 @@ class Simulation:
             dispatcher.on_publish = self._on_publish
         if config.workload_model == "aggregate":
             # One pooled process, one stream: O(1) workload state for any N.
-            # Under a shard context the filtered pool runs on *every* shard
-            # (identical draw sequence from the shared "workload" stream)
-            # but only publishes from locally-owned origins.
-            if shard_context is None:
-                self.publishers = [
-                    AggregatePublisherPool(
-                        self.system,
-                        config.publish_rate,
-                        self.streams.stream("workload"),
-                        max_event_patterns=config.max_event_patterns,
-                    )
-                ]
-            else:
-                self.publishers = [
-                    FilteredAggregatePublisherPool(
-                        self.system,
-                        config.publish_rate,
-                        self.streams.stream("workload"),
-                        shard_context.is_local,
-                        max_event_patterns=config.max_event_patterns,
-                    )
-                ]
+            self.publishers = [
+                AggregatePublisherPool(
+                    self.system,
+                    config.publish_rate,
+                    self.streams.stream("workload"),
+                    max_event_patterns=config.max_event_patterns,
+                )
+            ]
         else:
             self.publishers = [
                 PublisherProcess(
@@ -255,10 +211,6 @@ class Simulation:
                 self.publishers,
                 self.streams.stream("faults"),
                 plan,
-                # The injector replays the identical fault timeline on every
-                # shard (network state is replicated) but must only re-arm
-                # node processes it owns.
-                locality=shard_context.is_local if shard_context else None,
             )
 
         self._receiver_pair_total = 0
@@ -276,49 +228,18 @@ class Simulation:
     def _on_deliver(self, node_id: int, event: Event, recovered: bool) -> None:
         self.tracker.on_deliver(node_id, event, recovered, self.sim.now)
 
-    def _on_deliver_shard(self, node_id: int, event: Event, recovered: bool) -> None:
-        # Journal instead of apply: per-event latency sums are order-
-        # sensitive float accumulations, so the merge replays every shard's
-        # journal in global (time, shard) order to reproduce the serial
-        # tracker bit for bit (see repro.shard.merge).
-        self.shard.delivery_log.append(
-            (self.sim.now, node_id, event.event_id, recovered)
-        )
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Arm recovery timers, publishers, and the reconfiguration engine.
-
-        Under a shard context only locally-owned node processes are armed;
-        replicated components -- the aggregate pool and the fault injector,
-        which draw from shared streams -- start on every shard so their
-        draw sequences stay identical everywhere.
-        """
+        """Arm recovery timers, publishers, and the reconfiguration engine."""
         if self._started:
             return
         self._started = True
-        ctx = self.shard
-        if ctx is None:
-            for recovery in self.recoveries:
-                recovery.start()
-            for publisher in self.publishers:
-                publisher.start()
-        else:
-            local = ctx.is_local
-            # Both lists are indexed by node id (built in dispatcher order);
-            # per-node streams are private, so skipping a foreign node's
-            # start perturbs no other node's draws.
-            for node_id, recovery in enumerate(self.recoveries):
-                if local[node_id]:
-                    recovery.start()
-            if self.config.workload_model == "aggregate":
-                self.publishers[0].start()
-            else:
-                for node_id, publisher in enumerate(self.publishers):
-                    if local[node_id]:
-                        publisher.start()
+        for recovery in self.recoveries:
+            recovery.start()
+        for publisher in self.publishers:
+            publisher.start()
         if self.reconfiguration is not None:
             self.reconfiguration.start()
         if self.fault_injector is not None:

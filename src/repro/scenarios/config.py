@@ -30,7 +30,14 @@ from repro.network.network import NetworkConfig
 from repro.recovery.base import RecoveryConfig
 from repro.recovery.degrade import DegradationConfig
 
-__all__ = ["SimulationConfig"]
+__all__ = ["SimulationConfig", "COMPACT_CACHE_MIN_NODES", "COMPACT_RNG_MIN_NODES"]
+
+#: System size from which FIFO runs use the columnar event cache and
+#: bitmap delivery records (:attr:`SimulationConfig.effective_cache_layout`).
+COMPACT_CACHE_MIN_NODES = 1000
+#: System size from which the per-node gossip streams are splitmix64
+#: generators (:attr:`SimulationConfig.effective_gossip_rng`).
+COMPACT_RNG_MIN_NODES = 1000
 
 
 @dataclass(frozen=True)
@@ -110,19 +117,6 @@ class SimulationConfig:
     #: Cache eviction policy: "fifo" (the paper's), "lru", or "random"
     #: (the buffer-optimization ablation; see repro.pubsub.cache).
     cache_policy: str = "fifo"
-    #: Event-buffer layout: "classic" (dict-indexed, supports every
-    #: policy), "compact" (columnar ring, FIFO only; see
-    #: repro.pubsub.compact), or "auto" -- compact iff the policy is FIFO
-    #: and N >= 1000, classic (byte-identical to earlier baselines) below.
-    cache_layout: str = "auto"
-    #: Generator backing the per-node gossip streams: "mt" (one
-    #: ``random.Random`` per dispatcher -- 2.5 KB of Mersenne Twister
-    #: state each, byte-identical to earlier baselines), "compact" (a
-    #: 2-word splitmix64 generator, ~50 B/node; see
-    #: repro.sim.rng.CompactRandom), or "auto" -- compact at N >= 1000,
-    #: mt below (same threshold as ``cache_layout``: every paper-scale
-    #: run keeps its frozen draw sequences).
-    gossip_rng: str = "auto"
     #: T, the gossip interval.
     gossip_interval: float = 0.03
     #: Per-neighbor gossip forwarding probability.
@@ -162,27 +156,6 @@ class SimulationConfig:
     bin_width: float = 0.1
     #: Master seed for all random streams.
     seed: int = 42
-    #: Link-loss draw discipline.  "shared" (default): every link draws
-    #: from the single run-wide "loss" stream in global transmission
-    #: order -- byte-identical to all frozen baselines.  "per-edge": each
-    #: link *direction* owns a private splitmix64 stream (and, under
-    #: Gilbert--Elliott plans, a private burst model per direction), so a
-    #: link's loss draws depend only on that direction's own traffic.
-    #: This is the discipline sharded runs require: it makes loss draws
-    #: independent of the global interleaving of transmissions, which a
-    #: partitioned simulation cannot reproduce.  A different but equally
-    #: valid random instantiation -- compare per-edge runs against
-    #: per-edge baselines, never against "shared" ones.
-    loss_discipline: str = "shared"
-    #: Number of overlay partitions for a single-run sharded execution
-    #: (conservative-lookahead parallel DES; see repro.shard).  ``1``
-    #: (default) runs the plain serial simulator.  Deliberately excluded
-    #: from equality/signature comparisons (``compare=False``): the shard
-    #: count is an execution detail, and ``RunResult.signature()`` is
-    #: byte-identical across shard counts by contract.  Worker *processes*
-    #: are capped at the host's core count at run time; the partition
-    #: count (and hence the result) never changes with the host.
-    shards: int = dataclasses.field(default=1, compare=False)
 
     # ------------------------------------------------------------------
     def __post_init__(self) -> None:
@@ -200,15 +173,6 @@ class SimulationConfig:
             raise ValueError("buffer_size must be >= 0")
         if self.cache_policy not in ("fifo", "lru", "random"):
             raise ValueError(f"unknown cache_policy {self.cache_policy!r}")
-        if self.cache_layout not in ("auto", "classic", "compact"):
-            raise ValueError(f"unknown cache_layout {self.cache_layout!r}")
-        if self.cache_layout == "compact" and self.cache_policy != "fifo":
-            raise ValueError(
-                "the compact cache layout is FIFO-only; use cache_layout="
-                f"'classic' for cache_policy={self.cache_policy!r}"
-            )
-        if self.gossip_rng not in ("auto", "mt", "compact"):
-            raise ValueError(f"unknown gossip_rng {self.gossip_rng!r}")
         if self.workload_model not in ("per-node", "aggregate"):
             raise ValueError(f"unknown workload_model {self.workload_model!r}")
         if self.workload_model == "aggregate":
@@ -241,73 +205,12 @@ class SimulationConfig:
             raise ValueError("reconfiguration_interval must be positive or None")
         if self.faults is not None:
             self.faults.validate(self.n_dispatchers)
-        if self.loss_discipline not in ("shared", "per-edge"):
-            raise ValueError(f"unknown loss_discipline {self.loss_discipline!r}")
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
-        if self.shards > 1:
-            self._validate_shardable()
         if not self.measure_start < self.effective_measure_end <= self.sim_time:
             raise ValueError(
                 "measurement window must satisfy "
                 f"measure_start < measure_end <= sim_time; got "
                 f"[{self.measure_start}, {self.effective_measure_end}] "
                 f"with sim_time={self.sim_time}"
-            )
-
-    def _validate_shardable(self) -> None:
-        """Reject configurations the sharded runtime cannot execute
-        bit-identically to serial (repro.shard; DESIGN.md "Seam-to-runtime
-        mapping").  Every rejection here is a determinism argument, not an
-        implementation gap."""
-        if self.propagation_delay <= 0.0:
-            raise ValueError(
-                "sharded runs need propagation_delay > 0: the cut-link "
-                "propagation delay is the conservative lookahead window"
-            )
-        if self.algorithm == "gossip-dissemination":
-            raise ValueError(
-                "gossip-dissemination embeds full events inside gossip "
-                "payloads, which the seam does not re-intern; run it serial"
-            )
-        if self.reconfiguration_interval is not None:
-            raise ValueError(
-                "sharded runs do not support topological reconfiguration "
-                "(the partition is computed once from the static overlay)"
-            )
-        if self.publish_model != "poisson":
-            raise ValueError(
-                "sharded runs need publish_model='poisson': periodic "
-                "publishing schedules simultaneous cross-shard events whose "
-                "serial tie order a partitioned run cannot reproduce"
-            )
-        if self.oob_error_rate > 0.0:
-            raise ValueError(
-                "sharded runs need oob_error_rate=0: out-of-band loss draws "
-                "consume the shared 'loss' stream in global send order"
-            )
-        loss_active = self.error_rate > 0.0
-        if self.faults is not None:
-            plan = self.faults
-            if plan.churn is not None or plan.partition_process is not None:
-                raise ValueError(
-                    "sharded runs support scripted crashes/partitions only; "
-                    "stochastic churn/partition processes draw inter-event "
-                    "gaps whose replication across shards is not defined"
-                )
-            if plan.oob_loss is not None:
-                raise ValueError(
-                    "sharded runs do not support out-of-band burst loss "
-                    "(shared-stream draws in global send order)"
-                )
-            if plan.link_loss is not None:
-                loss_active = True
-        if loss_active and self.loss_discipline != "per-edge":
-            raise ValueError(
-                "sharded runs with link loss need loss_discipline='per-edge' "
-                "(the shared 'loss' stream is consumed in global transmission "
-                "order, which a partitioned run cannot reproduce); compare "
-                "against a shards=1 per-edge run"
             )
 
     # ------------------------------------------------------------------
@@ -319,30 +222,31 @@ class SimulationConfig:
 
     @property
     def effective_cache_layout(self) -> str:
-        """Resolve the "auto" layout: compact for large FIFO runs.
+        """The event-buffer layout this run uses.
 
-        The 1000-node threshold keeps every paper-scale run on the classic
-        layout (byte-identical to the frozen baselines) while the scale
-        sweeps get the columnar buffer for free.
+        "compact" (the columnar FIFO ring of repro.pubsub.compact) for
+        FIFO runs of at least :data:`COMPACT_CACHE_MIN_NODES` dispatchers,
+        "classic" (dict-indexed, every eviction policy) otherwise.  The
+        compact ring's O(β) scans make it several times slower at the
+        paper's β, so paper-scale runs keep the classic layout.
         """
-        if self.cache_layout != "auto":
-            return self.cache_layout
-        if self.cache_policy == "fifo" and self.n_dispatchers >= 1000:
+        if (
+            self.cache_policy == "fifo"
+            and self.n_dispatchers >= COMPACT_CACHE_MIN_NODES
+        ):
             return "compact"
         return "classic"
 
     @property
     def effective_gossip_rng(self) -> str:
-        """Resolve the "auto" gossip generator: compact for large runs.
+        """The generator behind the per-node gossip streams.
 
-        Mirrors :attr:`effective_cache_layout`'s 1000-node threshold --
-        paper-scale runs keep the Mersenne Twister streams (and hence
-        their frozen draw sequences); the scale sweeps trade them for
-        50-byte splitmix64 state per node.
+        "compact" (2-word splitmix64 state, ~50 B/node; see
+        repro.sim.rng.CompactRandom) from :data:`COMPACT_RNG_MIN_NODES`
+        dispatchers up, "mt" (one Mersenne Twister per dispatcher) below,
+        so every paper-scale run keeps its frozen draw sequences.
         """
-        if self.gossip_rng != "auto":
-            return self.gossip_rng
-        return "compact" if self.n_dispatchers >= 1000 else "mt"
+        return "compact" if self.n_dispatchers >= COMPACT_RNG_MIN_NODES else "mt"
 
     @property
     def subscribers_per_pattern(self) -> float:

@@ -39,7 +39,6 @@ __all__ = [
     "scale_mode",
     "base_config",
     "equivalent_buffer",
-    "shardify",
     "fig3a_lossy_delivery",
     "fig3b_reconfiguration",
     "fig4_buffer_sweep",
@@ -175,19 +174,17 @@ def _run_curves(
     metric: Callable[[RunResult], float],
     jobs=None,
     campaign_dir: Optional[str] = None,
-    shards: int = 1,
 ) -> ExperimentResult:
     """Run ``algorithms`` x ``x_values`` and collect ``metric`` curves.
 
     ``config_for(algorithm)`` yields the per-algorithm base config;
     ``apply_x(config, x)`` specializes it for one x value.  ``jobs`` fans
     the full algorithm x value grid over worker processes (see
-    :mod:`repro.parallel`); ``shards`` splits each *single* cell over
-    shard workers instead (see :func:`shardify`).
+    :mod:`repro.parallel`).
     """
     result = ExperimentResult(experiment_id, title, x_label, list(x_values))
     cells = [
-        (algorithm, shardify(apply_x(config_for(algorithm), x), shards))
+        (algorithm, apply_x(config_for(algorithm), x))
         for algorithm in algorithms
         for x in x_values
     ]
@@ -208,36 +205,6 @@ def _delivery(run: RunResult) -> float:
     return run.delivery_rate
 
 
-def shardify(config: SimulationConfig, shards: int) -> SimulationConfig:
-    """Best-effort sharded variant of one experiment cell.
-
-    Cells with active link loss are switched to the **per-edge** loss
-    discipline, which the sharded runtime requires (a shared loss stream
-    cannot be partitioned; see docs/PERFORMANCE.md).  The discipline is a
-    config field, so those cells measure a different -- equally valid --
-    random instantiation than the figure's serial default; comparisons
-    within one invocation stay apples-to-apples because every cell of the
-    grid gets the same treatment.
-
-    Cells the sharded runtime cannot execute at all (reconfiguration,
-    churn, gossip-dissemination, out-of-band loss) are returned unchanged
-    and simply run serially: a figure is a grid of independent cells, and
-    sharding the shardable ones is still a win.
-    """
-    if shards <= 1:
-        return config
-    overrides: Dict[str, object] = {"shards": shards}
-    loss_active = config.error_rate > 0.0 or (
-        config.faults is not None and config.faults.link_loss is not None
-    )
-    if loss_active and config.loss_discipline != "per-edge":
-        overrides["loss_discipline"] = "per-edge"
-    try:
-        return config.replace(**overrides)
-    except ValueError:
-        return config
-
-
 # ----------------------------------------------------------------------
 # Figure 3(a): delivery under lossy links
 # ----------------------------------------------------------------------
@@ -247,7 +214,6 @@ def fig3a_lossy_delivery(
     seed: int = 42,
     jobs=None,
     campaign_dir: Optional[str] = None,
-    shards: int = 1,
 ) -> ExperimentResult:
     """Delivery rate per algorithm on a stable topology with lossy links.
 
@@ -263,12 +229,7 @@ def fig3a_lossy_delivery(
         list(algorithms),
     )
     configs = [
-        shardify(
-            base_config(seed=seed).replace(
-                algorithm=algorithm, error_rate=error_rate
-            ),
-            shards,
-        )
+        base_config(seed=seed).replace(algorithm=algorithm, error_rate=error_rate)
         for algorithm in algorithms
     ]
     runs = map_scenarios(configs, jobs=jobs, campaign_dir=campaign_dir)
@@ -286,7 +247,6 @@ def fig3b_reconfiguration(
     seed: int = 42,
     jobs=None,
     campaign_dir: Optional[str] = None,
-    shards: int = 1,
 ) -> ExperimentResult:
     """Delivery with fully reliable links but a reconfiguring overlay.
 
@@ -301,16 +261,11 @@ def fig3b_reconfiguration(
         "algorithm",
         list(algorithms),
     )
-    # Reconfiguring overlays are outside the sharded runtime's static-cut
-    # precondition; shardify leaves these cells serial.
     configs = [
-        shardify(
-            base_config(seed=seed).replace(
-                algorithm=algorithm,
-                error_rate=0.0,
-                reconfiguration_interval=interval,
-            ),
-            shards,
+        base_config(seed=seed).replace(
+            algorithm=algorithm,
+            error_rate=0.0,
+            reconfiguration_interval=interval,
         )
         for algorithm in algorithms
     ]
@@ -336,7 +291,6 @@ def fig4_buffer_sweep(
     seed: int = 42,
     jobs=None,
     campaign_dir: Optional[str] = None,
-    shards: int = 1,
 ) -> ExperimentResult:
     """Delivery vs. buffer size β (paper sweeps 500..4000)."""
     base = base_config(seed=seed)
@@ -353,7 +307,6 @@ def fig4_buffer_sweep(
         _delivery,
         jobs=jobs,
         campaign_dir=campaign_dir,
-        shards=shards,
     )
 
 
@@ -363,7 +316,6 @@ def fig4_interval_sweep(
     seed: int = 42,
     jobs=None,
     campaign_dir: Optional[str] = None,
-    shards: int = 1,
 ) -> ExperimentResult:
     """Delivery vs. gossip interval T (paper sweeps 0.01..0.055 s)."""
     base = base_config(seed=seed)
@@ -378,7 +330,6 @@ def fig4_interval_sweep(
         _delivery,
         jobs=jobs,
         campaign_dir=campaign_dir,
-        shards=shards,
     )
 
 
@@ -391,7 +342,6 @@ def fig5_interval_buffer_grid(
     seed: int = 42,
     jobs=None,
     campaign_dir: Optional[str] = None,
-    shards: int = 1,
 ) -> ExperimentResult:
     """Combined pull: delivery vs T, one curve per β."""
     base = base_config(seed=seed).replace(algorithm="combined-pull")
@@ -402,12 +352,8 @@ def fig5_interval_buffer_grid(
         list(intervals),
     )
     cells = [
-        (beta, shardify(
-            base.replace(
-                buffer_size=equivalent_buffer(base, beta),
-                gossip_interval=interval,
-            ),
-            shards,
+        (beta, base.replace(
+            buffer_size=equivalent_buffer(base, beta), gossip_interval=interval
         ))
         for beta in paper_betas
         for interval in intervals
@@ -434,7 +380,6 @@ def fig6_scalability(
     seed: int = 42,
     jobs=None,
     campaign_dir: Optional[str] = None,
-    shards: int = 1,
 ) -> ExperimentResult:
     """Delivery vs. N, with β scaled linearly so persistence stays ~4 s.
 
@@ -460,7 +405,6 @@ def fig6_scalability(
         _delivery,
         jobs=jobs,
         campaign_dir=campaign_dir,
-        shards=shards,
     )
 
 
@@ -472,7 +416,6 @@ def fig7_receivers_per_event(
     seed: int = 42,
     jobs=None,
     campaign_dir: Optional[str] = None,
-    shards: int = 1,
 ) -> ExperimentResult:
     """Mean number of dispatchers receiving one event as πmax grows.
 
@@ -501,7 +444,7 @@ def fig7_receivers_per_event(
         list(pi_values),
     )
     runs = map_scenarios(
-        [shardify(base.replace(pi_max=pi_max), shards) for pi_max in pi_values],
+        [base.replace(pi_max=pi_max) for pi_max in pi_values],
         jobs=jobs,
         campaign_dir=campaign_dir,
     )
@@ -521,7 +464,6 @@ def fig8_patterns_delivery(
     paper_beta: Optional[int] = None,
     jobs=None,
     campaign_dir: Optional[str] = None,
-    shards: int = 1,
 ) -> ExperimentResult:
     """Delivery vs. πmax (paper: both charts derived with β = 4000).
 
@@ -556,7 +498,6 @@ def fig8_patterns_delivery(
         _delivery,
         jobs=jobs,
         campaign_dir=campaign_dir,
-        shards=shards,
     )
 
 
@@ -569,7 +510,6 @@ def fig9a_overhead_scale(
     seed: int = 42,
     jobs=None,
     campaign_dir: Optional[str] = None,
-    shards: int = 1,
 ) -> ExperimentResult:
     """Gossip msgs/dispatcher (absolute) and gossip/event ratio vs N."""
     if sizes is None:
@@ -584,7 +524,7 @@ def fig9a_overhead_scale(
         "Fig9a", "overhead vs system size", "N", list(sizes)
     )
     cells = [
-        (algorithm, shardify(apply_n(base.replace(algorithm=algorithm), n), shards))
+        (algorithm, apply_n(base.replace(algorithm=algorithm), n))
         for algorithm in algorithms
         for n in sizes
     ]
@@ -612,7 +552,6 @@ def fig9b_overhead_patterns(
     seed: int = 42,
     jobs=None,
     campaign_dir: Optional[str] = None,
-    shards: int = 1,
 ) -> ExperimentResult:
     """Gossip msgs/dispatcher and gossip/event ratio vs πmax."""
     base = base_config(seed=seed)
@@ -621,9 +560,8 @@ def fig9b_overhead_patterns(
         "Fig9b", "overhead vs subscriptions per dispatcher", "pi_max", list(pi_values)
     )
     cells = [
-        (algorithm, shardify(
-            base.replace(algorithm=algorithm, pi_max=pi_max, buffer_size=beta),
-            shards,
+        (algorithm, base.replace(
+            algorithm=algorithm, pi_max=pi_max, buffer_size=beta
         ))
         for algorithm in algorithms
         for pi_max in pi_values
@@ -656,7 +594,6 @@ def fig10_overhead_error_rate(
     seed: int = 42,
     jobs=None,
     campaign_dir: Optional[str] = None,
-    shards: int = 1,
 ) -> ExperimentResult:
     """Gossip msgs/dispatcher vs ε.
 
@@ -676,7 +613,6 @@ def fig10_overhead_error_rate(
         lambda run: run.gossip_per_dispatcher,
         jobs=jobs,
         campaign_dir=campaign_dir,
-        shards=shards,
     )
 
 
@@ -688,7 +624,6 @@ def fig_scalability(
     algorithm: str = "combined-pull",
     seed: int = 1,
     campaign_dir: Optional[str] = None,
-    shards: int = 1,
 ) -> ExperimentResult:
     """Delivery, overhead, wall time and peak RSS as N grows to 10⁵.
 
@@ -763,11 +698,6 @@ def fig_scalability(
             workload_model="aggregate",
             seed=seed,
         )
-        # Sharding splits this single big run over worker processes
-        # (lossy cell -> per-edge discipline; see shardify).  The config
-        # digest below ignores `shards`, but the discipline switch makes
-        # sharded points distinct campaign cells from serial ones.
-        config = shardify(config, shards)
         if journal is not None:
             from repro.scenarios.serialize import config_digest
 
@@ -826,7 +756,6 @@ def figX_churn_delivery(
     seed: int = 42,
     jobs=None,
     campaign_dir: Optional[str] = None,
-    shards: int = 1,
 ) -> ExperimentResult:
     """Delivery vs. Poisson node-churn rate (beyond-the-paper extension).
 
@@ -866,5 +795,4 @@ def figX_churn_delivery(
         _delivery,
         jobs=jobs,
         campaign_dir=campaign_dir,
-        shards=shards,
     )

@@ -18,15 +18,8 @@ def run_scenario(config: SimulationConfig) -> RunResult:
 
     A pure function of ``config``: repeated calls (in any process) return
     identical results except ``wall_clock_seconds``.  This is the unit of
-    work :mod:`repro.parallel` fans out.  ``config.shards > 1`` routes
-    through the sharded runtime (:mod:`repro.shard`); the result is
-    byte-identical to the serial run's by contract, so callers never need
-    to care which path executed.
+    work :mod:`repro.parallel` fans out.
     """
-    if config.shards > 1:
-        from repro.shard.runner import run_sharded
-
-        return run_sharded(config)
     return Simulation(config).run()
 
 

@@ -95,15 +95,10 @@ def config_digest(config: SimulationConfig) -> str:
     Canonical JSON (sorted keys, no whitespace) hashed with SHA-256;
     stable across processes, hosts, and interpreter restarts -- unlike
     ``hash()``, which is salted per process.
-
-    ``shards`` is excluded: it is an execution detail (``compare=False``
-    on the dataclass) with a byte-identical-result contract, so a
-    campaign cell journalled by a serial run satisfies the same cell
-    requested sharded, and vice versa.
     """
-    fields = config_to_dict(config)
-    fields.pop("shards", None)
-    canonical = json.dumps(fields, sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(
+        config_to_dict(config), sort_keys=True, separators=(",", ":")
+    )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 

@@ -17,14 +17,13 @@ schedule of calls produce identical event orderings (ties in timestamps are
 broken FIFO by insertion order).
 """
 
-from repro.sim.engine import HeapSimulator, Simulator, ScheduledEvent, SimulationError
+from repro.sim.engine import Simulator, ScheduledEvent, SimulationError
 from repro.sim.process import Process, sleep
 from repro.sim.rng import RandomStreams
 from repro.sim.timers import PeriodicTimer, Timeout
 
 __all__ = [
     "Simulator",
-    "HeapSimulator",
     "ScheduledEvent",
     "SimulationError",
     "PeriodicTimer",

@@ -20,12 +20,7 @@ from repro.pubsub.pattern import PatternSpace
 from repro.pubsub.system import PubSubSystem
 from repro.sim.engine import ScheduledEvent, Simulator
 
-__all__ = [
-    "PublisherProcess",
-    "AggregatePublisherPool",
-    "FilteredAggregatePublisherPool",
-    "start_publishers",
-]
+__all__ = ["PublisherProcess", "AggregatePublisherPool", "start_publishers"]
 
 
 class PublisherProcess:
@@ -211,71 +206,6 @@ class AggregatePublisherPool:
         return (
             f"<AggregatePublisherPool n={self._node_count} "
             f"rate={self.rate_per_node}/s/node published={self.published}>"
-        )
-
-
-class FilteredAggregatePublisherPool(AggregatePublisherPool):
-    """Replicate-and-filter variant of the pool for sharded execution.
-
-    Every shard runs one instance over the *shared* ``"workload"`` stream
-    and makes exactly the same draws (gap, origin, content) in the same
-    order, so the pooled schedule is identical everywhere; an arrival is
-    actually published only when its origin is locally owned.  ``ticks``
-    counts pool timer firings -- engine events replicated on every shard
-    but corresponding to a single serial event -- so the sharded runner can
-    correct the merged ``sim_events_processed`` tally.
-    """
-
-    __slots__ = ("owned", "ticks")
-
-    def __init__(
-        self,
-        system: PubSubSystem,
-        rate_per_node: float,
-        rng: random.Random,
-        owned: List[bool],
-        max_event_patterns: int = 3,
-        until: Optional[float] = None,
-    ) -> None:
-        super().__init__(
-            system,
-            rate_per_node,
-            rng,
-            max_event_patterns=max_event_patterns,
-            until=until,
-        )
-        if len(owned) != self._node_count:
-            raise ValueError(
-                f"ownership mask covers {len(owned)} nodes, "
-                f"system has {self._node_count}"
-            )
-        self.owned = owned
-        self.ticks = 0
-
-    def _publish_one(self) -> None:
-        self.ticks += 1
-        if not self._running:
-            return
-        sim = self.system.sim
-        if self.until is not None and sim.now >= self.until:
-            self._running = False
-            return
-        rng = self.rng
-        node_id = rng.randrange(self._node_count)
-        patterns = self.system.pattern_space.sample_event_patterns(
-            rng, self.max_event_patterns
-        )
-        if self.owned[node_id]:
-            self.system.publish(node_id, patterns)
-            self.published += 1
-        self._handle = sim.schedule(
-            rng.expovariate(self._total_rate), self._publish_one
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<FilteredAggregatePublisherPool n={self._node_count} "
-            f"local={sum(self.owned)} published={self.published}>"
         )
 
 

@@ -14,7 +14,8 @@ from repro.campaign.journal import (
     CampaignJournal,
     atomic_write_text,
 )
-from repro.scenarios.serialize import config_digest
+from repro.campaign.runtime import run_campaign
+from repro.scenarios.serialize import config_digest, result_to_dict
 
 from tests.campaign.conftest import tiny_config
 
@@ -64,6 +65,30 @@ class TestRecordAndLoad:
         alien = {"schema": SCHEMA_VERSION + 1, "digest": "f" * 64, "result": {}}
         (journal.cells_dir / "alien.ndjson").write_text(json.dumps(alien) + "\n")
         assert set(journal.load()) == {digest}
+
+    def test_schema_1_record_with_removed_fields_is_recomputed(
+        self, tmp_path, tiny_result
+    ):
+        # A schema-1 journal stored the four config fields schema 2
+        # dropped; decoding one would raise TypeError.  Even filed under
+        # the current digest of its cell it is skipped, and a resume runs
+        # the cell again instead of crashing.
+        result = result_to_dict(tiny_result)
+        result["config"].update(
+            shards=1, loss_discipline="shared", cache_layout="auto",
+            gossip_rng="auto",
+        )
+        digest = config_digest(tiny_result.config)
+        journal = CampaignJournal(tmp_path)
+        journal.ensure()
+        legacy = {"schema": 1, "digest": digest, "result": result}
+        (journal.cells_dir / f"{digest}.ndjson").write_text(
+            json.dumps(legacy) + "\n"
+        )
+        assert journal.load() == {}
+        outcome = run_campaign([tiny_config()], tmp_path)
+        assert outcome.report.executed == 1 and outcome.report.skipped == 0
+        assert outcome.results[0].signature() == tiny_result.signature()
 
     def test_empty_directory_loads_empty(self, tmp_path):
         assert CampaignJournal(tmp_path / "nowhere").load() == {}

@@ -19,8 +19,8 @@ def tiny_result():
     return run_scenario(tiny_config())
 
 
-def fake_figure(jobs, campaign_dir=None, shards=1):
-    calls.append({"jobs": jobs, "campaign_dir": campaign_dir, "shards": shards})
+def fake_figure(jobs, campaign_dir=None):
+    calls.append({"jobs": jobs, "campaign_dir": campaign_dir})
     return ExperimentResult(
         "FigFake", "a fake figure", "x", [1, 2], curves={"line": [0.5, 0.6]}
     )
@@ -35,16 +35,14 @@ class TestCampaignCli:
     def test_figure_campaign_dir_writes_manifest(self, tmp_path, capsys):
         directory = tmp_path / "fig7"
         assert cli.main(["figure", "7", "--campaign-dir", str(directory)]) == 0
-        assert calls == [
-            {"jobs": 1, "campaign_dir": str(directory), "shards": 1}
-        ]
+        assert calls == [{"jobs": 1, "campaign_dir": str(directory)}]
         manifest = CampaignJournal(directory).read_manifest()
         assert manifest is not None
         assert manifest["command"] == {"kind": "figure", "which": "7"}
 
     def test_figure_without_campaign_dir_does_not_journal(self, capsys):
         assert cli.main(["figure", "7"]) == 0
-        assert calls == [{"jobs": 1, "campaign_dir": None, "shards": 1}]
+        assert calls == [{"jobs": 1, "campaign_dir": None}]
 
     def test_status_reports_progress_and_quarantine(
         self, tmp_path, capsys, tiny_result
@@ -65,7 +63,7 @@ class TestCampaignCli:
         journal = CampaignJournal(tmp_path)
         journal.write_manifest({"command": {"kind": "figure", "which": "7"}})
         assert cli.main(["campaign", "resume", str(tmp_path), "--jobs", "3"]) == 0
-        assert calls == [{"jobs": 3, "campaign_dir": str(tmp_path), "shards": 1}]
+        assert calls == [{"jobs": 3, "campaign_dir": str(tmp_path)}]
         assert "FigFake" in capsys.readouterr().out
 
     def test_resume_rejects_non_campaign_directory(self, tmp_path, capsys):

@@ -11,7 +11,7 @@ from repro.scenarios.experiments import ExperimentResult
 seen_jobs = []
 
 
-def fake_result(jobs, campaign_dir=None, shards=1):
+def fake_result(jobs, campaign_dir=None):
     seen_jobs.append(jobs)
     return ExperimentResult(
         "FigFake",

@@ -1,7 +1,7 @@
 """The fault layer must cost *nothing* when it is switched off.
 
 PR 5 replaced per-event ``if faults:`` branches with setup-time method
-binding: every hot-path entry point (`Link.transmit`, OOB send/deliver,
+binding: every hot-path entry point (`Link`'s loss draw, OOB send/deliver,
 `Dispatcher.receive`, recovery forwarding) is bound to either a *fast*
 variant (no fault or degradation bookkeeping at all) or a *checked*
 variant at construction time.  These tests pin the binding decisions
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.faults import FaultPlan, scripted_crashes
+from repro.faults import FaultPlan, GilbertElliottConfig, scripted_crashes
 from repro.network.link import Link
 from repro.network.network import Network
 from repro.recovery.degrade import DegradationConfig
@@ -52,7 +52,7 @@ class TestFastPathBinding:
         assert network.send_oob.__func__ is Network._send_oob_lossless
         assert network._deliver_oob.__func__ is Network._deliver_oob_fast
         link = _a_link(network)
-        assert link.transmit.__func__ is Link._transmit_bernoulli
+        assert link._drop.__func__ is Link._drop_bernoulli
         assert link._deliver.__func__ is Link._deliver_fast
         # No degradation config -> no per-peer bookkeeping in forwarding.
         for dispatcher in simulation.system.dispatchers:
@@ -66,10 +66,15 @@ class TestFastPathBinding:
 
     def test_lossless_link_binds_lossless_transmit(self):
         simulation = Simulation(_config(error_rate=0.0))
-        assert (
-            _a_link(simulation.network).transmit.__func__
-            is Link._transmit_lossless
-        )
+        assert _a_link(simulation.network)._drop.__func__ is Link._drop_never
+
+    def test_loss_model_binds_model_draw(self):
+        plan = FaultPlan(link_loss=GilbertElliottConfig.from_epsilon(0.1))
+        link = _a_link(Simulation(_config(faults=plan)).network)
+        assert link._drop.__func__ is Link._drop_model
+        # A loss model outranks ε: changing it leaves the model in charge.
+        link.set_error_rate(0.0)
+        assert link._drop.__func__ is Link._drop_model
 
     def test_fault_plan_binds_checked_variants(self):
         plan = FaultPlan(crashes=scripted_crashes([1], at=0.5, duration=0.2))
@@ -99,11 +104,11 @@ class TestFastPathBinding:
     def test_set_error_rate_rebinds_transmit(self):
         simulation = Simulation(_config(error_rate=0.0))
         link = _a_link(simulation.network)
-        assert link.transmit.__func__ is Link._transmit_lossless
+        assert link._drop.__func__ is Link._drop_never
         link.set_error_rate(0.2)
-        assert link.transmit.__func__ is Link._transmit_bernoulli
+        assert link._drop.__func__ is Link._drop_bernoulli
         link.set_error_rate(0.0)
-        assert link.transmit.__func__ is Link._transmit_lossless
+        assert link._drop.__func__ is Link._drop_never
 
     def test_set_oob_error_rate_rebinds_send(self):
         simulation = Simulation(_config())

@@ -83,7 +83,8 @@ class TestRep007Details:
 
         repo_root = pathlib.Path(__file__).resolve().parents[2]
         config = load_config(repo_root / "pyproject.toml")
-        assert "Link._transmit_*" in config.hot_path.methods
+        assert "Link.transmit" in config.hot_path.methods
+        assert "Link._drop_*" in config.hot_path.methods
         assert "Dispatcher._forward_event" in config.hot_path.methods
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.scenarios.config as config_module
 from repro.scenarios.builder import Simulation
 from repro.scenarios.config import SimulationConfig
 from repro.scenarios.runner import run_many, run_scenario
@@ -86,16 +87,17 @@ class TestRunInvariants:
         assert a.messages == b.messages
         assert a.sim_events_processed == b.sim_events_processed
 
-    def test_determinism_with_compact_gossip_rng(self):
+    def test_determinism_with_compact_gossip_rng(self, monkeypatch):
         # The splitmix64 gossip streams must be as replayable as the
         # Mersenne Twister ones, and still recover losses.
+        monkeypatch.setattr(config_module, "COMPACT_RNG_MIN_NODES", 1)
         config = SimulationConfig(
             algorithm="combined-pull",
             error_rate=0.15,
-            gossip_rng="compact",
             seed=11,
             **FAST,
         )
+        assert config.effective_gossip_rng == "compact"
         a = run_scenario(config)
         b = run_scenario(config)
         assert a.signature()[1:] == b.signature()[1:]

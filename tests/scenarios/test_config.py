@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.scenarios.config as config_module
 from repro.scenarios.config import SimulationConfig
 
 
@@ -70,15 +71,14 @@ class TestValidation:
         explicit = SimulationConfig(sim_time=10.0, measure_end=6.0)
         assert explicit.effective_measure_end == 6.0
 
-    def test_gossip_rng_validated_and_auto_resolved(self):
-        with pytest.raises(ValueError, match="gossip_rng"):
-            SimulationConfig(gossip_rng="xorshift")
+    def test_gossip_rng_resolved_from_system_size(self, monkeypatch):
         small = SimulationConfig(n_dispatchers=100)
         assert small.effective_gossip_rng == "mt"
         large = small.replace(n_dispatchers=5000)
         assert large.effective_gossip_rng == "compact"
-        forced = large.replace(gossip_rng="mt")
-        assert forced.effective_gossip_rng == "mt"
+        monkeypatch.setattr(config_module, "COMPACT_RNG_MIN_NODES", 100)
+        assert small.effective_gossip_rng == "compact"
+        assert small.effective_cache_layout == "classic"
 
 
 class TestDerivedQuantities:

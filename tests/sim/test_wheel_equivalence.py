@@ -17,8 +17,9 @@ from hypothesis import given, settings, strategies as st
 import repro.scenarios.builder as builder_module
 from repro.scenarios.config import SimulationConfig
 from repro.scenarios.runner import run_scenario
-from repro.sim.engine import HeapSimulator, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
+from tests.sim.heap_simulator import HeapSimulator
 
 
 def _drive(sim, rng, operations):

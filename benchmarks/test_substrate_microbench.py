@@ -15,6 +15,7 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.topology.generator import bushy_tree
 from tests.conftest import make_event
+from tests.pubsub.reference_oracle import rebuild_routes_reference
 
 
 def test_engine_event_throughput(benchmark):
@@ -58,13 +59,39 @@ def test_cache_insert_lookup_throughput(benchmark):
     assert hits == 1500
 
 
+def _bench_route_oracle(benchmark, config):
+    """Time ``rebuild_routes`` on a built system and check that it lays the
+    same routes as the per-pattern reference oracle."""
+    system = Simulation(config).system
+    rebuild_routes_reference(system)
+    expected = [list(dispatcher.table) for dispatcher in system.dispatchers]
+    benchmark(system.rebuild_routes)
+    assert [list(dispatcher.table) for dispatcher in system.dispatchers] == expected
+
+
 def test_route_oracle_rebuild(benchmark):
     """Full subscription-table rebuild at paper scale (the reconfiguration
-    hot path)."""
+    hot path; ``pubsub`` layer, set-up and repairs)."""
     config = SimulationConfig(sim_time=1.0, measure_start=0.1, measure_end=0.9)
-    simulation = Simulation(config)
+    _bench_route_oracle(benchmark, config)
 
-    rebuilds = benchmark(simulation.system.rebuild_routes)
+
+def test_route_oracle_rebuild_scale_free_10k(benchmark):
+    """The same rebuild on a 10k-node scale-free overlay: the route oracle
+    that dominates the ``pubsub`` set-up of bench/'s ``scale_free_10k``."""
+    config = SimulationConfig(
+        n_dispatchers=10_000,
+        n_patterns=70,
+        publish_rate=200.0 / 10_000,
+        sim_time=0.6,
+        measure_start=0.1,
+        measure_end=0.4,
+        buffer_size=32,
+        gossip_interval=0.1,
+        tree_style="scale-free",
+        workload_model="aggregate",
+    )
+    _bench_route_oracle(benchmark, config)
 
 
 def test_event_publish_routing(benchmark):

@@ -27,8 +27,9 @@ collections in either mode.
 
 from __future__ import annotations
 
+import sys
 from array import array
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.pubsub.pattern import LOCAL
 
@@ -44,6 +45,9 @@ _MATCH_CACHE_LIMIT = 1 << 16
 _DENSE_MASK_BITS = 64
 
 _Masks = Union[Dict[int, int], array]
+
+#: ``format(bits, "b")`` digits -> 0/1 bytes (see ``_transpose``).
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class SubscriptionTable:
@@ -284,17 +288,69 @@ class SubscriptionTable:
 
     def clear(self) -> None:
         """Drop all routing state (used when routes are rebuilt)."""
+        self.load({}, {})
+
+    def load(self, routes: Mapping[int, int], forwarded: Mapping[int, int]) -> None:
+        """Replace the whole table in one step (the route oracle's install).
+
+        ``routes`` and ``forwarded`` map a direction to a pattern *bitset*
+        (bit ``p`` = pattern ``p``): the patterns routed toward it, and
+        those whose subscription was forwarded to it.  The registry is
+        rebuilt from the directions with a nonempty set; more than 64 of
+        them give the sparse layout, the end state :meth:`_go_sparse`
+        reaches when the same entries are added one by one.
+        """
         self._invalidate()
+        used = {d for d, bits in routes.items() if bits}
+        used.update(d for d, bits in forwarded.items() if bits)
+        known = sent = 0
+        for bits in routes.values():
+            known |= bits
+        for bits in forwarded.values():
+            sent |= bits
+        width = (known | sent).bit_length()
+        if self._size is not None:
+            if width > self._size:
+                raise ValueError(
+                    f"pattern {width - 1} outside dense universe [0, {self._size})"
+                )
+            width = self._size
+        self._dir_ids = sorted(used)
+        self._dir_bits = {d: i for i, d in enumerate(self._dir_ids)}
+        self._dense = self._size is not None and len(used) <= _DENSE_MASK_BITS
+        self._masks = self._transpose(routes, width)
+        self._fwd_masks = self._transpose(forwarded, width)
+        self._known = known.bit_count()
+
+    def _transpose(self, sets: Mapping[int, int], width: int) -> _Masks:
+        """Pattern-indexed direction masks of a direction -> bitset map.
+
+        Done a byte lane at a time with int and bytes operations, not a
+        Python step per entry: each bitset is spelled as one 0/1 byte per
+        pattern, shifted to its direction's bit in the lane and ORed in;
+        lane ``j`` then fills byte ``j`` of every ``stride``-byte mask.
+        """
+        stride = 8 if self._dense else (len(self._dir_ids) + 7) // 8
+        lanes = [0] * stride
+        spec = f"0{width}b"
+        for direction, bits in sets.items():
+            if bits:
+                bit = self._dir_bits[direction]
+                spelled = format(bits, spec).encode().translate(_BIT_BYTES)
+                lanes[bit >> 3] |= int.from_bytes(spelled, "big") << (bit & 7)
+        buf = bytearray(stride * width)
+        for lane, value in enumerate(lanes):
+            if value:
+                buf[lane::stride] = value.to_bytes(width, "little")
         if self._dense:
-            zeros = bytes(8 * self._size)  # type: ignore[operator]
-            self._masks = array("Q", zeros)
-            self._fwd_masks = array("Q", zeros)
-        else:
-            self._masks.clear()  # type: ignore[union-attr]
-            self._fwd_masks.clear()  # type: ignore[union-attr]
-        self._dir_ids.clear()
-        self._dir_bits.clear()
-        self._known = 0
+            column = array("Q")
+            column.frombytes(buf)
+            if sys.byteorder == "big":
+                column.byteswap()
+            return column
+        masks = (int.from_bytes(buf[p * stride:(p + 1) * stride], "little")
+                 for p in range(width))
+        return {pattern: mask for pattern, mask in enumerate(masks) if mask}
 
     def drop_direction(self, direction: int) -> None:
         """Remove a neighbor from every pattern (neighbor disappeared)."""

@@ -16,7 +16,6 @@
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.network.network import Network
@@ -175,103 +174,65 @@ class PubSubSystem:
     def rebuild_routes(self) -> None:
         """Recompute every subscription table from ground truth.
 
-        For each pattern ``p`` and live component of the overlay, a node
-        ``x`` forwards ``p``-matching events toward neighbor ``n`` iff the
-        component side reached through ``n`` contains a subscriber of
-        ``p``.  Computed with one two-pass traversal per pattern:
-        post-order ("does the subtree below this edge hold a subscriber?")
-        then pre-order (push the complement down).  O(Π_active · N).
+        A node ``x`` forwards ``p``-matching events toward neighbor ``n``
+        iff the side of ``x``'s live overlay component reached through
+        ``n`` holds a subscriber of ``p``.  All patterns are handled at
+        once as Python-int bitsets (bit ``p`` = pattern ``p``): one BFS per
+        component fixes the parents, a post-order pass ORs each subtree's
+        subscriptions into ``below``, and a pre-order pass pushes the
+        complement down into ``above`` -- prefix/suffix ORs over the
+        siblings keep hubs linear.  O(N) bitset operations, plus
+        O(table entries) to install the tables with
+        :meth:`SubscriptionTable.load`.
 
-        Forwarded marks are reset to the protocol-equivalent state so that
-        later protocol-based (un)subscriptions compose correctly.
+        Forwarded marks are reset to the protocol-equivalent state (x has
+        forwarded p toward m iff x's side of the x--m edge holds a
+        subscriber), so later protocol (un)subscriptions compose correctly.
         """
-        adjacency: Dict[int, List[int]] = {
-            node_id: self.network.neighbors(node_id)
-            for node_id in range(self.node_count)
-        }
-        for dispatcher in self.dispatchers:
-            dispatcher.table.clear()
+        n = self.node_count
+        neighbors = self.network.neighbors
+        local = [0] * n
         for node_id, patterns in self._subscriptions.items():
-            table = self.dispatchers[node_id].table
             for pattern in patterns:
-                table.add(pattern, LOCAL)
-        # The component traversal (BFS order, parent map, children lists)
-        # depends only on the overlay, not on the pattern -- hoist it out
-        # of the per-pattern loop.  Previously each of the Π_active
-        # patterns re-ran its own BFS: Π·N node visits per rebuild, which
-        # dominates setup at 10⁵ nodes.
-        components = []
-        visited: Set[int] = set()
-        for start in range(self.node_count):
-            if start in visited:
+                local[node_id] |= 1 << pattern
+        parent = [-1] * n  # -1: not reached yet; a BFS root is its own parent
+        children: List[List[int]] = [[] for _ in range(n)]
+        below = local[:]
+        above = [0] * n
+        for root in range(n):
+            if parent[root] >= 0:
                 continue
-            order, parents = self._traversal_order(adjacency, start)
-            visited.update(order)
-            children: Dict[int, List[int]] = {node: [] for node in order}
+            parent[root] = root
+            order = [root]
+            for node in order:  # grows while iterated: the BFS queue
+                kids = children[node]
+                for neighbor in neighbors(node):
+                    if parent[neighbor] < 0:
+                        parent[neighbor] = node
+                        kids.append(neighbor)
+                        order.append(neighbor)
+            for node in reversed(order[1:]):
+                below[parent[node]] |= below[node]
             for node in order:
-                parent = parents[node]
-                if parent is not None:
-                    children[parent].append(node)
-            components.append((order, parents, children, set(order)))
-        for pattern, subscribers in self._subscribers.items():
-            if subscribers:
-                self._lay_routes_for_pattern(pattern, subscribers, components)
-        # Protocol-equivalent forwarded marks: x has forwarded p toward m
-        # iff x's side of the x--m edge contains a subscriber, which is
-        # exactly when m's table points at x for p.
-        for dispatcher in self.dispatchers:
-            for pattern, directions in dispatcher.table:
-                for direction in directions:
-                    if direction == LOCAL:
-                        continue
-                    self.dispatchers[direction].table.mark_forwarded(
-                        pattern, dispatcher.node_id
-                    )
-
-    def _lay_routes_for_pattern(
-        self,
-        pattern: int,
-        subscribers: Set[int],
-        components: List[Tuple[List[int], Dict[int, Optional[int]],
-                               Dict[int, List[int]], Set[int]]],
-    ) -> None:
-        dispatchers = self.dispatchers
-        for component_order, parents, children, members in components:
-            if not subscribers & members:
-                continue
-            # Post-order pass: does the subtree rooted at x (w.r.t. this
-            # traversal) contain a subscriber?
-            has_sub_below: Dict[int, bool] = {}
-            for node in reversed(component_order):
-                below = node in subscribers
-                if not below:
-                    for child in children[node]:
-                        if has_sub_below[child]:
-                            below = True
-                            break
-                has_sub_below[node] = below
-            # Pre-order pass: does the rest of the component (through the
-            # parent edge) contain a subscriber?
-            has_sub_above: Dict[int, bool] = {component_order[0]: False}
-            for node in component_order:
-                node_children = children[node]
-                sub_here = node in subscribers
-                above = has_sub_above[node]
-                children_with_sub = sum(
-                    1 for child in node_children if has_sub_below[child]
-                )
-                for child in node_children:
-                    others = children_with_sub - (1 if has_sub_below[child] else 0)
-                    has_sub_above[child] = above or sub_here or others > 0
-            # Install directions.
-            for node in component_order:
-                table = dispatchers[node].table
-                parent = parents[node]
-                if parent is not None and has_sub_above[node]:
-                    table.add(pattern, parent)
-                for child in children[node]:
-                    if has_sub_below[child]:
-                        table.add(pattern, child)
+                kids = children[node]
+                suffix = [0] * (len(kids) + 1)
+                for i in range(len(kids) - 1, -1, -1):
+                    suffix[i] = suffix[i + 1] | below[kids[i]]
+                prefix = above[node] | local[node]
+                for i, child in enumerate(kids):
+                    above[child] = prefix | suffix[i + 1]
+                    prefix |= below[child]
+        for node_id, dispatcher in enumerate(self.dispatchers):
+            routes = {LOCAL: local[node_id]}
+            forwarded: Dict[int, int] = {}
+            up = parent[node_id]
+            if up != node_id:
+                routes[up] = above[node_id]
+                forwarded[up] = below[node_id]
+            for child in children[node_id]:
+                routes[child] = below[child]
+                forwarded[child] = above[child]
+            dispatcher.table.load(routes, forwarded)
 
     def repair_routes_via_protocol(self) -> None:
         """Rebuild routes with *real* subscription messages.
@@ -296,23 +257,6 @@ class PubSubSystem:
             dispatcher = self.dispatchers[node_id]
             for pattern in sorted(self._subscriptions[node_id]):
                 dispatcher.subscribe(pattern)
-
-    @staticmethod
-    def _traversal_order(
-        adjacency: Mapping[int, List[int]], start: int
-    ) -> Tuple[List[int], Dict[int, Optional[int]]]:
-        """BFS order and parent map of the component containing ``start``."""
-        order = [start]
-        parents: Dict[int, Optional[int]] = {start: None}
-        queue = deque([start])
-        while queue:
-            node = queue.popleft()
-            for neighbor in adjacency[node]:
-                if neighbor not in parents:
-                    parents[neighbor] = node
-                    order.append(neighbor)
-                    queue.append(neighbor)
-        return order, parents
 
     # ------------------------------------------------------------------
     # Publishing

@@ -20,8 +20,21 @@ from tests.conftest import build_system
 
 
 def tables_snapshot(system):
+    """Each table's routes and its forwarded marks, the latter as sorted
+    ``(pattern, node)`` pairs: the subscription to ``pattern`` was
+    forwarded to ``node``."""
+    nodes = range(system.node_count)
+    patterns = range(system.pattern_space.size)
     return [
-        {pattern: tuple(directions) for pattern, directions in dispatcher.table}
+        (
+            {pattern: tuple(directions) for pattern, directions in dispatcher.table},
+            [
+                (pattern, node)
+                for pattern in patterns
+                for node in nodes
+                if dispatcher.table.was_forwarded(pattern, node)
+            ],
+        )
         for dispatcher in system.dispatchers
     ]
 
@@ -131,6 +144,43 @@ class TestUnsubscribeEquivalence:
         sim.run()
         oracle.apply_subscriptions({6: (5,)})
         assert tables_snapshot(protocol) == tables_snapshot(oracle)
+
+
+class TestOracleComposesWithProtocol:
+    """Routes installed by the oracle, then changed by protocol messages,
+    end where an all-protocol run ends: the oracle's forwarded marks make
+    the protocol suppress and repeat exactly the messages it would have."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(min_value=2, max_value=25), seed=st.integers())
+    def test_protocol_changes_after_oracle_install(self, n, seed):
+        rng, space, sim, protocol, composed = build_pair(n, seed)
+        assignment = {
+            node: set(space.sample_subscription(rng.randint(0, 3), rng))
+            for node in range(n)
+        }
+        for node, patterns in assignment.items():
+            for pattern in patterns:
+                protocol.subscribe(node, pattern, via_protocol=True)
+        sim.run()
+        composed.apply_subscriptions(assignment)
+        changes = []
+        for _ in range(2 * n):
+            node, pattern = rng.randrange(n), rng.randrange(10)
+            subscribe = pattern not in assignment[node]
+            if subscribe:
+                assignment[node].add(pattern)
+            else:
+                assignment[node].discard(pattern)
+            changes.append((node, pattern, subscribe))
+        for system in (protocol, composed):
+            for node, pattern, subscribe in changes:
+                if subscribe:
+                    system.subscribe(node, pattern, via_protocol=True)
+                else:
+                    system.unsubscribe(node, pattern, via_protocol=True)
+            system.sim.run()
+        assert tables_snapshot(composed) == tables_snapshot(protocol)
 
 
 class TestOracleOnTopologies:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.pubsub.pattern import LOCAL
 from repro.pubsub.subscription import SubscriptionTable
 
@@ -168,3 +170,120 @@ class TestDenseSparseOverflow:
         table.drop_direction(1)
         table.add(0, 64)
         assert table._dense
+
+
+def _bits(*patterns: int) -> int:
+    """Pattern bitset: bit ``p`` set for each listed pattern ``p``."""
+    value = 0
+    for pattern in patterns:
+        value |= 1 << pattern
+    return value
+
+
+class TestLoad:
+    """``load`` installs a whole table from direction -> pattern-bitset
+    maps, as the route oracle does; it must leave the table exactly as the
+    same entries added one by one would."""
+
+    def _added(self, routes, forwarded, n_patterns=8):
+        table = SubscriptionTable(n_patterns=n_patterns)
+        for direction, bits in routes.items():
+            for pattern in range(n_patterns):
+                if bits >> pattern & 1:
+                    table.add(pattern, direction)
+        for direction, bits in forwarded.items():
+            for pattern in range(n_patterns):
+                if bits >> pattern & 1:
+                    table.mark_forwarded(pattern, direction)
+        return table
+
+    def _state(self, table, directions, n_patterns=8):
+        return (
+            len(table),
+            table.patterns(),
+            table.local_patterns(),
+            [table.directions(p) for p in range(n_patterns)],
+            [[table.was_forwarded(p, d) for d in directions]
+             for p in range(n_patterns)],
+        )
+
+    def test_matches_entry_by_entry_construction(self):
+        routes = {LOCAL: _bits(1, 4), 3: _bits(0, 1, 7), 5: 0}
+        forwarded = {3: _bits(1, 4), 5: _bits(0, 1, 4, 7)}
+        table = SubscriptionTable(n_patterns=8)
+        table.load(routes, forwarded)
+        expected = self._added(routes, forwarded)
+        dirs = [LOCAL, 3, 5]
+        assert self._state(table, dirs) == self._state(expected, dirs)
+        assert table._dense
+
+    def test_load_empties_matching_memo(self):
+        table = SubscriptionTable(n_patterns=8)
+        table.load({2: _bits(0)}, {})
+        assert table.matching_directions_sorted((0,)) == (2,)
+        table.load({LOCAL: _bits(0), 4: _bits(0)}, {})
+        assert table.matching_directions_sorted((0,)) == (LOCAL, 4)
+        assert table.matches_locally((0,))
+
+    def test_load_replaces_previous_registry(self):
+        table = SubscriptionTable(n_patterns=8)
+        table.load({LOCAL: _bits(0), 2: _bits(0, 1), 3: _bits(5)},
+                   {2: _bits(0), 3: _bits(0, 1)})
+        table.load({5: _bits(1)}, {5: _bits(6)})
+        assert 2 not in table._dir_bits and 3 not in table._dir_bits
+        assert table.patterns() == [1]
+        assert table.local_patterns() == []
+        assert table.directions(0) == [] and table.directions(5) == []
+        assert not table.was_forwarded(0, 2)
+        assert not table.was_forwarded(1, 3)
+        assert table.was_forwarded(6, 5)
+        assert table.matching_directions_sorted((0, 1, 5)) == (5,)
+
+    def test_more_than_64_directions_go_sparse(self):
+        routes = {d: _bits(d % 8) for d in range(100)}
+        routes[LOCAL] = _bits(2)
+        forwarded = {d: _bits((d + 1) % 8) for d in range(0, 100, 3)}
+        table = SubscriptionTable(n_patterns=8)
+        table.load(routes, forwarded)
+        assert not table._dense
+        expected = self._added(routes, forwarded)
+        assert not expected._dense
+        dirs = [LOCAL] + list(range(100))
+        assert self._state(table, dirs) == self._state(expected, dirs)
+        for patterns in [(0,), (2, 3), (1, 5, 7), ()]:
+            assert table.matching_directions_sorted(
+                patterns
+            ) == expected.matching_directions_sorted(patterns)
+
+    def test_sparse_table_returns_to_dense_on_small_load(self):
+        table = SubscriptionTable(n_patterns=8)
+        table.load({d: _bits(0) for d in range(70)}, {})
+        assert not table._dense
+        table.load({1: _bits(3)}, {1: _bits(4)})
+        assert table._dense
+        assert table.directions(3) == [1] and table.was_forwarded(4, 1)
+
+    def test_len_counts_patterns_with_routes(self):
+        table = SubscriptionTable(n_patterns=8)
+        # Pattern 6 is only forwarded, never routed: it does not count.
+        table.load({LOCAL: _bits(0, 1), 2: _bits(1, 3), 4: 0},
+                   {2: _bits(6)})
+        assert len(table) == 3
+        assert table.patterns() == [0, 1, 3]
+        table.load({}, {})
+        assert len(table) == 0
+
+    def test_open_universe_table(self):
+        table = SubscriptionTable()
+        table.load({LOCAL: _bits(9), 1: _bits(9, 40)}, {1: _bits(9)})
+        assert table.directions(40) == [1]
+        assert table.directions(9) == [LOCAL, 1]
+        assert table.was_forwarded(9, 1)
+        assert len(table) == 2
+
+    def test_pattern_outside_dense_universe_rejected(self):
+        table = SubscriptionTable(n_patterns=8)
+        with pytest.raises(ValueError):
+            table.load({1: _bits(8)}, {})
+        with pytest.raises(ValueError):
+            table.load({}, {1: _bits(9)})

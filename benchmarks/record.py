@@ -11,9 +11,8 @@ of the numbers that matter across PRs:
 * the parallel-executor scaling of a four-algorithm sweep (skipped
   gracefully when :mod:`repro.parallel` is not importable, so the script
   can also record trees that predate the executor);
-* the full-tree whole-program lint pass (REP1xx+2xx+3xx plus the
-  ownership report) — the analyzer runs on every push, so its wall time
-  and peak RSS are gated like any other hot path.
+* the full-tree whole-program lint pass — the analyzer runs on every
+  push, so its wall time and peak RSS are gated like any other hot path.
 
 Usage::
 
@@ -414,16 +413,16 @@ def _sweep_config(quick: bool) -> SimulationConfig:
 
 
 def bench_lint_analysis(quick: bool) -> Optional[Dict[str, object]]:
-    """Full-tree whole-program analysis: REP1xx + REP2xx + REP3xx.
+    """Full-tree lint with the whole-program pass on: exactly the
+    ``python -m repro.lint --analysis src benchmarks examples`` gate.
 
     The analyzer is part of every push (CI's ``static`` job and the
     tree-clean test gates), so its wall time is a developer-facing hot
-    path in its own right — gating it here keeps the ownership/effect
-    fixpoints from quietly going quadratic as the tree grows.
+    path in its own right — gating it here keeps the effect fixpoint
+    from quietly going quadratic as the tree grows.
     """
     try:
         from repro.lint import lint_paths
-        from repro.lint.cli import ownership_report_paths
         from repro.lint.config import load_config
     except ImportError:  # pragma: no cover - pre-analyzer trees
         return None
@@ -434,13 +433,12 @@ def bench_lint_analysis(quick: bool) -> Optional[Dict[str, object]]:
 
     def run() -> int:
         result = lint_paths(paths, config, analysis=True)
-        report = ownership_report_paths(paths, config)
         if result.errors:
             raise RuntimeError(
                 "lint errors during bench: "
                 + "; ".join(e.render() for e in result.errors)
             )
-        return report["files_analyzed"]
+        return result.files_checked
 
     return _time(run, repeats=1 if quick else 3)
 

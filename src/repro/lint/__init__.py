@@ -8,7 +8,7 @@ the coding rules that make that true, statically:
 REP001    randomness outside injected ``random.Random`` streams
 REP002    wall-clock reads (``time.time``, ``datetime.now``, ...)
 REP003    iteration over unordered sets / bare ``dict.popitem()``
-REP004    ``id()``-derived ordering or hashing
+REP004    ``id()``/``hash()``-derived ordering or hashing
 REP005    negative delays or scheduling outside ``Simulator``
 REP006    mutable default arguments
 ========  =======================================================
@@ -25,6 +25,9 @@ REP103    RNG constructed outside ``repro/sim/rng.py``
 REP104    non-picklable callable submitted to an executor
 REP105    recovery subclass breaks the base-class contract
 ========  =======================================================
+
+plus the architecture rules REP200–REP204, REP306 (write-then-rename in
+durable modules), and the interprocedural halves of REP002 and REP003.
 
 Run it with ``python -m repro.lint <paths>`` or the ``repro-lint`` console
 script; see ``docs/LINTING.md`` for the full rule rationale and the

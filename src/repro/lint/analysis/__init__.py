@@ -1,4 +1,5 @@
-"""Whole-program analysis: REP100–REP105, REP200-, and REP300-series.
+"""Whole-program analysis: REP100–REP105, REP200–REP204, REP306, and the
+whole-program halves of REP002/REP003.
 
 Layered below :mod:`repro.lint.cli`:
 
@@ -11,38 +12,25 @@ Layered below :mod:`repro.lint.cli`:
 * :mod:`~repro.lint.analysis.layers` — the declared layer map resolved
   over the analyzed modules, with import edges (REP200, --arch-report).
 * :mod:`~repro.lint.analysis.effects` — interprocedural effect inference
-  over the resolvable call graph (REP201/REP202/REP204, --arch-report).
+  over the resolvable call graph (REP201/REP202/REP204, the REP002 and
+  REP003 halves, --arch-report).
 * :mod:`~repro.lint.analysis.rules` — the six cross-module protocol
   rules (REP100–REP105).
-* :mod:`~repro.lint.analysis.arch_rules` — the six architecture rules
-  (REP200–REP205) over the shared :class:`ArchContext`.
-* :mod:`~repro.lint.analysis.ownership` — the interprocedural
-  ownership/escape model: per-attr owners, param capture summaries,
-  shared-object detection (--ownership-report).
-* :mod:`~repro.lint.analysis.concurrency_rules` — the seven
-  concurrency-safety rules (REP300–REP306) over the shared
-  :class:`ConcurrencyContext`.
+* :mod:`~repro.lint.analysis.arch_rules` — the five architecture rules
+  (REP200–REP204) and the REP002/REP003 halves over the shared
+  :class:`ArchContext`.
+* :mod:`~repro.lint.analysis.durable` — REP306, write-then-rename in
+  declared durable modules.
 * :mod:`~repro.lint.analysis.engine` — orchestration + suppression/config
   filtering, producing ordinary :class:`~repro.lint.findings.Finding`\\ s,
-  and the ``--arch-report``/``--ownership-report`` data builders.
+  and the ``--arch-report`` data builder.
 """
 
-from .arch_rules import ARCH_RULES, ArchContext, arch_codes
-from .concurrency_rules import (
-    CONCURRENCY_RULES,
-    ConcurrencyContext,
-    concurrency_codes,
-)
-from .engine import (
-    ALL_ANALYSIS_RULES,
-    build_arch_report,
-    build_ownership_report,
-    run_analysis,
-)
+from .arch_rules import ARCH_RULES, ArchContext
+from .engine import ALL_ANALYSIS_RULES, build_arch_report, run_analysis
 from .model import Project, build_project
-from .ownership import OwnershipModel
 
-#: Every whole-program rule, both families — the public catalogue.
+#: Every whole-program rule with a code of its own — the public catalogue.
 ANALYSIS_RULES = ALL_ANALYSIS_RULES
 
 
@@ -51,24 +39,13 @@ def analysis_codes():
     return [rule.code for rule in ANALYSIS_RULES]
 
 
-def analysis_rules_by_code():
-    return {rule.code: rule for rule in ANALYSIS_RULES}
-
-
 __all__ = [
     "run_analysis",
     "build_arch_report",
-    "build_ownership_report",
     "Project",
     "build_project",
     "ArchContext",
-    "ConcurrencyContext",
-    "OwnershipModel",
     "ANALYSIS_RULES",
     "ARCH_RULES",
-    "CONCURRENCY_RULES",
     "analysis_codes",
-    "arch_codes",
-    "concurrency_codes",
-    "analysis_rules_by_code",
 ]

@@ -1,27 +1,32 @@
-"""The architecture rule family, REP200–REP205.
+"""The architecture rule family, REP200–REP204, and the whole-program
+halves of REP002 and REP003.
 
 Where REP100–REP105 police cross-module *protocol* contracts, these rules
-police the declared architecture itself — the properties the ROADMAP's
-scale-out items depend on:
+police the declared architecture itself:
 
 ========  ==============================================================
 REP200    import from a higher layer (engine must not know the protocol)
 REP201    sim-time/engine access in confined-layer code outside the
           declared touchpoint allowlist (engine-independence)
 REP202    mutable module-global (or class-level mutable attribute)
-          reachable from per-node methods (partition safety)
+          reachable from per-node methods (state leaks between nodes
+          and between runs)
 REP203    per-node/per-event class without ``__slots__`` (memory lean)
 REP204    RNG stream requested off the consuming subsystem's declared
           named streams, or with a dynamic name (reproducibility)
-REP205    set iteration order escaping into send/schedule (determinism)
 ========  ==============================================================
 
-All six share one :class:`ArchContext` — the resolved layer map, the
+:data:`DEEP_RULES` holds the interprocedural halves of two per-file
+rules: REP002 follows the host clock and host I/O through call chains
+into confined-layer code, and REP003 follows set-typed bindings into
+send/schedule, directly or through a callee.
+
+All of them share one :class:`ArchContext` — the resolved layer map, the
 interprocedural effect sets, and the per-node class closure — built once
 per analysis run.  The layer map comes from ``[tool.repro-lint.layers]``;
-with no declared layers, REP200–REP203 are inert and REP204/REP205 fall
-back to their config-independent checks (dynamic stream names, escaping
-set iteration).
+with no declared layers, REP200–REP203 and REP002's half are inert and
+REP204/REP003 fall back to their config-independent checks (dynamic
+stream names, escaping set iteration).
 """
 
 from __future__ import annotations
@@ -35,18 +40,23 @@ from .effects import (
     EffectMap,
     FunctionEffects,
     GLOBAL_MUT_PREFIX,
+    HOST_IO,
+    NET_SEND,
     SIM_EFFECTS,
+    SIM_SCHEDULE,
     STREAM_PREFIX,
+    WALL_CLOCK,
     StreamRequest,
     infer_effects,
     per_node_classes,
+    resolve_call_target,
     stream_name,
 )
 from .layers import LayerMap, build_layer_map
 from .model import ClassInfo, FunctionInfo, ModuleInfo, Project, dotted_parts
 from .rules import AddFn, AnalysisRule, _SCHEDULE_ATTRS, _SEND_ATTRS
 
-__all__ = ["ArchContext", "ArchRule", "ARCH_RULES", "arch_codes"]
+__all__ = ["ArchContext", "ArchRule", "ARCH_RULES", "DEEP_RULES"]
 
 #: Base-class names (suffix match) whose subclasses need no ``__slots__``
 #: audit: enum members are singletons, protocols/ABCs are never
@@ -204,8 +214,8 @@ class SharedStateRule(ArchRule):
     name = "shared-mutable-state"
     summary = (
         "per-node class keeps or mutates shared mutable state (module "
-        "global or class-level container); partitioned multi-core "
-        "execution requires node state to be process-local"
+        "global or class-level container); one node's writes leak into "
+        "every other node, and into the next run in the same process"
     )
 
     def run_arch(self, ctx: ArchContext, add: AddFn) -> None:
@@ -262,9 +272,10 @@ class SharedStateRule(ArchRule):
                 site,
                 self.code,
                 f"per-node method {cls.name}.{method.name}() mutates "
-                f"module-global '{target}'{via}; shared mutable state "
-                "breaks partitioned execution — keep node state on the "
-                "instance",
+                f"module-global '{target}'{via}; that state outlives the "
+                "node and the run, so a second run in the same process "
+                "starts from the first one's leftovers — keep node state "
+                "on the instance",
             )
 
 
@@ -547,16 +558,18 @@ class RngStreamRule(ArchRule):
                 )
 
 
-class OrderedEmissionRule(ArchRule):
-    """REP205: set iteration order must not reach send/schedule."""
+class SetOrderEmissionRule(ArchRule):
+    """REP003, whole-program half: set order must not reach send/schedule.
 
-    code = "REP205"
-    name = "ordered-emission"
-    summary = (
-        "iteration over a set feeds message emission or scheduling; set "
-        "order is hash-dependent, breaking the deterministic (time, seq) "
-        "merge contract — iterate sorted(...)"
-    )
+    The per-file half (:class:`repro.lint.rules.UnorderedIterationRule`)
+    flags iteration over a syntactic set.  This half follows set-typed
+    locals and ``self`` attributes: a loop over one whose body sends or
+    schedules -- directly, or through any resolvable callee with
+    ``net-send``/``sim-schedule`` effects -- and a set-order
+    comprehension handed straight to a send/schedule call.
+    """
+
+    code = "REP003"
 
     def run_arch(self, ctx: ArchContext, add: AddFn) -> None:
         class_sets: Dict[str, Set[str]] = {}
@@ -566,7 +579,7 @@ class OrderedEmissionRule(ArchRule):
                 if owner is not None and owner.qualname not in class_sets:
                     class_sets[owner.qualname] = self._self_set_attrs(owner)
                 attrs = class_sets.get(owner.qualname, set()) if owner else set()
-                self._check_function(module, function, attrs, add)
+                self._check_function(ctx, module, function, attrs, add)
 
     @staticmethod
     def _functions(module: ModuleInfo) -> Iterable[FunctionInfo]:
@@ -581,7 +594,7 @@ class OrderedEmissionRule(ArchRule):
             for node in ast.walk(method.node):
                 if not isinstance(node, ast.Assign):
                     continue
-                if not self._is_set_value(cls.module, node.value):
+                if not self._is_set_value(node.value):
                     continue
                 for target in node.targets:
                     if (
@@ -593,7 +606,7 @@ class OrderedEmissionRule(ArchRule):
         return attrs
 
     @staticmethod
-    def _is_set_value(module: ModuleInfo, value: ast.expr) -> bool:
+    def _is_set_value(value: ast.expr) -> bool:
         if isinstance(value, (ast.Set, ast.SetComp)):
             return True
         if isinstance(value, ast.Call):
@@ -601,12 +614,10 @@ class OrderedEmissionRule(ArchRule):
             return bool(parts) and parts[-1] in _SET_FACTORIES
         return False
 
-    def _local_sets(self, module: ModuleInfo, func: ast.AST) -> Set[str]:
+    def _local_sets(self, func: ast.AST) -> Set[str]:
         names: Set[str] = set()
         for node in ast.walk(func):
-            if isinstance(node, ast.Assign) and self._is_set_value(
-                module, node.value
-            ):
+            if isinstance(node, ast.Assign) and self._is_set_value(node.value):
                 for target in node.targets:
                     if isinstance(target, ast.Name):
                         names.add(target.id)
@@ -615,6 +626,8 @@ class OrderedEmissionRule(ArchRule):
     def _is_set_expr(
         self, expr: ast.expr, local_sets: Set[str], self_sets: Set[str]
     ) -> bool:
+        """A set-typed binding (or set algebra over one); syntactic set
+        literals are the per-file half's finding."""
         if isinstance(expr, ast.Name):
             return expr.id in local_sets
         if (
@@ -623,8 +636,6 @@ class OrderedEmissionRule(ArchRule):
             and expr.value.id == "self"
         ):
             return expr.attr in self_sets
-        if isinstance(expr, (ast.Set, ast.SetComp)):
-            return True
         if isinstance(expr, ast.BinOp) and isinstance(expr.op, _SET_OPS):
             return self._is_set_expr(
                 expr.left, local_sets, self_sets
@@ -648,30 +659,64 @@ class OrderedEmissionRule(ArchRule):
                     return True
         return False
 
+    @staticmethod
+    def _emitting_callee(
+        ctx: ArchContext, function: FunctionInfo, body: Iterable[ast.stmt]
+    ) -> Optional[Tuple[str, str]]:
+        """``(callee qualname, effect)`` of the first call in ``body``
+        whose target sends or schedules somewhere down its call chain."""
+        for stmt in body:
+            for node in ast.walk(stmt):
+                if not isinstance(node, ast.Call):
+                    continue
+                resolved = resolve_call_target(
+                    ctx.project, function.module, function.cls, node
+                )
+                if isinstance(resolved, ClassInfo):
+                    resolved = resolved.mro_method("__init__")
+                if not isinstance(resolved, FunctionInfo):
+                    continue
+                record = ctx.effects.of(resolved.qualname)
+                if record is None:
+                    continue
+                for effect in (NET_SEND, SIM_SCHEDULE):
+                    if effect in record.effects:
+                        return resolved.qualname, effect
+        return None
+
     def _check_function(
         self,
+        ctx: ArchContext,
         module: ModuleInfo,
         function: FunctionInfo,
         self_sets: Set[str],
         add: AddFn,
     ) -> None:
-        local_sets = self._local_sets(module, function.node)
+        local_sets = self._local_sets(function.node)
         if not local_sets and not self_sets:
             return
         for node in ast.walk(function.node):
             if isinstance(node, (ast.For, ast.AsyncFor)):
-                if self._is_set_expr(
-                    node.iter, local_sets, self_sets
-                ) and self._emits(module, node.body):
-                    add(
-                        module,
-                        node,
-                        self.code,
-                        f"{function.qualname} iterates a set and "
-                        "sends/schedules inside the loop; set order is "
-                        "hash-dependent — iterate sorted(...) so emission "
-                        "order is deterministic",
+                if not self._is_set_expr(node.iter, local_sets, self_sets):
+                    continue
+                if self._emits(module, node.body):
+                    how = "sends/schedules inside the loop"
+                else:
+                    emitter = self._emitting_callee(ctx, function, node.body)
+                    if emitter is None:
+                        continue
+                    how = (
+                        f"calls {emitter[0]}() inside the loop, which has "
+                        f"{emitter[1]} effects"
                     )
+                add(
+                    module,
+                    node,
+                    self.code,
+                    f"{function.qualname} iterates a set and {how}; set "
+                    "order is hash-dependent, so the emission order changes "
+                    "between runs -- iterate sorted(...)",
+                )
             elif isinstance(node, ast.Call):
                 func = node.func
                 if not (
@@ -698,15 +743,61 @@ class OrderedEmissionRule(ArchRule):
                             )
 
 
+class HostInputReachRule(ArchRule):
+    """REP002, whole-program half: confined-layer code never reaches the
+    host clock or host I/O through a call chain.
+
+    The per-file halves flag the direct sites (REP002 the clock reads,
+    REP005 ``time.sleep``), but a per-path or inline exemption there --
+    harness timing, campaign journaling -- stops at the site, not at the
+    caller.  This half flags a confined-layer function that inherits a
+    ``wall-clock`` or ``host-io`` effect from a callee, and a direct
+    ``host-io`` call (file, socket, subprocess) no per-file rule sees.
+    Inert without ``confined`` layers, like REP201.
+    """
+
+    code = "REP002"
+
+    def run_arch(self, ctx: ArchContext, add: AddFn) -> None:
+        for qualname in sorted(ctx.effects.functions):
+            record = ctx.effects.functions[qualname]
+            function = record.function
+            if not ctx.layer_map.is_confined(function.module.name):
+                continue
+            layer = ctx.layer_map.layer_of_module(function.module.name)
+            if HOST_IO in record.direct:
+                site = record.sites.get(HOST_IO, function.node)
+                how = "calls host I/O directly"
+            else:
+                inherited = sorted(
+                    (record.effects - record.direct) & {WALL_CLOCK, HOST_IO}
+                )
+                if not inherited:
+                    continue
+                site = function.node
+                how = (
+                    f"reaches {', '.join(inherited)} via "
+                    f"{record.via.get(inherited[0], 'a callee')}()"
+                )
+            add(
+                function.module,
+                site,
+                self.code,
+                f"{qualname} ({layer} layer) {how}; the host clock and "
+                "host I/O are inputs the master seed does not fix, so the "
+                "run stops replaying -- use Simulator.now and keep I/O in "
+                "the scenarios layer",
+            )
+
+
 ARCH_RULES: List[ArchRule] = [
     LayerImportRule(),
     EngineTouchpointRule(),
     SharedStateRule(),
     SlotsRule(),
     RngStreamRule(),
-    OrderedEmissionRule(),
 ]
 
-
-def arch_codes() -> List[str]:
-    return [rule.code for rule in ARCH_RULES]
+#: Whole-program halves of per-file rules: they run in the analysis pass
+#: but report under (and are catalogued as) their per-file code.
+DEEP_RULES: List[ArchRule] = [HostInputReachRule(), SetOrderEmissionRule()]

@@ -12,9 +12,9 @@ import/MRO machinery of :mod:`.model` can resolve:
 ``rng-draw``              draws from an injected RNG
 ``rng-stream:<name>``     requests a named ``RandomStreams`` stream
                           (``?`` when the name is not a literal)
-``wall-clock``            reads host time (``time.time`` & friends)
-``blocking``              calls a host-blocking primitive (``time.sleep``,
-                          sync socket/file/subprocess I/O)
+``wall-clock``            reads or waits on host time (``time.time`` &
+                          friends, ``time.sleep``)
+``host-io``               calls sync file/socket/subprocess I/O
 ``net-send``              emits a message (``.send``/``.send_oob``/
                           ``.transmit``/``.send_gossip``)
 ``global-mut:<target>``   mutates a module-level mutable binding
@@ -64,7 +64,7 @@ __all__ = [
     "SIM_ENGINE",
     "RNG_DRAW",
     "WALL_CLOCK",
-    "BLOCKING",
+    "HOST_IO",
     "NET_SEND",
     "STREAM_PREFIX",
     "GLOBAL_MUT_PREFIX",
@@ -83,7 +83,7 @@ SIM_SCHEDULE = "sim-schedule"
 SIM_ENGINE = "sim-engine"
 RNG_DRAW = "rng-draw"
 WALL_CLOCK = "wall-clock"
-BLOCKING = "blocking"
+HOST_IO = "host-io"
 NET_SEND = "net-send"
 #: parameterized effects: ``rng-stream:<name>@<requesting module>`` and
 #: ``global-mut:<module>.<binding>``.
@@ -110,20 +110,21 @@ _RNG_DRAW_METHODS = frozenset(
 )
 _RNGISH = frozenset({"rng", "_rng", "rand", "random", "rnd"})
 _STREAM_METHODS = frozenset({"stream", "substreams", "compact_stream"})
+#: Host-clock reads and waits (``time.sleep`` waits on the wall clock).
 _WALL_CLOCK_CALLS = frozenset(
     {
         "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
         "time.perf_counter", "time.perf_counter_ns", "time.process_time",
-        "datetime.datetime.now", "datetime.datetime.utcnow",
+        "datetime.datetime.now", "datetime.datetime.utcnow", "time.sleep",
     }
 )
-#: Host-blocking primitives: sleeping, synchronous socket/file/process
-#: I/O, console input.  Resolved against the canonical dotted call name
-#: (``open`` is the bare builtin).  Anything here reachable from
-#: protocol-layer code stalls a cooperative (asyncio) backend — REP304.
-_BLOCKING_CALLS = frozenset(
+#: Host I/O: synchronous file/socket/process access and console input.
+#: Resolved against the canonical dotted call name (``open`` is the bare
+#: builtin).  What these return is not fixed by the master seed, so
+#: confined-layer code reaching one is REP002's whole-program half.
+_HOST_IO_CALLS = frozenset(
     {
-        "time.sleep", "open", "input",
+        "open", "input",
         "socket.socket", "socket.create_connection", "socket.socketpair",
         "subprocess.run", "subprocess.call", "subprocess.check_call",
         "subprocess.check_output", "subprocess.Popen",
@@ -133,7 +134,7 @@ _BLOCKING_CALLS = frozenset(
     }
 )
 #: Attribute calls that emit a message into the transport (the same
-#: boundary set REP101/REP205 use); seeds the ``net-send`` effect.
+#: boundary set REP101/REP003 use); seeds the ``net-send`` effect.
 _NET_SEND_ATTRS = frozenset({"send", "send_oob", "transmit", "send_gossip"})
 #: Constructors whose result is a mutable container (module-global scan).
 _MUTABLE_FACTORY_NAMES = frozenset(
@@ -392,7 +393,7 @@ def resolve_call_target(
 ) -> Union[ClassInfo, FunctionInfo, None]:
     """Resolve one call site to the project symbol it invokes.
 
-    Shared by the effect extractor and the ownership pass.  Handles
+    Shared by the effect extractor and REP003's chain check.  Handles
     ``self.method()`` (through the MRO), ``super().method()``, dotted
     module-level names, constructors, and ``functools.partial(target,
     ...)`` (resolved to ``target`` — a callback's effects belong to
@@ -653,8 +654,8 @@ class _Extractor:
                 dotted = self.module.resolve_call(node)
                 if dotted in _WALL_CLOCK_CALLS:
                     self._add(WALL_CLOCK, node)
-                elif dotted in _BLOCKING_CALLS:
-                    self._add(BLOCKING, node)
+                elif dotted in _HOST_IO_CALLS:
+                    self._add(HOST_IO, node)
 
     def _construct(
         self, cls: ClassInfo, node: ast.Call, in_loop: bool

@@ -33,8 +33,7 @@ from .model import (
     dotted_parts,
 )
 
-__all__ = ["AnalysisRule", "ANALYSIS_RULES", "analysis_codes",
-           "analysis_rules_by_code"]
+__all__ = ["AnalysisRule", "ANALYSIS_RULES"]
 
 AddFn = Callable[[ModuleInfo, ast.AST, str, str], None]
 
@@ -577,11 +576,3 @@ ANALYSIS_RULES: List[AnalysisRule] = [
     ExecutorPicklableRule(),
     RecoverySubclassRule(),
 ]
-
-
-def analysis_codes() -> List[str]:
-    return [rule.code for rule in ANALYSIS_RULES]
-
-
-def analysis_rules_by_code() -> Dict[str, AnalysisRule]:
-    return {rule.code: rule for rule in ANALYSIS_RULES}

@@ -5,16 +5,16 @@
     python -m repro.lint src benchmarks
     repro-lint --format=json src
     repro-lint --select REP001,REP002 --isolated tests/lint/fixtures
-    repro-lint --analysis src benchmarks examples   # + whole-program REP1xx
+    repro-lint --analysis src benchmarks examples   # + whole-program rules
     repro-lint --analysis --format=sarif src > lint.sarif
 
 Exit status: **0** clean, **1** findings, **2** errors (unreadable or
 syntactically-invalid files, bad arguments).
 
-The whole-program analysis (REP100–REP105, REP200–REP205, REP300–REP306)
-runs when ``--analysis`` is given, when ``analysis = true`` is set in
-``[tool.repro-lint]``, or when one of its codes is explicitly selected;
-``--no-analysis`` always wins.
+The whole-program analysis (REP100–REP105, REP200–REP204, REP306, and the
+interprocedural halves of REP002/REP003) runs when ``--analysis`` is given,
+when ``analysis = true`` is set in ``[tool.repro-lint]``, or when one of
+its own codes is explicitly selected; ``--no-analysis`` always wins.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .analysis import (
     ANALYSIS_RULES,
     analysis_codes,
     build_arch_report,
-    build_ownership_report,
     run_analysis,
 )
 from .config import LintConfig, config_for_paths, load_config
@@ -37,8 +36,6 @@ from .report import (
     render_arch_json,
     render_arch_text,
     render_json,
-    render_ownership_json,
-    render_ownership_text,
     render_sarif,
     render_text,
 )
@@ -46,7 +43,7 @@ from .rules import RULES, all_codes
 from .walker import lint_file
 
 __all__ = ["main", "build_parser", "lint_paths", "arch_report_paths",
-           "ownership_report_paths", "LintResult"]
+           "LintResult"]
 
 
 class LintResult:
@@ -109,15 +106,15 @@ def lint_paths(
 
     ``isolated`` skips pyproject discovery (fixtures and tests use this);
     ``select``/``ignore`` are applied on top of whatever the config enables.
-    ``analysis`` forces the whole-program REP1xx pass on (True) or off
-    (False); ``None`` defers to the config and to whether a REP1xx code was
-    selected.
+    ``analysis`` forces the whole-program pass on (True) or off (False);
+    ``None`` defers to the config and to whether one of the whole-program
+    codes (REP1xx, REP2xx, REP306) was selected.
     """
     paths = [Path(p) for p in paths]
     if config is None:
         config = LintConfig() if isolated else config_for_paths(paths)
 
-    whole_program = set(analysis_codes())  # REP1xx, REP2xx, REP3xx
+    whole_program = set(analysis_codes())
     if analysis is None:
         analysis = config.analysis or bool(whole_program & set(select))
 
@@ -173,23 +170,6 @@ def arch_report_paths(
     return build_arch_report(pairs, config)
 
 
-def ownership_report_paths(
-    paths: Sequence[Path],
-    config: Optional[LintConfig] = None,
-    *,
-    isolated: bool = False,
-) -> dict:
-    """Programmatic ``--ownership-report``: the node-ownership graph,
-    cross-node boundary edges, shared services, and candidate
-    partition-cut seams for ``paths``, as plain (JSON-able) data."""
-    paths = [Path(p) for p in paths]
-    if config is None:
-        config = LintConfig() if isolated else config_for_paths(paths)
-    files, _warnings = _collect_files([p for p in paths if p.exists()], config)
-    pairs = [(path, config.rel_path(path)) for path in files]
-    return build_ownership_report(pairs, config)
-
-
 def _parse_codes(raw: Optional[str]) -> Tuple[str, ...]:
     if not raw:
         return ()
@@ -203,8 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
             "AST-based determinism & protocol-invariant linter for the "
             "epidemic pub-sub reproduction (per-file rules REP001-REP007; "
             "whole-program rules REP100-REP105, architecture rules "
-            "REP200-REP205, and concurrency-safety rules REP300-REP306 "
-            "via --analysis)"
+            "REP200-REP204, REP306, and the interprocedural halves of "
+            "REP002/REP003 via --analysis)"
         ),
     )
     parser.add_argument("paths", nargs="*", help="files or directories to lint")
@@ -228,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     analysis_group.add_argument(
         "--analysis",
         action="store_true",
-        help="run the whole-program REP100-REP105 analysis too",
+        help="run the whole-program analysis too",
     )
     analysis_group.add_argument(
         "--no-analysis",
@@ -263,15 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
             "instead of linting (honors --format text/json)"
         ),
     )
-    parser.add_argument(
-        "--ownership-report",
-        action="store_true",
-        help=(
-            "emit the node-ownership graph, cross-node boundary edges, and "
-            "candidate partition-cut seams instead of linting (honors "
-            "--format text/json)"
-        ),
-    )
     return parser
 
 
@@ -287,11 +258,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not args.paths:
         parser.error("no paths given (try: repro-lint src benchmarks)")
 
-    if args.arch_report or args.ownership_report:
+    if args.arch_report:
         config = None
-        builder = (
-            arch_report_paths if args.arch_report else ownership_report_paths
-        )
         try:
             if args.config:
                 config_path = Path(args.config)
@@ -302,21 +270,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     )
                     return 2
                 config = load_config(config_path)
-            report = builder(
+            report = arch_report_paths(
                 [Path(p) for p in args.paths], config, isolated=args.isolated
             )
         except RuntimeError as exc:  # no TOML parser on this interpreter
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        if args.arch_report:
-            render_as_json, render_as_text = render_arch_json, render_arch_text
-        else:
-            render_as_json = render_ownership_json
-            render_as_text = render_ownership_text
         if args.format == "json":
-            print(render_as_json(report))
+            print(render_arch_json(report))
         else:  # text (sarif has no report schema; text reads best)
-            print(render_as_text(report))
+            print(render_arch_text(report))
         return 0
 
     select = _parse_codes(args.select) + _parse_codes(args.rules)

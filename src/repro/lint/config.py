@@ -36,17 +36,16 @@ Recognised keys::
     [tool.repro-lint.rng-streams]          # REP204: subsystem -> name patterns
     "repro.recovery" = ["gossip[*"]
 
-    [tool.repro-lint.ownership]            # REP301 shared-service contract
-    shared-services = [                    # classes *declared* to be shared
-        "repro.pubsub.pattern.PatternSpace",   # across nodes on purpose —
-        "EventIdRegistry",                     # fnmatch over qualname, bare
-    ]                                          # name, and Storer.attr homes
-
     [tool.repro-lint.durable]              # REP306 durable-module registry
     modules = [                            # files whose on-disk artifacts
         "src/repro/campaign/*",            # must survive a crash mid-write;
         "repro.campaign.*",                # path or dotted-name fnmatch
     ]
+
+Every rule code in ``select``, ``ignore`` and a per-path ``disable``/
+``enable`` must name a shipped rule; :func:`load_config` raises
+:class:`ConfigError` otherwise, so a typo or a retired code cannot
+silently switch rules off.
 
 Paths in patterns are matched against the file's path relative to the
 directory containing ``pyproject.toml`` (the *config root*), in POSIX form.
@@ -78,8 +77,8 @@ __all__ = [
     "HotPathConfig",
     "LayersConfig",
     "SlotsConfig",
-    "OwnershipConfig",
     "DurableConfig",
+    "ConfigError",
     "load_config",
     "find_pyproject",
 ]
@@ -167,29 +166,6 @@ class SlotsConfig:
 
 
 @dataclass(frozen=True)
-class OwnershipConfig:
-    """``[tool.repro-lint.ownership]``: the REP301 shared-service contract.
-
-    ``shared_services`` holds fnmatch patterns naming the classes that are
-    *deliberately* one-per-simulation and aliased into every node — interners
-    and registries whose replicate-or-centralize decision is a declared
-    partition seam, not an accident.  Patterns match the shared class's
-    dotted qualname, its bare name, and every ``Storer.attr`` home the
-    object is captured at.  Anything else reachable-and-mutated from two
-    node instances is a REP301 finding.
-    """
-
-    shared_services: Tuple[str, ...] = ()
-
-    def is_declared(self, *names: str) -> bool:
-        return any(
-            fnmatch.fnmatch(name, pattern)
-            for name in names
-            for pattern in self.shared_services
-        )
-
-
-@dataclass(frozen=True)
 class DurableConfig:
     """``[tool.repro-lint.durable]``: the REP306 durable-module registry.
 
@@ -231,8 +207,6 @@ class LintConfig:
     #: fnmatch patterns.  Empty means "any literal name" (only dynamic
     #: names are flagged).
     rng_streams: Tuple[Tuple[str, Tuple[str, ...]], ...] = ()
-    #: REP301 declared shared services.
-    ownership: OwnershipConfig = field(default_factory=OwnershipConfig)
     #: REP306 registry; empty ``modules`` leaves the rule inert.
     durable: DurableConfig = field(default_factory=DurableConfig)
 
@@ -271,6 +245,32 @@ class LintConfig:
         return codes
 
 
+class ConfigError(RuntimeError):
+    """An invalid ``[tool.repro-lint]`` block; the CLI exits 2 on it."""
+
+
+def _check_codes(
+    pyproject: Path, lists: Iterable[Tuple[str, Sequence[str]]]
+) -> None:
+    """Reject rule codes no shipped rule answers to."""
+    # Deferred: the rule registries import this module.
+    from .analysis import analysis_codes
+    from .rules import all_codes
+
+    known = set(all_codes()) | set(analysis_codes())
+    unknown = [
+        f"{code} (in {where})"
+        for where, codes in lists
+        for code in codes
+        if code not in known
+    ]
+    if unknown:
+        raise ConfigError(
+            f"{pyproject}: unknown rule code(s) in [tool.repro-lint]: "
+            f"{', '.join(unknown)}"
+        )
+
+
 def find_pyproject(start: Path) -> Optional[Path]:
     """Walk up from ``start`` looking for a ``pyproject.toml``."""
     current = start.resolve()
@@ -302,6 +302,17 @@ def load_config(pyproject: Path) -> LintConfig:
         )
         for entry in table.get("per-path", ())
     )
+    select = tuple(table.get("select", ()))
+    ignore = tuple(table.get("ignore", ()))
+    _check_codes(
+        pyproject,
+        [("select", select), ("ignore", ignore)]
+        + [
+            (f"per-path {entry.pattern!r} {key}", getattr(entry, key))
+            for entry in per_path
+            for key in ("disable", "enable")
+        ],
+    )
     hot = table.get("hot-path", {})
     hot_path = HotPathConfig(
         methods=tuple(str(m) for m in hot.get("methods", ())),
@@ -327,12 +338,6 @@ def load_config(pyproject: Path) -> LintConfig:
         (str(prefix), tuple(str(p) for p in patterns))
         for prefix, patterns in table.get("rng-streams", {}).items()
     )
-    ownership_table = table.get("ownership", {})
-    ownership = OwnershipConfig(
-        shared_services=tuple(
-            str(p) for p in ownership_table.get("shared-services", ())
-        )
-    )
     durable_table = table.get("durable", {})
     durable = DurableConfig(
         modules=tuple(str(p) for p in durable_table.get("modules", ()))
@@ -340,15 +345,14 @@ def load_config(pyproject: Path) -> LintConfig:
     return LintConfig(
         root=pyproject.parent,
         exclude=tuple(table.get("exclude", ())),
-        select=tuple(table.get("select", ())),
-        ignore=tuple(table.get("ignore", ())),
+        select=select,
+        ignore=ignore,
         per_path=per_path,
         analysis=bool(table.get("analysis", False)),
         hot_path=hot_path,
         layers=layers,
         slots=slots,
         rng_streams=rng_streams,
-        ownership=ownership,
         durable=durable,
     )
 

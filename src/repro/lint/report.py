@@ -9,8 +9,7 @@ from typing import Any, Dict, List
 from .findings import Finding, LintError
 
 __all__ = ["render_text", "render_json", "render_sarif",
-           "render_arch_text", "render_arch_json",
-           "render_ownership_text", "render_ownership_json"]
+           "render_arch_text", "render_arch_json"]
 
 
 def render_text(findings: List[Finding], errors: List[LintError], files: int) -> str:
@@ -186,68 +185,6 @@ def render_arch_text(report: Dict[str, Any]) -> str:
         lines.append(f"  {module}")
         for effect, owners in summary.items():
             lines.append(f"    {effect}: {', '.join(owners)}")
-    lines.append("")
-    lines.append(f"{report['files_analyzed']} module(s) analyzed")
-    return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# Ownership report (repro-lint --ownership-report)
-# ----------------------------------------------------------------------
-
-
-def render_ownership_json(report: Dict[str, Any]) -> str:
-    """Stable JSON form of the ownership report (the CI artifact and the
-    input the partition/sharding tooling consumes)."""
-    return json.dumps(report, indent=2, sort_keys=True)
-
-
-def render_ownership_text(report: Dict[str, Any]) -> str:
-    """Human-readable node-ownership graph + partition seams."""
-    lines: List[str] = []
-    lines.append("# Node ownership (per-node classes)")
-    for entry in report["per_node_classes"]:
-        lines.append(f"  {entry['class']} — {entry['reason']}")
-        for attr, owner in entry["owners"].items():
-            lines.append(f"    .{attr}: {owner}")
-    lines.append("")
-    lines.append("# Cross-node edges (boundary calls)")
-    for edge in report["cross_node_edges"]:
-        lines.append(
-            f"  {edge['function']}:{edge['line']} "
-            f"-> {edge['touchpoint']} [{edge['kind']}]"
-        )
-    lines.append("")
-    lines.append("# Shared services (one object, every node)")
-    if not report["shared_services"]:
-        lines.append("  (none)")
-    for service in report["shared_services"]:
-        if service["substrate"]:
-            status = "substrate"
-        elif service["declared"]:
-            status = "declared"
-        else:
-            status = "UNDECLARED"
-        mutated = "mutated" if service["mutated"] else "read-only"
-        lines.append(
-            f"  {service['object']} -> {service['constructed']} "
-            f"({mutated}, {status})"
-        )
-        lines.append(
-            f"    at {service['at']}:{service['line']}, captured at "
-            f"{', '.join(service['captured_at'])}"
-        )
-    lines.append("")
-    lines.append("# Partition-cut seams")
-    seams = report["partition_seams"]
-    for pattern in seams["declared_touchpoints"]:
-        lines.append(f"  touchpoint: {pattern}")
-    for attr in seams["boundary_attrs_used"]:
-        lines.append(f"  boundary:   .{attr}()")
-    for name in seams["shared_services"]:
-        lines.append(f"  replicate-or-centralize: {name}")
-    for name in seams["undeclared_shared_mutable"]:
-        lines.append(f"  UNRESOLVED shared mutable: {name}")
     lines.append("")
     lines.append(f"{report['files_analyzed']} module(s) analyzed")
     return "\n".join(lines)

@@ -86,6 +86,9 @@ class Rule:
     def check_function(self, ctx, node: ast.AST, add: AddFn) -> None:
         pass
 
+    def check_compare(self, ctx, node: ast.Compare, add: AddFn) -> None:
+        pass
+
 
 class GlobalRandomRule(Rule):
     """REP001: randomness must flow through an injected ``random.Random``."""
@@ -120,13 +123,21 @@ class GlobalRandomRule(Rule):
 
 
 class WallClockRule(Rule):
-    """REP002: no wall-clock reads in simulation logic."""
+    """REP002: no wall-clock reads in simulation logic.
+
+    This is the per-file half; with ``--analysis`` the whole-program half
+    (:class:`repro.lint.analysis.arch_rules.HostInputReachRule`) also
+    flags confined-layer code reaching the host clock or host I/O through
+    a call chain.
+    """
 
     code = "REP002"
     name = "wall-clock"
     summary = (
-        "wall-clock read; simulation time must come from Simulator.now "
-        "so runs replay bit-identically"
+        "wall-clock read, or (with --analysis) host clock/host I/O "
+        "reachable from confined-layer code through a call chain; "
+        "simulation time must come from Simulator.now so runs replay "
+        "bit-identically"
     )
 
     def check_call(self, ctx, node: ast.Call, add: AddFn) -> None:
@@ -141,13 +152,21 @@ class WallClockRule(Rule):
 
 
 class UnorderedIterationRule(Rule):
-    """REP003: no iteration whose order the language does not define."""
+    """REP003: no iteration whose order the language does not define.
+
+    This is the per-file half; with ``--analysis`` the whole-program half
+    (:class:`repro.lint.analysis.arch_rules.SetOrderEmissionRule`) also
+    follows set-typed variables into send/schedule calls, directly or
+    through a callee.
+    """
 
     code = "REP003"
     name = "unordered-iteration"
     summary = (
         "iteration over a set/frozenset (or bare dict.popitem) has no "
-        "defined order; sort, or keep an ordered container"
+        "defined order, and (with --analysis) set-typed variables must "
+        "not feed send/schedule directly or through a callee; sort, or "
+        "keep an ordered container"
     )
 
     def _is_unordered(self, ctx, node: ast.expr) -> Optional[str]:
@@ -190,23 +209,76 @@ class UnorderedIterationRule(Rule):
 
 
 class IdBasedIdentityRule(Rule):
-    """REP004: never derive ordering or hashes from ``id()``."""
+    """REP004: never derive ordering or hashes from object identity.
+
+    Every ``id()`` call is flagged.  ``hash()`` is legitimate inside
+    ``__hash__``, so only its ordering uses are: ``key=hash`` (or a key
+    lambda calling ``hash()``) on ``sorted``/``min``/``max``/``.sort``,
+    a bare ``key=id``, and ``hash()`` results compared with ``<``/``>``.
+    """
 
     code = "REP004"
     name = "id-based-identity"
     summary = (
-        "id() values change between runs and processes; order/hash by a "
-        "stable node or message identifier"
+        "id() values change between runs, and hash() of str/bytes changes "
+        "with PYTHONHASHSEED; order/hash by a stable node or message "
+        "identifier"
     )
 
+    _ORDER_CALLS = frozenset({"sorted", "min", "max"})
+
     def check_call(self, ctx, node: ast.Call, add: AddFn) -> None:
-        if ctx.resolve_call(node) == "id":
+        target = ctx.resolve_call(node)
+        if target == "id":
             add(
                 self.code,
                 node,
                 "id() is a memory address and differs between runs; use a "
                 "stable identifier (node_id, event sequence number, ...)",
             )
+            return
+        if target not in self._ORDER_CALLS and not (
+            isinstance(node.func, ast.Attribute) and node.func.attr == "sort"
+        ):
+            return
+        for keyword in node.keywords:
+            if keyword.arg == "key" and self._identity_key(keyword.value):
+                add(
+                    self.code,
+                    node,
+                    "ordering keyed on id()/hash() follows memory addresses "
+                    "or the per-process hash seed; key on node_id, EventId "
+                    "or a sequence number",
+                )
+
+    @staticmethod
+    def _identity_key(key: ast.expr) -> bool:
+        # `key=lambda n: id(n)` is already flagged at the id() call.
+        if isinstance(key, ast.Name):
+            return key.id in ("id", "hash")
+        return isinstance(key, ast.Lambda) and any(
+            _is_hash_call(sub) for sub in ast.walk(key.body)
+        )
+
+    def check_compare(self, ctx, node: ast.Compare, add: AddFn) -> None:
+        if any(
+            isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops
+        ) and any(_is_hash_call(o) for o in (node.left, *node.comparators)):
+            add(
+                self.code,
+                node,
+                "comparing hash() results orders by the per-process hash "
+                "seed; compare stable protocol identifiers",
+            )
+
+
+def _is_hash_call(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "hash"
+        and bool(node.args)
+    )
 
 
 class ScheduleMisuseRule(Rule):

@@ -55,9 +55,6 @@ class SuppressionMap:
     def add_file(self, codes: Set[str]) -> None:
         self.file_level.update(codes)
 
-    def is_suppressed(self, code: str, line: int) -> bool:
-        return self.is_suppressed_span(code, line, line)
-
     def is_suppressed_span(self, code: str, start: int, end: int) -> bool:
         """True if ``code`` is suppressed on any line in ``start..end``."""
         if _ALL in self.file_level or code in self.file_level:

@@ -111,6 +111,11 @@ class _Dispatcher(ast.NodeVisitor):
             rule.check_call(self.ctx, node, self._add)
         self.generic_visit(node)
 
+    def visit_Compare(self, node: ast.Compare) -> None:
+        for rule in self.rules:
+            rule.check_compare(self.ctx, node, self._add)
+        self.generic_visit(node)
+
     def _visit_loop(self, node) -> None:
         for rule in self.rules:
             rule.check_iter(self.ctx, node, node.iter, self._add)

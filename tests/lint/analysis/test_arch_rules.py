@@ -1,4 +1,4 @@
-"""Fixture-driven tests of the REP200–REP205 architecture rules.
+"""Fixture-driven tests of the REP200–REP204 architecture rules.
 
 ``tests/lint/fixtures/arch/`` is an eleven-module miniature of the real
 stack — ``eng`` (engine) < ``net`` (transport) < ``proto_*`` (confined
@@ -7,13 +7,13 @@ enough to exercise every rule: an upward import, an un-touchpointed
 engine access, shared mutable state on a per-node class, a slotless
 per-node class, a slotted per-node class keyed by hot strings,
 off-contract RNG stream names, and set iteration order escaping into
-the transport.  The layer map lives here (not in a
+the transport (REP003's whole-program half).  The layer map lives here (not in a
 pyproject) so each expectation names the exact config that produced it.
 
 Alongside the per-rule expectations this module carries the tree-wide
 REP2xx gate over the real sources, the ``--arch-report`` golden test,
 the CLI round-trip through a TOML config, and the analyzer runtime
-budget.
+budget; the last two read the session-wide pass from ``conftest``.
 """
 
 from __future__ import annotations
@@ -22,20 +22,20 @@ import collections
 import json
 import pathlib
 import shutil
-import time
 
 import pytest
 
 from repro.lint import lint_paths
 from repro.lint.cli import arch_report_paths, main
-from repro.lint.config import LayersConfig, LintConfig, load_config
+from repro.lint.config import LayersConfig, LintConfig
 from repro.lint.report import render_arch_json, render_arch_text
 
-REPO = pathlib.Path(__file__).parents[3]
 ARCH = pathlib.Path(__file__).parents[1] / "fixtures" / "arch"
 GOLDEN = ARCH / "ARCH_REPORT.golden"
 
-ARCH_CODES = tuple(f"REP20{i}" for i in range(6))
+ARCH_CODES = tuple(f"REP20{i}" for i in range(5))
+#: proto_emission.py demonstrates REP003's whole-program half.
+FIXTURE_CODES = (*ARCH_CODES, "REP003")
 
 PROTO_MODULES = (
     "proto_clean",
@@ -55,7 +55,7 @@ EXPECTED = {
     "proto_slotless.py": ["REP203"],
     "proto_strkeys.py": ["REP203"],
     "proto_streams.py": ["REP204", "REP204"],
-    "proto_emission.py": ["REP205", "REP205"],
+    "proto_emission.py": ["REP003", "REP003"],
 }
 
 CLEAN = ("eng.py", "net.py", "proto_clean.py", "app.py")
@@ -83,7 +83,7 @@ def arch_config() -> LintConfig:
 
 
 def lint_arch_tree():
-    return lint_paths([ARCH], arch_config(), select=ARCH_CODES)
+    return lint_paths([ARCH], arch_config(), select=FIXTURE_CODES)
 
 
 def test_every_rule_fires_exactly_where_expected():
@@ -206,31 +206,19 @@ def test_cli_arch_report_text_lists_layer_map(tmp_path, capsys):
     assert "module(s) analyzed" in out
 
 
-def test_repo_tree_is_rep2xx_clean():
+def test_repo_tree_is_rep2xx_clean(tree_lint):
     # The real sources must satisfy the architecture they declare —
     # with the pyproject layer map, not a test-local one.
-    config = load_config(REPO / "pyproject.toml")
-    result = lint_paths(
-        [REPO / "src", REPO / "benchmarks", REPO / "examples"],
-        config,
-        select=ARCH_CODES,
-    )
+    result = tree_lint.result
     assert result.errors == []
-    assert result.findings == [], "\n".join(
-        f.render() for f in result.findings
-    )
+    offenders = [f for f in result.findings if f.code in ARCH_CODES]
+    assert offenders == [], "\n".join(f.render() for f in offenders)
 
 
-def test_analyzer_runtime_budget():
-    # The whole-program pass (REP1xx + REP2xx + arch model) over the
-    # full source tree must stay interactive: under 10 seconds.
-    config = load_config(REPO / "pyproject.toml")
-    start = time.perf_counter()
-    result = lint_paths(
-        [REPO / "src", REPO / "benchmarks", REPO / "examples"],
-        config,
-        analysis=True,
+def test_analyzer_runtime_budget(tree_lint):
+    # The whole-program pass over the full source tree must stay
+    # interactive: under 10 seconds.
+    assert tree_lint.result.errors == []
+    assert tree_lint.seconds < 10.0, (
+        f"analysis took {tree_lint.seconds:.2f}s (budget 10s)"
     )
-    elapsed = time.perf_counter() - start
-    assert result.errors == []
-    assert elapsed < 10.0, f"analysis took {elapsed:.2f}s (budget 10s)"

@@ -1,7 +1,7 @@
-"""Edge cases of the effect fixpoint the ownership pass leans on.
+"""Edge cases of the effect fixpoint the whole-program rules lean on.
 
-The REP300-series resolves call targets through three constructs the
-original extractor skipped: ``functools.partial`` wrappers, per-instance
+REP003's chain check and REP002's host-clock reachability resolve call
+targets through three constructs the original extractor skipped: ``functools.partial`` wrappers, per-instance
 bound entry points (the ``Dispatcher.send_gossip`` pattern — ``__init__``
 rebinds ``self.send_gossip`` to ``self._send_gossip_tracked`` or
 ``_plain`` at setup time), and ``@property`` getters whose *read* runs
@@ -14,7 +14,6 @@ from __future__ import annotations
 import textwrap
 
 from repro.lint.analysis.effects import (
-    BLOCKING,
     SIM_TIME,
     WALL_CLOCK,
     infer_effects,
@@ -52,7 +51,7 @@ def test_partial_target_propagates_effects(tmp_path):
     )
     effects = effects_of(project)
     record = effects.of("partials.kick")
-    assert BLOCKING in record.effects
+    assert WALL_CLOCK in record.effects
     assert ("partials.settle", False) in record.callees
 
 
@@ -122,7 +121,7 @@ def test_instance_bound_entry_point_inherits_effects(tmp_path):
     callees = {qualname for qualname, _ in record.callees}
     assert "bound_entry.Gossiper._send_gossip_tracked" in callees
     assert "bound_entry.Gossiper._send_gossip_plain" in callees
-    assert BLOCKING in record.effects
+    assert WALL_CLOCK in record.effects
 
 
 def test_property_read_runs_the_getter(tmp_path):
@@ -176,5 +175,5 @@ def test_decorated_method_keeps_its_effects(tmp_path):
         """,
     )
     effects = effects_of(project)
-    assert BLOCKING in effects.of("decorated.Worker.nap").effects
-    assert BLOCKING in effects.of("decorated.Worker.shift").effects
+    assert WALL_CLOCK in effects.of("decorated.Worker.nap").effects
+    assert WALL_CLOCK in effects.of("decorated.Worker.shift").effects

@@ -2,8 +2,8 @@
 
 ``python -m repro.lint --analysis src benchmarks examples`` from the repo
 root must exit 0 — exactly what CI runs.  This keeps the guarantee under
-plain pytest, and specifically asserts zero *unsuppressed* REP1xx findings
-over ``src/repro``.
+plain pytest, and specifically asserts zero *unsuppressed* whole-program
+findings over ``src/repro``.
 """
 
 from __future__ import annotations
@@ -39,14 +39,9 @@ def test_benchmarks_and_examples_analysis_clean():
     )
 
 
-def test_full_acceptance_command_is_clean():
+def test_full_acceptance_command_is_clean(tree_lint):
     """The exact CI invocation: src + benchmarks + examples, analysis on."""
-    config = load_config(REPO_ROOT / "pyproject.toml")
-    result = lint_paths(
-        [REPO_ROOT / "src", REPO_ROOT / "benchmarks", REPO_ROOT / "examples"],
-        config,
-        analysis=True,
-    )
+    result = tree_lint.result
     assert result.exit_code == 0, "\n".join(
         f.render() for f in result.findings
     )

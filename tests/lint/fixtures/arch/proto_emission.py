@@ -1,4 +1,5 @@
-"""Arch fixture, *proto* layer (REP205): set order escaping into sends."""
+"""Arch fixture, *proto* layer (REP003's whole-program half): set order
+escaping into sends."""
 
 
 class Emitter:

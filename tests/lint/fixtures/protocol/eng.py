@@ -1,4 +1,4 @@
-"""Ownership fixture, *engine* layer: the clock and calendar."""
+"""Protocol fixture, *engine* layer: the clock and calendar."""
 
 
 class Simulator:

@@ -1,5 +1,4 @@
-"""Ownership fixture, *transport* layer: the boundary every node edge
-must pass — the partition-cut seam the REP300 series protects."""
+"""Protocol fixture, *transport* layer: where messages leave a node."""
 
 
 class Network:

@@ -1,8 +1,8 @@
-"""Ownership fixture, *proto* layer (bad): chained ordered emission.
+"""Protocol fixture, *proto* layer (bad): chained ordered emission.
 
-``flood`` iterates a set and calls a helper that sends — the local loop
-body never emits, so REP205 stays quiet, but the emission order still
-inherits the set's hash order through the call chain: REP305.
+``flood`` iterates a set and calls a helper that sends — the loop body
+never emits itself, but the emission order still inherits the set's
+hash order through the call chain: REP003's whole-program half.
 ``flood_sorted`` is the quiet form.
 """
 
@@ -19,7 +19,7 @@ class Flooder:
         self.net.send(self.node_id, peer, payload)
 
     def flood(self, payload):
-        for peer in self.peers:  # REP305: set order reaches the wire
+        for peer in self.peers:  # REP003: set order reaches the wire
             self._notify(peer, payload)
 
     def flood_sorted(self, payload):

@@ -1,10 +1,10 @@
-"""Ownership fixture, *proto* layer (bad): identity-derived ordering.
+"""Protocol fixture, *proto* layer (bad): identity-derived ordering.
 
 ``Chooser`` schedules on the engine calendar, so any ordering decision
-it makes feeds the (time, seq) merge.  Sorting peers by ``id()`` and
-breaking ties with ``hash()`` both produce an order that cannot replay
-across processes — each is REP302.  ``pick_stable`` shows the quiet
-form: ordering by the protocol identifier.
+it makes feeds the (time, seq) order.  Sorting peers by ``id()`` and
+breaking ties with ``hash()`` both produce an order that changes between
+runs (addresses, PYTHONHASHSEED) — each is REP004.  ``pick_stable``
+shows the quiet form: ordering by the protocol identifier.
 """
 
 
@@ -17,13 +17,13 @@ class Chooser:
         self.targets = []
 
     def on_timer(self):
-        order = sorted(self.targets, key=id)  # REP302: address order
+        order = sorted(self.targets, key=id)  # REP004: address order
         for target in order:
             self.sim.schedule(1.0, target)
 
     def tiebreak(self, left, right):
         self.sim.schedule(0.5, left)
-        if hash(left) < hash(right):  # REP302: hash-seed order
+        if hash(left) < hash(right):  # REP004: hash-seed order
             return left
         return right
 

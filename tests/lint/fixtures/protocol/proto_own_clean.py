@@ -1,11 +1,9 @@
-"""Ownership fixture, *proto* layer (clean): node-owned state only.
+"""Protocol fixture, *proto* layer (clean): the quiet forms.
 
-``Agent`` is instantiated per node by ``app.build``.  All of its mutable
-state is constructed in its own ``__init__``, everything that crosses a
-node boundary goes through ``self.net.send`` (the declared seam), peers
-receive *copies* of node state, ordering never derives from identity,
-and set iteration is sorted before it feeds a sending callee.  Every
-REP300-series rule must stay silent here.
+``Agent`` is instantiated per node by ``app.build``.  It reads time only
+through the engine, ordering never derives from identity, and set
+iteration is sorted before it feeds a sending callee.  REP002, REP003
+and REP004 must all stay silent here.
 """
 
 

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import textwrap
 
-from repro.lint import lint_paths, load_config
-from repro.lint.config import LintConfig, PerPath
+import pytest
+
+from repro.lint import lint_paths, load_config, main
+from repro.lint.config import ConfigError, LintConfig, PerPath
 
 BAD_RANDOM = "import random\n\n\ndef f():\n    return random.random()\n"
 
@@ -119,3 +121,44 @@ class TestEndToEnd:
         assert lint_paths([tmp_path / "a.py"]).findings == []
         isolated = lint_paths([tmp_path / "a.py"], isolated=True)
         assert [f.code for f in isolated.findings] == ["REP001"]
+
+
+class TestUnknownCodes:
+    """A code no rule answers to must fail loudly, never switch rules off."""
+
+    def test_typo_in_select_is_rejected(self, tmp_path):
+        pyproject = write_project(
+            tmp_path,
+            """
+            [tool.repro-lint]
+            select = ["REP0O1"]
+            """,
+        )
+        with pytest.raises(ConfigError, match=r"REP0O1 \(in select\)"):
+            load_config(pyproject)
+
+    def test_retired_code_in_per_path_disable_is_rejected(self, tmp_path):
+        pyproject = write_project(
+            tmp_path,
+            """
+            [[tool.repro-lint.per-path]]
+            path = "src/*"
+            disable = ["REP304"]
+            """,
+        )
+        with pytest.raises(ConfigError, match=r"REP304 \(in per-path"):
+            load_config(pyproject)
+
+    def test_cli_exits_two_instead_of_reporting_clean(self, tmp_path, capsys):
+        write_project(
+            tmp_path,
+            """
+            [tool.repro-lint]
+            select = ["REP0O1"]
+            """,
+        )
+        (tmp_path / "a.py").write_text(BAD_RANDOM)
+        assert main([str(tmp_path / "a.py")]) == 2
+        captured = capsys.readouterr()
+        assert "REP0O1" in captured.err
+        assert "clean" not in captured.out

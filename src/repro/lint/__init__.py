@@ -1,33 +1,32 @@
 """``repro.lint`` — AST-based determinism & protocol-invariant linter.
 
 The paper's evaluation stands on bit-identical seeded re-runs: every curve
-in Figs. 3–10 must replay exactly from a master seed.  This package enforces
-the coding rules that make that true, statically:
+in Figs. 3–10 must replay exactly from a master seed.  The test suite's
+frozen signatures catch most ways of breaking that; this package checks,
+statically, the hazards that leave today's results unchanged:
 
 ========  =======================================================
-REP001    randomness outside injected ``random.Random`` streams
 REP002    wall-clock reads (``time.time``, ``datetime.now``, ...)
 REP003    iteration over unordered sets / bare ``dict.popitem()``
 REP004    ``id()``/``hash()``-derived ordering or hashing
-REP005    negative delays or scheduling outside ``Simulator``
-REP006    mutable default arguments
+REP007    per-event branches on setup-time config in hot paths
 ========  =======================================================
 
 On top of the per-file rules, ``--analysis`` runs a whole-program pass
-(:mod:`repro.lint.analysis`) enforcing the cross-module contracts the hot
-paths rely on:
+(:mod:`repro.lint.analysis`):
 
 ========  =======================================================
-REP100    memo backing state mutated without ``_invalidate()``
 REP101    shared forward ``Message`` mutated after send/schedule
-REP102    scheduled callback unresolvable / wrong arity
-REP103    RNG constructed outside ``repro/sim/rng.py``
 REP104    non-picklable callable submitted to an executor
-REP105    recovery subclass breaks the base-class contract
+REP200    import from a higher layer of the declared layer map
+REP203    per-node class without ``__slots__`` / with string hot keys
+REP204    RNG stream off the consuming subsystem's declared names
+REP306    durable write without write-then-rename
 ========  =======================================================
 
-plus the architecture rules REP200–REP204, REP306 (write-then-rename in
-durable modules), and the interprocedural halves of REP002 and REP003.
+plus the interprocedural halves of REP002 and REP003.  Each rule is kept
+for a seeded regression the rest of the test suite misses
+(``tests/lint/test_seeded_regressions.py``).
 
 Run it with ``python -m repro.lint <paths>`` or the ``repro-lint`` console
 script; see ``docs/LINTING.md`` for the full rule rationale and the

@@ -1,33 +1,29 @@
-"""Whole-program analysis: REP100–REP105, REP200–REP204, REP306, and the
-whole-program halves of REP002/REP003.
+"""Whole-program analysis: REP101, REP104, REP200, REP203, REP204,
+REP306, and the whole-program halves of REP002/REP003.
 
 Layered below :mod:`repro.lint.cli`:
 
 * :mod:`~repro.lint.analysis.model` — project symbol table: modules,
   import-alias resolution (absolute + relative), classes with linearized
-  ancestry, functions with call arities, re-export chasing.
-* :mod:`~repro.lint.analysis.dataflow` — intraprocedural facts: local
-  alias maps, self-attribute reads/mutations, and the per-path
-  mutated-vs-invalidated abstract interpretation behind REP100.
+  ancestry, re-export chasing.
 * :mod:`~repro.lint.analysis.layers` — the declared layer map resolved
-  over the analyzed modules, with import edges (REP200, --arch-report).
+  over the analyzed modules, with import edges (REP200).
 * :mod:`~repro.lint.analysis.effects` — interprocedural effect inference
-  over the resolvable call graph (REP201/REP202/REP204, the REP002 and
-  REP003 halves, --arch-report).
-* :mod:`~repro.lint.analysis.rules` — the six cross-module protocol
-  rules (REP100–REP105).
-* :mod:`~repro.lint.analysis.arch_rules` — the five architecture rules
-  (REP200–REP204) and the REP002/REP003 halves over the shared
+  over the resolvable call graph (REP204, the REP002 and REP003 halves)
+  and the per-node class closure (REP203).
+* :mod:`~repro.lint.analysis.rules` — the two cross-module protocol
+  rules (REP101, REP104).
+* :mod:`~repro.lint.analysis.arch_rules` — the architecture rules
+  (REP200, REP203, REP204) and the REP002/REP003 halves over the shared
   :class:`ArchContext`.
 * :mod:`~repro.lint.analysis.durable` — REP306, write-then-rename in
   declared durable modules.
 * :mod:`~repro.lint.analysis.engine` — orchestration + suppression/config
-  filtering, producing ordinary :class:`~repro.lint.findings.Finding`\\ s,
-  and the ``--arch-report`` data builder.
+  filtering, producing ordinary :class:`~repro.lint.findings.Finding`\\ s.
 """
 
 from .arch_rules import ARCH_RULES, ArchContext
-from .engine import ALL_ANALYSIS_RULES, build_arch_report, run_analysis
+from .engine import ALL_ANALYSIS_RULES, run_analysis
 from .model import Project, build_project
 
 #: Every whole-program rule with a code of its own — the public catalogue.
@@ -41,7 +37,6 @@ def analysis_codes():
 
 __all__ = [
     "run_analysis",
-    "build_arch_report",
     "Project",
     "build_project",
     "ArchContext",

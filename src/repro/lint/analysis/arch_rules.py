@@ -1,16 +1,11 @@
-"""The architecture rule family, REP200–REP204, and the whole-program
-halves of REP002 and REP003.
+"""The architecture rules, REP200, REP203 and REP204, and the
+whole-program halves of REP002 and REP003.
 
-Where REP100–REP105 police cross-module *protocol* contracts, these rules
-police the declared architecture itself:
+Where REP101 and REP104 police cross-module *protocol* contracts, these
+rules police the declared architecture itself:
 
 ========  ==============================================================
 REP200    import from a higher layer (engine must not know the protocol)
-REP201    sim-time/engine access in confined-layer code outside the
-          declared touchpoint allowlist (engine-independence)
-REP202    mutable module-global (or class-level mutable attribute)
-          reachable from per-node methods (state leaks between nodes
-          and between runs)
 REP203    per-node/per-event class without ``__slots__`` (memory lean)
 REP204    RNG stream requested off the consuming subsystem's declared
           named streams, or with a dynamic name (reproducibility)
@@ -24,7 +19,7 @@ send/schedule, directly or through a callee.
 All of them share one :class:`ArchContext` — the resolved layer map, the
 interprocedural effect sets, and the per-node class closure — built once
 per analysis run.  The layer map comes from ``[tool.repro-lint.layers]``;
-with no declared layers, REP200–REP203 and REP002's half are inert and
+with no declared layers, REP200, REP203 and REP002's half are inert and
 REP204/REP003 fall back to their config-independent checks (dynamic
 stream names, escaping set iteration).
 """
@@ -39,10 +34,8 @@ from ..config import LintConfig
 from .effects import (
     EffectMap,
     FunctionEffects,
-    GLOBAL_MUT_PREFIX,
     HOST_IO,
     NET_SEND,
-    SIM_EFFECTS,
     SIM_SCHEDULE,
     STREAM_PREFIX,
     WALL_CLOCK,
@@ -77,7 +70,7 @@ class ArchContext:
         self.project = project
         self.config = config
         self.layer_map: LayerMap = build_layer_map(config.layers, project)
-        self.effects: EffectMap = infer_effects(project, self.layer_map)
+        self.effects: EffectMap = infer_effects(project)
         # With a layer map declared, only loops in *mapped* modules seed
         # per-node cardinality: benchmark/driver sweeps construct whole
         # simulations in loops without making the engine "per-node".
@@ -109,12 +102,6 @@ class ArchContext:
             return False
         layer = self.layer_map.layer_of_module(module_name)
         return layer is not None and layer != order[-1]
-
-    def is_touchpoint(self, function: FunctionInfo) -> bool:
-        names = [function.qualname, function.name]
-        if function.cls is not None:
-            names.append(f"{function.cls.name}.{function.name}")
-        return self.config.layers.is_touchpoint(*names)
 
     def declared_streams(self, module_name: str) -> Optional[Tuple[str, ...]]:
         """Allowed stream-name patterns for ``module_name`` (longest
@@ -160,122 +147,6 @@ class LayerImportRule(ArchRule):
                 f"{edge.target} ({edge.target_layer} layer), which sits "
                 "above it in the declared layer map; invert the dependency "
                 "or move the shared piece down",
-            )
-
-
-class EngineTouchpointRule(ArchRule):
-    """REP201: confined-layer code reaches the engine only via touchpoints."""
-
-    code = "REP201"
-    name = "engine-touchpoint"
-    summary = (
-        "protocol-layer function reads the simulation clock, schedules, or "
-        "holds an engine reference outside the declared touchpoint "
-        "allowlist; the runtime-interface split needs protocol code to be "
-        "engine-independent"
-    )
-
-    def run_arch(self, ctx: ArchContext, add: AddFn) -> None:
-        for qualname in sorted(ctx.effects.functions):
-            record = ctx.effects.functions[qualname]
-            function = record.function
-            if not ctx.layer_map.is_confined(function.module.name):
-                continue
-            sim_effects = record.effects & SIM_EFFECTS
-            if not sim_effects or ctx.is_touchpoint(function):
-                continue
-            direct = sorted(sim_effects & record.direct)
-            if direct:
-                effect = direct[0]
-                site = record.sites.get(effect, function.node)
-                how = f"has direct {', '.join(direct)} access"
-            else:
-                effect = sorted(sim_effects)[0]
-                site = function.node
-                how = (
-                    f"inherits {', '.join(sorted(sim_effects))} via "
-                    f"{record.via.get(effect, 'a callee')}()"
-                )
-            add(
-                function.module,
-                site,
-                self.code,
-                f"{qualname} ({ctx.layer_map.layer_of_module(function.module.name)} "
-                f"layer) {how}; route it through a declared engine "
-                "touchpoint or add one to "
-                "[tool.repro-lint.layers] engine-touchpoints",
-            )
-
-
-class SharedStateRule(ArchRule):
-    """REP202: per-node code never mutates module-global state."""
-
-    code = "REP202"
-    name = "shared-mutable-state"
-    summary = (
-        "per-node class keeps or mutates shared mutable state (module "
-        "global or class-level container); one node's writes leak into "
-        "every other node, and into the next run in the same process"
-    )
-
-    def run_arch(self, ctx: ArchContext, add: AddFn) -> None:
-        for qualname in sorted(ctx.per_node):
-            cls = ctx.project.classes.get(qualname)
-            if cls is None or not ctx.below_top(cls.module.name):
-                continue
-            self._check_class_attrs(cls, add)
-            self._check_methods(ctx, cls, add)
-
-    def _check_class_attrs(self, cls: ClassInfo, add: AddFn) -> None:
-        from .effects import _is_mutable_value
-
-        for stmt in cls.node.body:
-            targets: List[ast.expr] = []
-            value: Optional[ast.expr] = None
-            if isinstance(stmt, ast.Assign):
-                targets, value = list(stmt.targets), stmt.value
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                targets, value = [stmt.target], stmt.value
-            if value is None or not _is_mutable_value(cls.module, value):
-                continue
-            for target in targets:
-                if isinstance(target, ast.Name) and target.id != "__slots__":
-                    add(
-                        cls.module,
-                        stmt,
-                        self.code,
-                        f"per-node class {cls.name} declares class-level "
-                        f"mutable attribute '{target.id}'; every node "
-                        "shares one container — move it into __init__",
-                    )
-
-    def _check_methods(self, ctx: ArchContext, cls: ClassInfo, add: AddFn) -> None:
-        for method in cls.methods.values():
-            record = ctx.effects.of(method.qualname)
-            if record is None:
-                continue
-            muts = sorted(
-                e for e in record.effects if e.startswith(GLOBAL_MUT_PREFIX)
-            )
-            if not muts:
-                continue
-            effect = muts[0]
-            target = effect[len(GLOBAL_MUT_PREFIX):]
-            site = record.sites.get(effect, method.node)
-            via = (
-                ""
-                if effect in record.direct
-                else f" (via {record.via.get(effect, 'a callee')}())"
-            )
-            add(
-                cls.module,
-                site,
-                self.code,
-                f"per-node method {cls.name}.{method.name}() mutates "
-                f"module-global '{target}'{via}; that state outlives the "
-                "node and the run, so a second run in the same process "
-                "starts from the first one's leftovers — keep node state "
-                "on the instance",
             )
 
 
@@ -747,13 +618,13 @@ class HostInputReachRule(ArchRule):
     """REP002, whole-program half: confined-layer code never reaches the
     host clock or host I/O through a call chain.
 
-    The per-file halves flag the direct sites (REP002 the clock reads,
-    REP005 ``time.sleep``), but a per-path or inline exemption there --
-    harness timing, campaign journaling -- stops at the site, not at the
-    caller.  This half flags a confined-layer function that inherits a
-    ``wall-clock`` or ``host-io`` effect from a callee, and a direct
-    ``host-io`` call (file, socket, subprocess) no per-file rule sees.
-    Inert without ``confined`` layers, like REP201.
+    The per-file half flags the direct clock reads, but a per-path or
+    inline exemption there -- harness timing, campaign journaling --
+    stops at the site, not at the caller.  This half flags a
+    confined-layer function that inherits a ``wall-clock`` or
+    ``host-io`` effect from a callee, and a direct ``host-io`` call
+    (file, socket, subprocess) no per-file rule sees.  Inert without
+    ``confined`` layers.
     """
 
     code = "REP002"
@@ -792,8 +663,6 @@ class HostInputReachRule(ArchRule):
 
 ARCH_RULES: List[ArchRule] = [
     LayerImportRule(),
-    EngineTouchpointRule(),
-    SharedStateRule(),
     SlotsRule(),
     RngStreamRule(),
 ]

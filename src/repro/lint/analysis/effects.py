@@ -5,11 +5,7 @@ beyond its arguments, propagated transitively through the call graph the
 import/MRO machinery of :mod:`.model` can resolve:
 
 ========================  ==============================================
-``sim-time``              reads the simulation clock (``<sim>.now``)
 ``sim-schedule``          schedules on the calendar (``<sim>.schedule*``)
-``sim-engine``            holds/constructs an engine object (``.sim`` /
-                          ``._sim`` reads, engine-layer constructors)
-``rng-draw``              draws from an injected RNG
 ``rng-stream:<name>``     requests a named ``RandomStreams`` stream
                           (``?`` when the name is not a literal)
 ``wall-clock``            reads or waits on host time (``time.time`` &
@@ -17,7 +13,6 @@ import/MRO machinery of :mod:`.model` can resolve:
 ``host-io``               calls sync file/socket/subprocess I/O
 ``net-send``              emits a message (``.send``/``.send_oob``/
                           ``.transmit``/``.send_gossip``)
-``global-mut:<target>``   mutates a module-level mutable binding
 ========================  ==============================================
 
 Resolvable call edges are ``self.method()`` (through the MRO),
@@ -28,16 +23,13 @@ entry points (``self.send_gossip`` rebound in ``__init__`` to
 ``def``/``lambda`` bodies are attributed to the enclosing function — a
 callback's effects belong to whoever builds it.
 
-Propagation is a fixpoint union with one asymmetry: the three ``sim-*``
-effects do **not** propagate out of a declared *engine touchpoint* or out
-of a module whose layer is mapped but not confined (the transport layer is
-*licensed* to schedule; calling ``network.send`` is not engine coupling).
-That is what lets REP201 say "protocol code reaches the engine" without
-flagging every caller of the network API.
+Propagation is a plain fixpoint union over the resolved call edges.
 
 The same pass records where classes are constructed (and whether inside a
-loop), which seeds the per-node/per-event class set REP202 and REP203
-reason about.
+loop), which seeds the per-node/per-event class set REP203 reasons
+about.  The effects feed REP204 (stream requests), REP002's
+whole-program half (``wall-clock``, ``host-io``) and REP003's
+(``net-send``, ``sim-schedule``).
 """
 
 from __future__ import annotations
@@ -47,9 +39,6 @@ from typing import (
     Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
 )
 
-from ..config import LayersConfig
-from .dataflow import MUTATING_METHODS
-from .layers import LayerMap
 from .model import (
     ClassInfo,
     FunctionInfo,
@@ -59,16 +48,11 @@ from .model import (
 )
 
 __all__ = [
-    "SIM_TIME",
     "SIM_SCHEDULE",
-    "SIM_ENGINE",
-    "RNG_DRAW",
     "WALL_CLOCK",
     "HOST_IO",
     "NET_SEND",
     "STREAM_PREFIX",
-    "GLOBAL_MUT_PREFIX",
-    "SIM_EFFECTS",
     "Construction",
     "StreamRequest",
     "FunctionEffects",
@@ -78,37 +62,18 @@ __all__ = [
     "stream_name",
 ]
 
-SIM_TIME = "sim-time"
 SIM_SCHEDULE = "sim-schedule"
-SIM_ENGINE = "sim-engine"
-RNG_DRAW = "rng-draw"
 WALL_CLOCK = "wall-clock"
 HOST_IO = "host-io"
 NET_SEND = "net-send"
-#: parameterized effects: ``rng-stream:<name>@<requesting module>`` and
-#: ``global-mut:<module>.<binding>``.
+#: parameterized effect: ``rng-stream:<name>@<requesting module>``.
 STREAM_PREFIX = "rng-stream:"
-GLOBAL_MUT_PREFIX = "global-mut:"
-
-SIM_EFFECTS = frozenset({SIM_TIME, SIM_SCHEDULE, SIM_ENGINE})
 
 #: Receiver path segments that mark an expression as "the simulator".
 _SIMISH = frozenset({"sim", "_sim", "simulator", "_simulator"})
-#: Attribute reads that hand out an engine reference.
-_ENGINE_ATTRS = frozenset({"sim", "_sim"})
 _SCHEDULE_ATTRS = frozenset(
     {"schedule", "schedule_at", "schedule_call", "schedule_call_at"}
 )
-#: Draw methods of ``random.Random`` (receiver must look like an RNG).
-_RNG_DRAW_METHODS = frozenset(
-    {
-        "betavariate", "choice", "choices", "expovariate", "gauss",
-        "getrandbits", "lognormvariate", "normalvariate", "paretovariate",
-        "randint", "random", "randrange", "sample", "shuffle", "triangular",
-        "uniform", "vonmisesvariate",
-    }
-)
-_RNGISH = frozenset({"rng", "_rng", "rand", "random", "rnd"})
 _STREAM_METHODS = frozenset({"stream", "substreams", "compact_stream"})
 #: Host-clock reads and waits (``time.sleep`` waits on the wall clock).
 _WALL_CLOCK_CALLS = frozenset(
@@ -136,16 +101,6 @@ _HOST_IO_CALLS = frozenset(
 #: Attribute calls that emit a message into the transport (the same
 #: boundary set REP101/REP003 use); seeds the ``net-send`` effect.
 _NET_SEND_ATTRS = frozenset({"send", "send_oob", "transmit", "send_gossip"})
-#: Constructors whose result is a mutable container (module-global scan).
-_MUTABLE_FACTORY_NAMES = frozenset(
-    {
-        "dict", "list", "set", "collections.defaultdict",
-        "collections.deque", "collections.Counter",
-        "collections.OrderedDict",
-    }
-)
-_MUTABLE_LITERALS = (ast.Dict, ast.List, ast.Set, ast.ListComp, ast.SetComp,
-                     ast.DictComp)
 
 
 def stream_name(effect: str) -> Tuple[str, str]:
@@ -222,9 +177,8 @@ class FunctionEffects:
 class EffectMap:
     """The inferred effects of every function in the project."""
 
-    def __init__(self, project: Project, layer_map: LayerMap) -> None:
+    def __init__(self, project: Project) -> None:
         self.project = project
-        self.layer_map = layer_map
         self.functions: Dict[str, FunctionEffects] = {}
 
     def of(self, qualname: str) -> Optional[FunctionEffects]:
@@ -234,52 +188,10 @@ class EffectMap:
         for record in self.functions.values():
             yield from record.constructions
 
-    def module_summary(self, module_name: str) -> Dict[str, List[str]]:
-        """effect -> sorted function qualnames exhibiting it (report)."""
-        summary: Dict[str, Set[str]] = {}
-        for qualname, record in self.functions.items():
-            if record.function.module.name != module_name:
-                continue
-            for effect in record.effects:
-                if effect.startswith(STREAM_PREFIX):
-                    effect = STREAM_PREFIX + stream_name(effect)[0]
-                summary.setdefault(effect, set()).add(qualname)
-        return {
-            effect: sorted(owners)
-            for effect, owners in sorted(summary.items())
-        }
-
 
 # ----------------------------------------------------------------------
 # Direct-effect extraction
 # ----------------------------------------------------------------------
-
-
-def module_mutable_globals(module: ModuleInfo) -> Dict[str, ast.stmt]:
-    """Module-level names bound to mutable containers."""
-    out: Dict[str, ast.stmt] = {}
-    for stmt in module.tree.body:
-        targets: List[ast.expr] = []
-        value: Optional[ast.expr] = None
-        if isinstance(stmt, ast.Assign):
-            targets, value = list(stmt.targets), stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets, value = [stmt.target], stmt.value
-        if value is None or not _is_mutable_value(module, value):
-            continue
-        for target in targets:
-            if isinstance(target, ast.Name):
-                out[target.id] = stmt
-    return out
-
-
-def _is_mutable_value(module: ModuleInfo, value: ast.expr) -> bool:
-    if isinstance(value, _MUTABLE_LITERALS):
-        return True
-    if isinstance(value, ast.Call):
-        resolved = module.resolve_call(value)
-        return resolved in _MUTABLE_FACTORY_NAMES
-    return False
 
 
 def module_class_registries(
@@ -315,8 +227,8 @@ def module_class_registries(
     return registries
 
 
-def _local_bindings(func: ast.AST) -> Tuple[Set[str], Set[str]]:
-    """(locally-bound names, ``global``-declared names) of a function body."""
+def _local_names(func: ast.AST) -> Set[str]:
+    """Names a function body binds locally (its arguments included)."""
     local: Set[str] = set()
     declared_global: Set[str] = set()
     args = getattr(func, "args", None)
@@ -334,15 +246,7 @@ def _local_bindings(func: ast.AST) -> Tuple[Set[str], Set[str]]:
             node.ctx, (ast.Store, ast.Del)
         ):
             local.add(node.id)
-        elif isinstance(node, (ast.For, ast.AsyncFor)):
-            for sub in ast.walk(node.target):
-                if isinstance(sub, ast.Name):
-                    local.add(sub.id)
-        elif isinstance(node, ast.comprehension):
-            for sub in ast.walk(node.target):
-                if isinstance(sub, ast.Name):
-                    local.add(sub.id)
-    return local - declared_global, declared_global
+    return local - declared_global
 
 
 def _receiver_parts(call_func: ast.expr) -> Optional[List[str]]:
@@ -353,15 +257,6 @@ def _receiver_parts(call_func: ast.expr) -> Optional[List[str]]:
 
 def _is_simish(parts: Optional[Sequence[str]]) -> bool:
     return bool(parts) and bool(_SIMISH.intersection(parts))
-
-
-def _is_rngish(parts: Optional[Sequence[str]]) -> bool:
-    if not parts:
-        return False
-    return any(
-        part in _RNGISH or part.endswith("rng") or part.startswith("rng")
-        for part in parts
-    )
 
 
 def _is_streamsish(parts: Optional[Sequence[str]]) -> bool:
@@ -498,9 +393,7 @@ class _Extractor:
         self,
         project: Project,
         record: FunctionEffects,
-        mutable_globals: Dict[str, ast.stmt],
         registries: Dict[str, List[ClassInfo]],
-        layer_map: LayerMap,
         bound_cache: Optional[Dict[str, Dict[str, List[FunctionInfo]]]] = None,
     ) -> None:
         self.project = project
@@ -508,15 +401,11 @@ class _Extractor:
         self.function = record.function
         self.module = record.function.module
         self.cls = record.function.cls
-        self.mutable_globals = mutable_globals
         self.registries = registries
-        self.layer_map = layer_map
         #: class qualname -> attr -> methods rebound onto the instance
         #: (``self.send_gossip = self._send_gossip`` in ``__init__``).
         self.bound_cache = bound_cache if bound_cache is not None else {}
-        self.locals, self.declared_global = _local_bindings(
-            record.function.node
-        )
+        self.locals = _local_names(record.function.node)
         #: local names bound to a registry subscript (``cls = REG[name]``).
         self.registry_locals: Dict[str, List[ClassInfo]] = {}
         for node in ast.walk(record.function.node):
@@ -569,11 +458,6 @@ class _Extractor:
             self._visit_attribute(node)
         elif isinstance(node, ast.Call):
             self._visit_call(node, in_loop)
-        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            self._visit_assignment(node)
-        elif isinstance(node, ast.Delete):
-            for target in node.targets:
-                self._global_target(target, node)
 
     # ------------------------------------------------------------------
     def _add(self, effect: str, node: ast.AST) -> None:
@@ -583,10 +467,6 @@ class _Extractor:
     def _visit_attribute(self, node: ast.Attribute) -> None:
         if not isinstance(node.ctx, ast.Load):
             return
-        if node.attr == "now" and _is_simish(dotted_parts(node.value)):
-            self._add(SIM_TIME, node)
-        elif node.attr in _ENGINE_ATTRS:
-            self._add(SIM_ENGINE, node)
         # A @property read runs the getter: reading ``self.elapsed`` on a
         # class whose ``elapsed`` getter touches the clock inherits the
         # getter's effects exactly like a call would.
@@ -608,8 +488,6 @@ class _Extractor:
             self._add(SIM_SCHEDULE, node)
         if attr in _NET_SEND_ATTRS:
             self._add(NET_SEND, node)
-        if attr in _RNG_DRAW_METHODS and _is_rngish(receiver):
-            self._add(RNG_DRAW, node)
         if (
             attr in _STREAM_METHODS
             and _is_streamsish(receiver)
@@ -621,15 +499,6 @@ class _Extractor:
             self.record.stream_requests.append(
                 StreamRequest(name, node, self.function, self.module.name)
             )
-        if attr in MUTATING_METHODS and isinstance(func, ast.Attribute):
-            root = func.value
-            if (
-                isinstance(root, ast.Name)
-                and self._is_module_global(root.id)
-            ):
-                self._add(
-                    f"{GLOBAL_MUT_PREFIX}{self.module.name}.{root.id}", node
-                )
 
         resolved = self._resolve_callee(node)
         if isinstance(resolved, FunctionInfo):
@@ -663,40 +532,9 @@ class _Extractor:
         self.record.constructions.append(
             Construction(cls, node, in_loop, self.function)
         )
-        if self.layer_map.is_engine_module(cls.module.name):
-            self._add(SIM_ENGINE, node)
         init = cls.mro_method("__init__")
         if init is not None:
             self.record.callees.append((init.qualname, in_loop))
-
-    def _visit_assignment(self, node: ast.stmt) -> None:
-        targets = (
-            node.targets if isinstance(node, ast.Assign) else [node.target]  # type: ignore[attr-defined]
-        )
-        for target in targets:
-            self._global_target(target, node)
-
-    def _global_target(self, target: ast.expr, node: ast.AST) -> None:
-        """Record mutation of a module-level mutable binding."""
-        if isinstance(target, ast.Name):
-            if (
-                target.id in self.declared_global
-                and target.id in self.mutable_globals
-            ):
-                self._add(
-                    f"{GLOBAL_MUT_PREFIX}{self.module.name}.{target.id}", node
-                )
-            return
-        root = target
-        while isinstance(root, (ast.Attribute, ast.Subscript)):
-            root = root.value
-        if isinstance(root, ast.Name) and self._is_module_global(root.id):
-            self._add(
-                f"{GLOBAL_MUT_PREFIX}{self.module.name}.{root.id}", node
-            )
-
-    def _is_module_global(self, name: str) -> bool:
-        return name in self.mutable_globals and name not in self.locals
 
     # ------------------------------------------------------------------
     def _instance_bound_targets(
@@ -750,26 +588,9 @@ class _Extractor:
 # ----------------------------------------------------------------------
 
 
-def _propagates_sim(layer_map: LayerMap, callee: FunctionInfo) -> bool:
-    """May ``sim-*`` effects flow out of ``callee`` into its callers?"""
-    config = layer_map.config
-    names = [callee.qualname, callee.name]
-    if callee.cls is not None:
-        names.append(f"{callee.cls.name}.{callee.name}")
-    if config.is_touchpoint(*names):
-        return False
-    layer = layer_map.layer_of_module(callee.module.name)
-    if layer is not None and layer not in set(config.confined):
-        # A mapped, unconfined layer (engine itself, transport, scenarios)
-        # is licensed to touch the engine; calling into it is not coupling.
-        return False
-    return True
-
-
-def infer_effects(project: Project, layer_map: LayerMap) -> EffectMap:
+def infer_effects(project: Project) -> EffectMap:
     """Extract direct effects and run the call-graph fixpoint."""
-    effect_map = EffectMap(project, layer_map)
-    globals_cache: Dict[str, Dict[str, ast.stmt]] = {}
+    effect_map = EffectMap(project)
     registry_cache: Dict[str, Dict[str, List[ClassInfo]]] = {}
     bound_cache: Dict[str, Dict[str, List[FunctionInfo]]] = {}
 
@@ -782,17 +603,12 @@ def infer_effects(project: Project, layer_map: LayerMap) -> EffectMap:
     for function in functions():
         record = FunctionEffects(function)
         module = function.module
-        mutable_globals = globals_cache.get(module.name)
-        if mutable_globals is None:
-            mutable_globals = module_mutable_globals(module)
-            globals_cache[module.name] = mutable_globals
         registries = registry_cache.get(module.name)
         if registries is None:
             registries = module_class_registries(module, project)
             registry_cache[module.name] = registries
         _Extractor(
-            project, record, mutable_globals, registries, layer_map,
-            bound_cache,
+            project, record, registries, bound_cache
         ).run()
         for request in record.stream_requests:
             name = request.name if request.name is not None else "?"
@@ -803,10 +619,6 @@ def infer_effects(project: Project, layer_map: LayerMap) -> EffectMap:
         record.effects = set(record.direct)
         effect_map.functions[function.qualname] = record
 
-    sim_barrier: Dict[str, bool] = {}
-    for qualname, record in effect_map.functions.items():
-        sim_barrier[qualname] = _propagates_sim(layer_map, record.function)
-
     changed = True
     while changed:
         changed = False
@@ -815,10 +627,7 @@ def infer_effects(project: Project, layer_map: LayerMap) -> EffectMap:
                 callee_record = effect_map.functions.get(callee)
                 if callee_record is None:
                     continue
-                inherited = callee_record.effects
-                if not sim_barrier[callee]:
-                    inherited = inherited - SIM_EFFECTS
-                new = inherited - record.effects
+                new = callee_record.effects - record.effects
                 if new:
                     record.effects |= new
                     for effect in new:

@@ -6,32 +6,23 @@ of them, runs every whole-program rule (and the whole-program halves of
 REP002/REP003), and filters the raw findings through the same per-path
 configuration and inline-suppression machinery as the per-file rules — a
 ``# repro-lint: disable=REP101`` comment works identically for both.
-
-:func:`build_arch_report` reuses the same project model and
-:class:`~repro.lint.analysis.arch_rules.ArchContext` to emit the resolved
-layer graph and per-module effect summary behind ``repro-lint
---arch-report``.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..config import LintConfig
 from ..findings import Finding
 from ..suppress import SuppressionMap, parse_suppressions
 from .arch_rules import ARCH_RULES, DEEP_RULES, ArchContext
 from .durable import DURABLE_RULES
-from .model import ModuleInfo, Project, build_project
+from .model import ModuleInfo, build_project
 from .rules import ANALYSIS_RULES as CORE_ANALYSIS_RULES
 
-__all__ = [
-    "run_analysis",
-    "build_arch_report",
-    "ALL_ANALYSIS_RULES",
-]
+__all__ = ["run_analysis", "ALL_ANALYSIS_RULES"]
 
 #: Every whole-program rule with a code of its own, in catalogue order.
 ALL_ANALYSIS_RULES = [*CORE_ANALYSIS_RULES, *ARCH_RULES, *DURABLE_RULES]
@@ -46,7 +37,7 @@ def run_analysis(
     enabled_for: EnabledFn,
     config: Optional[LintConfig] = None,
 ) -> List[Finding]:
-    """Run REP100–REP105, REP200–REP204, REP306 and the whole-program
+    """Run REP101, REP104, REP200, REP203, REP204, REP306 and the whole-program
     halves of REP002/REP003 over ``files`` and return suppression-filtered
     findings sorted in the standard order."""
     if config is None:
@@ -87,96 +78,3 @@ def run_analysis(
         )
     findings.sort()
     return findings
-
-
-# ----------------------------------------------------------------------
-# Architecture report (repro-lint --arch-report)
-# ----------------------------------------------------------------------
-
-
-def build_arch_report(
-    files: Sequence[Tuple[Path, str]], config: Optional[LintConfig] = None
-) -> Dict[str, Any]:
-    """The resolved layer graph + per-module effect summary, as plain data.
-
-    Everything is sorted so the output is byte-stable for a given tree —
-    the golden-output test and the CI artifact rely on that.
-    """
-    if config is None:
-        config = LintConfig()
-    project = build_project(files)
-    context = ArchContext(project, config)
-    layer_map = context.layer_map
-
-    violations = [
-        {
-            "source": edge.source.name,
-            "source_layer": edge.source_layer,
-            "target": edge.target,
-            "target_layer": edge.target_layer,
-            "line": getattr(edge.node, "lineno", 0),
-        }
-        for edge in layer_map.violations()
-    ]
-    violations.sort(key=lambda v: (v["source"], v["line"]))
-
-    edges = [
-        {"from": source, "to": target, "imports": count}
-        for (source, target), count in sorted(
-            layer_map.edge_counts().items()
-        )
-    ]
-
-    touchpoints_used: Set[str] = set()
-    for record in context.effects.functions.values():
-        if record.direct & {"sim-time", "sim-schedule", "sim-engine"}:
-            function = record.function
-            if context.layer_map.is_confined(function.module.name):
-                if context.is_touchpoint(function):
-                    touchpoints_used.add(function.qualname)
-
-    effects_by_module = {
-        name: context.effects.module_summary(name)
-        for name in sorted(project.modules)
-    }
-    effects_by_module = {
-        name: summary for name, summary in effects_by_module.items() if summary
-    }
-
-    per_node = [
-        {
-            "class": qualname,
-            "reason": context.per_node[qualname],
-            "slots": _has_slots(context, qualname),
-        }
-        for qualname in sorted(context.per_node)
-        if qualname in context.project.classes
-        and context.below_top(
-            context.project.classes[qualname].module.name
-        )
-    ]
-
-    return {
-        "layers": {
-            "order": list(config.layers.order),
-            "confined": list(config.layers.confined),
-            "modules": layer_map.modules_by_layer(),
-        },
-        "imports": {"edges": edges, "violations": violations},
-        "touchpoints": {
-            "declared": sorted(config.layers.engine_touchpoints),
-            "used": sorted(touchpoints_used),
-        },
-        "effects": effects_by_module,
-        "per_node_classes": per_node,
-        "files_analyzed": len(project.modules),
-    }
-
-
-def _has_slots(context: ArchContext, qualname: str) -> bool:
-    from .arch_rules import SlotsRule
-
-    cls = context.project.classes.get(qualname)
-    if cls is None:
-        return False
-    return SlotsRule()._slotless_ancestor(cls) is None

@@ -1,16 +1,12 @@
-"""The declared layer map: module→layer assignment and import edges.
+"""The declared layer map: module→layer resolution and import edges.
 
 The architecture the analyzer enforces is *declared*, not inferred: the
 ``[tool.repro-lint.layers]`` block of ``pyproject.toml`` names the layers
 bottom-to-top (``sim`` → ``network`` → ``protocol`` → ``scenarios``) and
 maps each to the module-name prefixes it owns.  This module resolves every
 analyzed module to its layer and extracts the import edges between layers,
-so that:
-
-* REP200 can flag **upward** imports (a lower layer importing a higher
-  one — the engine must never know about the protocol built on it), and
-* ``repro-lint --arch-report`` can show reviewers the layer graph the
-  checker actually enforces.
+so that REP200 can flag **upward** imports (a lower layer importing a
+higher one — the engine must never know about the protocol built on it).
 
 Imports under an ``if TYPE_CHECKING:`` guard are annotation-only and are
 excluded from the edge set (they impose no runtime coupling).
@@ -19,7 +15,7 @@ excluded from the edge set (they impose no runtime coupling).
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional
 
 from ..config import LayersConfig
 from .model import ModuleInfo, Project
@@ -53,12 +49,6 @@ class LayerMap:
     def __init__(self, config: LayersConfig, project: Project) -> None:
         self.config = config
         self.project = project
-        #: module name -> layer name (only mapped modules appear).
-        self.assignment: Dict[str, str] = {}
-        for name in project.modules:
-            layer = config.layer_of(name)
-            if layer is not None and layer in config.order:
-                self.assignment[name] = layer
         self.edges: List[ImportEdge] = []
         for module in project.modules.values():
             self.edges.extend(self._module_edges(module))
@@ -69,14 +59,8 @@ class LayerMap:
         return layer if layer in self.config.order else None
 
     def is_confined(self, module_name: str) -> bool:
-        """True when ``module_name`` lives in a touchpoint-confined layer."""
+        """True when ``module_name`` lives in a confined layer."""
         return self.layer_of_module(module_name) in set(self.config.confined)
-
-    def is_engine_module(self, module_name: str) -> bool:
-        """True when ``module_name`` belongs to the bottom (engine) layer."""
-        if not self.config.order:
-            return False
-        return self.layer_of_module(module_name) == self.config.order[0]
 
     def violations(self) -> Iterator[ImportEdge]:
         """Edges importing *upward*: a lower layer reaching a higher one."""
@@ -87,22 +71,6 @@ class LayerMap:
                 edge.source_layer
             ):
                 yield edge
-
-    def modules_by_layer(self) -> Dict[str, List[str]]:
-        grouped: Dict[str, List[str]] = {layer: [] for layer in self.config.order}
-        for name, layer in sorted(self.assignment.items()):
-            grouped[layer].append(name)
-        return grouped
-
-    def edge_counts(self) -> Dict[Tuple[str, str], int]:
-        """``(source_layer, target_layer) -> #imports`` over mapped modules."""
-        counts: Dict[Tuple[str, str], int] = {}
-        for edge in self.edges:
-            if edge.source_layer is None or edge.target_layer is None:
-                continue
-            key = (edge.source_layer, edge.target_layer)
-            counts[key] = counts.get(key, 0) + 1
-        return counts
 
     # ------------------------------------------------------------------
     def _module_edges(self, module: ModuleInfo) -> List[ImportEdge]:

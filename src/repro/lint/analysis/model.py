@@ -1,16 +1,16 @@
 """The project model: modules, classes, functions, and name resolution.
 
 The per-file linter (:mod:`repro.lint.rules`) reasons about one tree at a
-time; the whole-program rules (REP100–REP105) need to know *what a name
-means across the project*: which class a base name refers to, which function
-a callback resolves to, which methods a class inherits.  This module builds
+time; the whole-program rules need to know *what a name means across the
+project*: which class a base name refers to, which function a call resolves
+to, which methods a class inherits.  This module builds
 that model in one pass over the analyzed files:
 
 * :class:`ModuleInfo` — one parsed file: import aliases (absolute *and*
   relative imports resolved to canonical dotted names), top-level functions,
   classes.
 * :class:`ClassInfo` / :class:`FunctionInfo` — the class and callable
-  records, with enough signature information for arity checks.
+  records.
 * :class:`Project` — the index over everything, plus the resolution helpers
   the rules use: ``resolve_name`` (local name → project symbol),
   ``lookup`` (dotted name → class/function, chasing re-exports), and
@@ -71,13 +71,13 @@ def _module_name_for(rel: str) -> str:
 class FunctionInfo:
     """One ``def`` — a module-level function or a method."""
 
-    __slots__ = ("name", "qualname", "node", "module", "cls", "is_lambda")
+    __slots__ = ("name", "qualname", "node", "module", "cls")
 
     def __init__(
         self,
         name: str,
         qualname: str,
-        node: Union[FunctionNode, ast.Lambda],
+        node: FunctionNode,
         module: "ModuleInfo",
         cls: "Optional[ClassInfo]" = None,
     ) -> None:
@@ -86,30 +86,6 @@ class FunctionInfo:
         self.node = node
         self.module = module
         self.cls = cls
-        self.is_lambda = isinstance(node, ast.Lambda)
-
-    def arity(self) -> Tuple[int, Optional[int]]:
-        """``(min_args, max_args)`` for a *call*, ``self`` excluded for
-        methods; ``max_args`` is ``None`` when the function takes ``*args``.
-        """
-        args = self.node.args
-        positional = list(args.posonlyargs) + list(args.args)
-        if self.cls is not None and positional:
-            # Bound call: ``self`` is supplied by the attribute access.
-            # (Heuristic: staticmethods are rare here and would only relax
-            # the check by one argument.)
-            decorators = getattr(self.node, "decorator_list", [])
-            is_static = any(
-                isinstance(d, ast.Name) and d.id == "staticmethod"
-                for d in decorators
-            )
-            if not is_static:
-                positional = positional[1:]
-        max_args: Optional[int] = None if args.vararg else len(positional)
-        min_args = len(positional) - len(args.defaults)
-        if min_args < 0:
-            min_args = 0
-        return min_args, max_args
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<FunctionInfo {self.qualname}>"

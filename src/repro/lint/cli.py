@@ -4,17 +4,18 @@
 
     python -m repro.lint src benchmarks
     repro-lint --format=json src
-    repro-lint --select REP001,REP002 --isolated tests/lint/fixtures
+    repro-lint --select REP002,REP003 --isolated tests/lint/fixtures
     repro-lint --analysis src benchmarks examples   # + whole-program rules
     repro-lint --analysis --format=sarif src > lint.sarif
 
 Exit status: **0** clean, **1** findings, **2** errors (unreadable or
 syntactically-invalid files, bad arguments).
 
-The whole-program analysis (REP100–REP105, REP200–REP204, REP306, and the
-interprocedural halves of REP002/REP003) runs when ``--analysis`` is given,
-when ``analysis = true`` is set in ``[tool.repro-lint]``, or when one of
-its own codes is explicitly selected; ``--no-analysis`` always wins.
+The whole-program analysis (REP101, REP104, REP200, REP203, REP204,
+REP306, and the interprocedural halves of REP002/REP003) runs when
+``--analysis`` is given, when ``analysis = true`` is set in
+``[tool.repro-lint]``, or when one of its own codes is explicitly
+selected; ``--no-analysis`` always wins.
 """
 
 from __future__ import annotations
@@ -24,26 +25,14 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence, Set, Tuple
 
-from .analysis import (
-    ANALYSIS_RULES,
-    analysis_codes,
-    build_arch_report,
-    run_analysis,
-)
+from .analysis import ANALYSIS_RULES, analysis_codes, run_analysis
 from .config import LintConfig, config_for_paths, load_config
 from .findings import Finding, LintError
-from .report import (
-    render_arch_json,
-    render_arch_text,
-    render_json,
-    render_sarif,
-    render_text,
-)
+from .report import render_json, render_sarif, render_text
 from .rules import RULES, all_codes
 from .walker import lint_file
 
-__all__ = ["main", "build_parser", "lint_paths", "arch_report_paths",
-           "LintResult"]
+__all__ = ["main", "build_parser", "lint_paths", "LintResult"]
 
 
 class LintResult:
@@ -108,7 +97,7 @@ def lint_paths(
     ``select``/``ignore`` are applied on top of whatever the config enables.
     ``analysis`` forces the whole-program pass on (True) or off (False);
     ``None`` defers to the config and to whether one of the whole-program
-    codes (REP1xx, REP2xx, REP306) was selected.
+    codes was selected.
     """
     paths = [Path(p) for p in paths]
     if config is None:
@@ -154,22 +143,6 @@ def lint_paths(
     return LintResult(findings, errors, len(files), warnings)
 
 
-def arch_report_paths(
-    paths: Sequence[Path],
-    config: Optional[LintConfig] = None,
-    *,
-    isolated: bool = False,
-) -> dict:
-    """Programmatic ``--arch-report``: the resolved layer graph and
-    per-module effect summary for ``paths``, as plain (JSON-able) data."""
-    paths = [Path(p) for p in paths]
-    if config is None:
-        config = LintConfig() if isolated else config_for_paths(paths)
-    files, _warnings = _collect_files([p for p in paths if p.exists()], config)
-    pairs = [(path, config.rel_path(path)) for path in files]
-    return build_arch_report(pairs, config)
-
-
 def _parse_codes(raw: Optional[str]) -> Tuple[str, ...]:
     if not raw:
         return ()
@@ -181,10 +154,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description=(
             "AST-based determinism & protocol-invariant linter for the "
-            "epidemic pub-sub reproduction (per-file rules REP001-REP007; "
-            "whole-program rules REP100-REP105, architecture rules "
-            "REP200-REP204, REP306, and the interprocedural halves of "
-            "REP002/REP003 via --analysis)"
+            "epidemic pub-sub reproduction (per-file rules REP002-REP007; "
+            "whole-program rules REP101, REP104, REP200, REP203, REP204, "
+            "REP306 and the interprocedural halves of REP002/REP003 via "
+            "--analysis)"
         ),
     )
     parser.add_argument("paths", nargs="*", help="files or directories to lint")
@@ -235,14 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print every rule code with its summary and exit",
     )
-    parser.add_argument(
-        "--arch-report",
-        action="store_true",
-        help=(
-            "emit the resolved layer graph and per-module effect summary "
-            "instead of linting (honors --format text/json)"
-        ),
-    )
     return parser
 
 
@@ -257,30 +222,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if not args.paths:
         parser.error("no paths given (try: repro-lint src benchmarks)")
-
-    if args.arch_report:
-        config = None
-        try:
-            if args.config:
-                config_path = Path(args.config)
-                if not config_path.is_file():
-                    print(
-                        f"error: config file not found: {config_path}",
-                        file=sys.stderr,
-                    )
-                    return 2
-                config = load_config(config_path)
-            report = arch_report_paths(
-                [Path(p) for p in args.paths], config, isolated=args.isolated
-            )
-        except RuntimeError as exc:  # no TOML parser on this interpreter
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if args.format == "json":
-            print(render_arch_json(report))
-        else:  # text (sarif has no report schema; text reads best)
-            print(render_arch_text(report))
-        return 0
 
     select = _parse_codes(args.select) + _parse_codes(args.rules)
     ignore = _parse_codes(args.ignore)

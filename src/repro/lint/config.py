@@ -4,27 +4,23 @@ Recognised keys::
 
     [tool.repro-lint]
     exclude = ["tests/lint/fixtures"]      # glob patterns or dir prefixes
-    select  = ["REP001", "REP002"]         # only these rules (default: all)
-    ignore  = ["REP006"]                   # drop these rules everywhere
-    analysis = true                        # whole-program REP1xx by default
+    select  = ["REP002", "REP003"]         # only these rules (default: all)
+    ignore  = ["REP004"]                   # drop these rules everywhere
+    analysis = true                        # whole-program pass by default
 
     [[tool.repro-lint.per-path]]           # ordered, later entries win
-    path = "src/repro/sim/rng.py"          # fnmatch pattern vs. posix rel path
-    disable = ["REP001"]
+    path = "benchmarks/*"                  # fnmatch pattern vs. posix rel path
+    disable = ["REP002"]
     # enable = [...] re-enables codes a broader entry (or `ignore`) removed
 
     [tool.repro-lint.hot-path]             # REP007 registry
-    methods = ["Link._transmit_*"]         # Class.method fnmatch patterns
+    methods = ["Link.transmit"]            # Class.method fnmatch patterns
     # guards = ["_injector", ...]          # banned per-event config branches
     #                                      # (defaults to the built-in list)
 
-    [tool.repro-lint.layers]               # REP200/REP201 layer map
+    [tool.repro-lint.layers]               # REP200 layer map
     order = ["sim", "network", "protocol", "scenarios"]   # bottom -> top
-    confined = ["protocol"]                # layers needing touchpoints (REP201)
-    engine-touchpoints = [                 # allowlisted engine access sites
-        "Dispatcher.publish",              # Class.method or full dotted
-        "repro.recovery.base.*",           # qualname; fnmatch patterns
-    ]
+    confined = ["protocol"]                # no host clock/I/O (REP002)
 
     [tool.repro-lint.layers.members]       # layer -> module-name prefixes
     sim = ["repro.sim"]
@@ -109,20 +105,18 @@ class HotPathConfig:
 
 @dataclass(frozen=True)
 class LayersConfig:
-    """``[tool.repro-lint.layers]``: the declared architecture (REP200/201).
+    """``[tool.repro-lint.layers]``: the declared architecture (REP200).
 
     ``order`` lists layer names bottom (engine) to top (scenarios);
     ``members`` maps each layer to the module-name prefixes it owns.
-    ``confined`` names the layers whose code may only reach the engine
-    through ``engine_touchpoints`` (fnmatch patterns over both the full
-    dotted qualname and the short ``Class.method`` form).  An empty
-    ``order`` leaves REP200/REP201 inert.
+    ``confined`` names the layers whose code may not reach the host
+    clock or host I/O through any call chain (REP002's whole-program
+    half).  An empty ``order`` leaves REP200 inert.
     """
 
     order: Tuple[str, ...] = ()
     members: Tuple[Tuple[str, Tuple[str, ...]], ...] = ()
     confined: Tuple[str, ...] = ()
-    engine_touchpoints: Tuple[str, ...] = ()
 
     def layer_of(self, module_name: str) -> Optional[str]:
         """The layer owning ``module_name`` (longest prefix wins)."""
@@ -137,14 +131,6 @@ class LayersConfig:
 
     def index_of(self, layer: str) -> int:
         return self.order.index(layer)
-
-    def is_touchpoint(self, *names: str) -> bool:
-        """True when any of ``names`` matches a touchpoint pattern."""
-        return any(
-            fnmatch.fnmatch(name, pattern)
-            for name in names
-            for pattern in self.engine_touchpoints
-        )
 
 
 @dataclass(frozen=True)
@@ -195,11 +181,11 @@ class LintConfig:
     select: Tuple[str, ...] = ()
     ignore: Tuple[str, ...] = ()
     per_path: Tuple[PerPath, ...] = ()
-    #: run the whole-program REP1xx analysis by default (CLI flags win).
+    #: run the whole-program analysis by default (CLI flags win).
     analysis: bool = False
     #: REP007 registry; empty ``methods`` leaves the rule inert.
     hot_path: HotPathConfig = field(default_factory=HotPathConfig)
-    #: declared layer map; empty ``order`` leaves REP200/REP201 inert.
+    #: declared layer map; empty ``order`` leaves REP200 inert.
     layers: LayersConfig = field(default_factory=LayersConfig)
     #: REP203 allowlist.
     slots: SlotsConfig = field(default_factory=SlotsConfig)
@@ -326,9 +312,6 @@ def load_config(pyproject: Path) -> LintConfig:
             for layer, prefixes in layers_table.get("members", {}).items()
         ),
         confined=tuple(str(l) for l in layers_table.get("confined", ())),
-        engine_touchpoints=tuple(
-            str(t) for t in layers_table.get("engine-touchpoints", ())
-        ),
     )
     slots_table = table.get("slots", {})
     slots = SlotsConfig(

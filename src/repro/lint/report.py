@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from typing import Any, Dict, List
+from typing import Dict, List
 
 from .findings import Finding, LintError
 
-__all__ = ["render_text", "render_json", "render_sarif",
-           "render_arch_text", "render_arch_json"]
+__all__ = ["render_text", "render_json", "render_sarif"]
 
 
 def render_text(findings: List[Finding], errors: List[LintError], files: int) -> str:
@@ -127,64 +126,3 @@ def render_sarif(
         ],
     }
     return json.dumps(payload, indent=2, sort_keys=True)
-
-
-# ----------------------------------------------------------------------
-# Architecture report (repro-lint --arch-report)
-# ----------------------------------------------------------------------
-
-
-def render_arch_json(report: Dict[str, Any]) -> str:
-    """Stable JSON form of the architecture report (the CI artifact)."""
-    return json.dumps(report, indent=2, sort_keys=True)
-
-
-def render_arch_text(report: Dict[str, Any]) -> str:
-    """Human-readable layer graph + effect summary."""
-    lines: List[str] = []
-    layers = report["layers"]
-    order = layers["order"]
-    lines.append("# Layer map (bottom -> top)")
-    if not order:
-        lines.append("  (no layers declared; see [tool.repro-lint.layers])")
-    for layer in order:
-        confined = "  [confined]" if layer in layers["confined"] else ""
-        lines.append(f"  {layer}{confined}")
-        for module in layers["modules"].get(layer, []):
-            lines.append(f"    {module}")
-    lines.append("")
-    lines.append("# Import edges (layer -> layer)")
-    for edge in report["imports"]["edges"]:
-        lines.append(
-            f"  {edge['from']} -> {edge['to']}: {edge['imports']} import(s)"
-        )
-    violations = report["imports"]["violations"]
-    if violations:
-        lines.append("")
-        lines.append("# Layer violations (upward imports)")
-        for violation in violations:
-            lines.append(
-                f"  {violation['source']}:{violation['line']} "
-                f"({violation['source_layer']}) imports "
-                f"{violation['target']} ({violation['target_layer']})"
-            )
-    lines.append("")
-    lines.append("# Engine touchpoints")
-    for pattern in report["touchpoints"]["declared"]:
-        lines.append(f"  declared: {pattern}")
-    for qualname in report["touchpoints"]["used"]:
-        lines.append(f"  used:     {qualname}")
-    lines.append("")
-    lines.append("# Per-node / per-event classes")
-    for entry in report["per_node_classes"]:
-        slots = "__slots__" if entry["slots"] else "NO __slots__"
-        lines.append(f"  {entry['class']} [{slots}] — {entry['reason']}")
-    lines.append("")
-    lines.append("# Per-module effects")
-    for module, summary in report["effects"].items():
-        lines.append(f"  {module}")
-        for effect, owners in summary.items():
-            lines.append(f"    {effect}: {', '.join(owners)}")
-    lines.append("")
-    lines.append(f"{report['files_analyzed']} module(s) analyzed")
-    return "\n".join(lines)

@@ -1,4 +1,4 @@
-"""The determinism and protocol-invariant rules, REP001–REP007.
+"""The per-file determinism rules: REP002, REP003, REP004 and REP007.
 
 Each rule is a singleton object with a ``code``, a ``name``, a one-line
 ``summary``, and one or more ``check_*`` hooks the walker calls as it visits
@@ -15,24 +15,11 @@ from __future__ import annotations
 
 import ast
 import fnmatch
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
-__all__ = ["Rule", "RULES", "all_codes", "rules_by_code"]
+__all__ = ["Rule", "RULES", "all_codes"]
 
 AddFn = Callable[[str, ast.AST, str], None]
-
-#: Module-level functions of :mod:`random` that draw from (or mutate) the
-#: hidden global generator.  ``random.Random`` itself is *allowed*: creating a
-#: seeded instance is exactly what the determinism policy asks for.
-_GLOBAL_RANDOM_FUNCS = frozenset(
-    {
-        "betavariate", "binomialvariate", "choice", "choices", "expovariate",
-        "gammavariate", "gauss", "getrandbits", "getstate", "lognormvariate",
-        "normalvariate", "paretovariate", "randbytes", "randint", "random",
-        "randrange", "sample", "seed", "setstate", "shuffle", "triangular",
-        "uniform", "vonmisesvariate", "weibullvariate",
-    }
-)
 
 #: Wall-clock reads.  Any of these leaking into simulation logic makes a run
 #: depend on the host machine instead of the master seed.
@@ -50,23 +37,6 @@ _WALL_CLOCK_CALLS = frozenset(
 #: Set-algebra methods whose result has no defined iteration order.
 _SET_ALGEBRA_METHODS = frozenset(
     {"union", "intersection", "difference", "symmetric_difference"}
-)
-
-#: Calls that schedule or block outside the simulation engine.
-_FOREIGN_SCHEDULERS = frozenset(
-    {"time.sleep", "threading.Timer", "sched.scheduler", "asyncio.sleep"}
-)
-_FOREIGN_SCHEDULER_METHODS = frozenset(
-    {"call_later", "call_at", "call_soon", "call_soon_threadsafe"}
-)
-
-#: Constructors that produce a fresh mutable object — poison as a default.
-_MUTABLE_FACTORIES = frozenset(
-    {
-        "list", "dict", "set", "bytearray",
-        "collections.defaultdict", "collections.OrderedDict",
-        "collections.deque", "collections.Counter",
-    }
 )
 
 
@@ -88,38 +58,6 @@ class Rule:
 
     def check_compare(self, ctx, node: ast.Compare, add: AddFn) -> None:
         pass
-
-
-class GlobalRandomRule(Rule):
-    """REP001: randomness must flow through an injected ``random.Random``."""
-
-    code = "REP001"
-    name = "global-random"
-    summary = (
-        "call to the module-level random generator; inject a seeded "
-        "random.Random (see repro.sim.rng.RandomStreams) instead"
-    )
-
-    def check_call(self, ctx, node: ast.Call, add: AddFn) -> None:
-        target = ctx.resolve_call(node)
-        if target is None:
-            return
-        if target == "random.SystemRandom":
-            add(
-                self.code,
-                node,
-                "random.SystemRandom draws OS entropy and can never be "
-                "seeded; use an injected random.Random",
-            )
-            return
-        module, _, func = target.rpartition(".")
-        if module == "random" and func in _GLOBAL_RANDOM_FUNCS:
-            add(
-                self.code,
-                node,
-                f"random.{func}() uses the hidden module-level generator; "
-                "inject a random.Random (see repro.sim.rng.RandomStreams)",
-            )
 
 
 class WallClockRule(Rule):
@@ -281,98 +219,6 @@ def _is_hash_call(node: ast.AST) -> bool:
     )
 
 
-class ScheduleMisuseRule(Rule):
-    """REP005: events go through the engine's API, with sane delays."""
-
-    code = "REP005"
-    name = "schedule-misuse"
-    summary = (
-        "event scheduled with a statically-negative delay, or outside the "
-        "engine (time.sleep/threading.Timer/asyncio); use Simulator.schedule"
-    )
-
-    @staticmethod
-    def _static_negative(node: Optional[ast.expr]) -> bool:
-        if (
-            isinstance(node, ast.UnaryOp)
-            and isinstance(node.op, ast.USub)
-            and isinstance(node.operand, ast.Constant)
-            and isinstance(node.operand.value, (int, float))
-        ):
-            return node.operand.value > 0
-        return (
-            isinstance(node, ast.Constant)
-            and isinstance(node.value, (int, float))
-            and node.value < 0
-        )
-
-    def check_call(self, ctx, node: ast.Call, add: AddFn) -> None:
-        target = ctx.resolve_call(node)
-        if target in _FOREIGN_SCHEDULERS:
-            add(
-                self.code,
-                node,
-                f"{target}() schedules/blocks outside the simulation engine; "
-                "use Simulator.schedule(delay, callback, ...)",
-            )
-            return
-        func = node.func
-        attr = func.attr if isinstance(func, ast.Attribute) else None
-        if attr in _FOREIGN_SCHEDULER_METHODS:
-            add(
-                self.code,
-                node,
-                f".{attr}() looks like an asyncio event-loop call; simulator "
-                "events must go through Simulator.schedule",
-            )
-            return
-        callee = attr or (func.id if isinstance(func, ast.Name) else None)
-        if callee in ("schedule", "schedule_at"):
-            delay = node.args[0] if node.args else None
-            for keyword in node.keywords:
-                if keyword.arg in ("delay", "time"):
-                    delay = keyword.value
-            if self._static_negative(delay):
-                add(
-                    self.code,
-                    node,
-                    f"{callee}() with a negative delay/time: the engine "
-                    "raises (strict) or clamps to now, both are bugs upstream",
-                )
-
-
-class MutableDefaultRule(Rule):
-    """REP006: no mutable default arguments."""
-
-    code = "REP006"
-    name = "mutable-default"
-    summary = (
-        "mutable default argument is shared across calls and leaks state "
-        "between simulations; default to None and create inside"
-    )
-
-    def _is_mutable(self, ctx, node: ast.expr) -> bool:
-        if isinstance(node, (ast.List, ast.Dict, ast.Set,
-                             ast.ListComp, ast.DictComp, ast.SetComp)):
-            return True
-        if isinstance(node, ast.Call):
-            return ctx.resolve_call(node) in _MUTABLE_FACTORIES
-        return False
-
-    def check_function(self, ctx, node, add: AddFn) -> None:
-        args = node.args
-        defaults = list(args.defaults) + [d for d in args.kw_defaults if d]
-        for default in defaults:
-            if self._is_mutable(ctx, default):
-                label = getattr(node, "name", "<lambda>")
-                add(
-                    self.code,
-                    default,
-                    f"mutable default in {label}(): evaluated once at def "
-                    "time and shared across every call; use None",
-                )
-
-
 #: Attribute patterns REP007 bans hot-path branches on: all of these are
 #: fixed once construction finishes, so a per-event ``if self._injector:``
 #: can only re-create the overhead that setup-time method binding removed.
@@ -442,19 +288,12 @@ class HotPathGuardRule(Rule):
 
 
 RULES: List[Rule] = [
-    GlobalRandomRule(),
     WallClockRule(),
     UnorderedIterationRule(),
     IdBasedIdentityRule(),
-    ScheduleMisuseRule(),
-    MutableDefaultRule(),
     HotPathGuardRule(),
 ]
 
 
 def all_codes() -> List[str]:
     return [rule.code for rule in RULES]
-
-
-def rules_by_code() -> Dict[str, Rule]:
-    return {rule.code: rule for rule in RULES}

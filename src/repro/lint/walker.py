@@ -142,7 +142,6 @@ class _Dispatcher(ast.NodeVisitor):
 
     visit_FunctionDef = _visit_function
     visit_AsyncFunctionDef = _visit_function
-    visit_Lambda = _visit_function
 
 
 def lint_file(

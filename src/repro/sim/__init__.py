@@ -9,8 +9,6 @@ small, dependency-free discrete-event engine:
 * :class:`~repro.sim.rng.RandomStreams` -- named, independently seeded
   random streams so that, e.g., changing the gossip algorithm does not
   perturb the workload or the link-loss draws.
-* :class:`~repro.sim.process.Process` -- optional generator-based processes
-  for sequential scripting on top of the callback core.
 
 The engine is deterministic: two runs with the same seed and the same
 schedule of calls produce identical event orderings (ties in timestamps are
@@ -18,7 +16,6 @@ broken FIFO by insertion order).
 """
 
 from repro.sim.engine import Simulator, ScheduledEvent, SimulationError
-from repro.sim.process import Process, sleep
 from repro.sim.rng import RandomStreams
 from repro.sim.timers import PeriodicTimer, Timeout
 
@@ -29,6 +26,4 @@ __all__ = [
     "PeriodicTimer",
     "Timeout",
     "RandomStreams",
-    "Process",
-    "sleep",
 ]

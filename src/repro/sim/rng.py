@@ -15,9 +15,10 @@ from a single master seed, so that:
   the order or the number of draws made from each.
 
 This module is the *only* sanctioned home of the ``random`` module: everything
-else must take an injected ``random.Random``.  The ``repro.lint`` static pass
-(rule REP001 — see ``docs/LINTING.md``) enforces that policy tree-wide, and
-``pyproject.toml`` grants this one file its exemption.
+else must take an injected ``random.Random``.  A draw from the module-level
+generator changes the frozen run signatures the test suite pins, and lint
+rule REP204 keeps each subsystem on its own named streams (see
+``docs/LINTING.md``).
 """
 
 from __future__ import annotations

@@ -19,16 +19,16 @@ class TestFlags:
                 "--isolated",
                 "--analysis",
                 "--format=json",
-                str(FIXTURES / "rep100_bad.py"),
+                str(FIXTURES / "rep101_bad.py"),
             ]
         )
         assert exit_code == 1
         payload = json.loads(capsys.readouterr().out)
-        assert set(payload["counts"]) == {"REP100"}
+        assert set(payload["counts"]) == {"REP101"}
 
     def test_no_analysis_suppresses_rep1xx(self, capsys):
         exit_code = main(
-            ["--isolated", "--no-analysis", str(FIXTURES / "rep100_bad.py")]
+            ["--isolated", "--no-analysis", str(FIXTURES / "rep101_bad.py")]
         )
         assert exit_code == 0
 
@@ -41,14 +41,14 @@ class TestFlags:
         exit_code = main(
             [
                 "--isolated",
-                "--rules=REP103",
+                "--rules=REP101",
                 "--format=json",
-                str(FIXTURES / "rep103_bad.py"),
+                str(FIXTURES / "rep101_bad.py"),
             ]
         )
         assert exit_code == 1
         payload = json.loads(capsys.readouterr().out)
-        assert set(payload["counts"]) == {"REP103"}
+        assert set(payload["counts"]) == {"REP101"}
 
     def test_selecting_rep1xx_enables_analysis_implicitly(self, capsys):
         exit_code = main(
@@ -67,10 +67,10 @@ class TestFlags:
         with pytest.raises(SystemExit):
             main(["--select=REP999", str(FIXTURES)])
         err = capsys.readouterr().err
-        assert "REP100" in err and "REP105" in err
+        assert "REP101" in err and "REP306" in err
 
     def test_list_rules_includes_analysis_family(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("REP100", "REP101", "REP102", "REP103", "REP104", "REP105"):
+        for code in ("REP101", "REP104", "REP200", "REP306"):
             assert code in out

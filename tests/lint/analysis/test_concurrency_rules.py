@@ -26,9 +26,8 @@ REPO = pathlib.Path(__file__).parents[3]
 TREE = (REPO / "src", REPO / "benchmarks", REPO / "examples")
 PROTOCOL = pathlib.Path(__file__).parents[1] / "fixtures" / "protocol"
 
-#: The surviving codes of the set-order, identity and wall-clock families,
-#: plus REP005 (the direct ``time.sleep``).
-FAMILY_CODES = ("REP002", "REP003", "REP004", "REP005")
+#: The surviving codes of the set-order, identity and wall-clock families.
+FAMILY_CODES = ("REP002", "REP003", "REP004")
 
 PROTO_MODULES = (
     "proto_own_clean",
@@ -39,7 +38,7 @@ PROTO_MODULES = (
 
 EXPECTED = {
     "proto_identity.py": ["REP004", "REP004"],
-    "proto_blocking.py": ["REP005", "REP002", "REP002"],
+    "proto_blocking.py": ["REP002", "REP002"],
     "proto_chain.py": ["REP003"],
 }
 
@@ -58,12 +57,6 @@ def protocol_config() -> LintConfig:
                 ("app", ("app",)),
             ),
             confined=("proto",),
-            engine_touchpoints=(
-                "Agent.on_timer",
-                "Chooser.on_timer",
-                "Chooser.tiebreak",
-                "Chooser.pick_stable",
-            ),
         ),
     )
 

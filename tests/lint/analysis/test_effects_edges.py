@@ -14,14 +14,11 @@ from __future__ import annotations
 import textwrap
 
 from repro.lint.analysis.effects import (
-    SIM_TIME,
     WALL_CLOCK,
     infer_effects,
     resolve_call_target,
 )
-from repro.lint.analysis.layers import build_layer_map
 from repro.lint.analysis.model import build_project
-from repro.lint.config import LayersConfig
 
 
 def project_from(tmp_path, name, source):
@@ -31,7 +28,7 @@ def project_from(tmp_path, name, source):
 
 
 def effects_of(project):
-    return infer_effects(project, build_layer_map(LayersConfig(), project))
+    return infer_effects(project)
 
 
 def test_partial_target_propagates_effects(tmp_path):
@@ -129,13 +126,15 @@ def test_property_read_runs_the_getter(tmp_path):
         tmp_path,
         "props",
         """
+        import time
+
         class Probe:
-            def __init__(self, sim):
-                self.sim = sim
+            def __init__(self, start):
+                self.start = start
 
             @property
             def elapsed(self):
-                return self.sim.now
+                return time.monotonic() - self.start
 
             def sample(self):
                 return self.elapsed + 1.0
@@ -143,9 +142,9 @@ def test_property_read_runs_the_getter(tmp_path):
     )
     effects = effects_of(project)
     getter = effects.of("props.Probe.elapsed")
-    assert SIM_TIME in getter.effects
+    assert WALL_CLOCK in getter.effects
     record = effects.of("props.Probe.sample")
-    assert SIM_TIME in record.effects, (
+    assert WALL_CLOCK in record.effects, (
         "reading a @property must inherit the getter's effects"
     )
 

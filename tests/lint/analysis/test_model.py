@@ -1,16 +1,10 @@
-"""Unit tests for the project model and the intraprocedural dataflow."""
+"""Unit tests for the project model."""
 
 from __future__ import annotations
 
 import ast
 import textwrap
 
-from repro.lint.analysis.dataflow import (
-    InvalidatePaths,
-    build_alias_map,
-    mutated_self_attrs,
-    self_attr_reads,
-)
 from repro.lint.analysis.model import ClassInfo, build_project, dotted_parts
 
 
@@ -22,13 +16,6 @@ def _project(tmp_path, files):
         path.write_text(textwrap.dedent(source), encoding="utf-8")
         pairs.append((path, rel))
     return build_project(pairs)
-
-
-def _method(source: str):
-    tree = ast.parse(textwrap.dedent(source))
-    cls = tree.body[0]
-    assert isinstance(cls, ast.ClassDef)
-    return cls.body[0]
 
 
 class TestModuleNamesAndImports:
@@ -108,106 +95,9 @@ class TestLookupAndReexports:
         assert "m.Base" in child.ancestry_names()
 
 
-class TestArity:
-    def test_method_excludes_self(self, tmp_path):
-        project = _project(
-            tmp_path,
-            {
-                "src/m.py": (
-                    "class C:\n"
-                    "    def f(self, a, b=1):\n"
-                    "        return a + b\n"
-                    "\n"
-                    "    def g(self, *args):\n"
-                    "        return args\n"
-                )
-            },
-        )
-        cls = project.classes["m.C"]
-        assert cls.methods["f"].arity() == (1, 2)
-        assert cls.methods["g"].arity() == (0, None)
-
-    def test_module_function_keeps_all_args(self, tmp_path):
-        project = _project(
-            tmp_path, {"src/m.py": "def f(a, b, c=3):\n    return a\n"}
-        )
-        assert project.functions["m.f"].arity() == (2, 3)
-
-
 class TestDottedParts:
     def test_shapes(self):
         expr = ast.parse("a.b.c", mode="eval").body
         assert dotted_parts(expr) == ["a", "b", "c"]
         call = ast.parse("f(x).y", mode="eval").body
         assert dotted_parts(call) is None
-
-
-class TestDataflow:
-    def test_alias_chain_mutation(self):
-        method = _method(
-            """
-            class C:
-                def drop(self, key):
-                    table = self._directions
-                    entry = table.get(key)
-                    entry.discard(0)
-            """
-        )
-        aliases = build_alias_map(method)
-        assert aliases["entry"] == frozenset({"_directions"})
-        assert mutated_self_attrs(method) == {"_directions"}
-
-    def test_reads_and_writes_distinguished(self):
-        method = _method(
-            """
-            class C:
-                def tick(self):
-                    count = len(self._items)
-                    self._total = count
-            """
-        )
-        assert self_attr_reads(method) == {"_items"}
-        assert mutated_self_attrs(method) == {"_total"}
-
-    def test_invalidate_paths_flags_early_return(self):
-        method = _method(
-            """
-            class C:
-                def put(self, key, value):
-                    if key in self._backing:
-                        self._backing[key] = value
-                        return
-                    self._backing[key] = value
-                    self._invalidate()
-            """
-        )
-        paths = InvalidatePaths(method, {"_backing"}, {"_invalidate"}).run()
-        assert paths.violating
-        assert paths.first_mutation is not None
-
-    def test_invalidate_paths_accepts_try_finally(self):
-        method = _method(
-            """
-            class C:
-                def put(self, key, value):
-                    try:
-                        self._backing[key] = value
-                    finally:
-                        self._invalidate()
-            """
-        )
-        paths = InvalidatePaths(method, {"_backing"}, {"_invalidate"}).run()
-        assert not paths.violating
-        assert paths.always_invalidates
-
-    def test_loop_body_mutation_without_invalidate(self):
-        method = _method(
-            """
-            class C:
-                def fill(self, items):
-                    for item in items:
-                        self._backing.append(item)
-            """
-        )
-        paths = InvalidatePaths(method, {"_backing"}, {"_invalidate"}).run()
-        assert paths.violating

@@ -4,7 +4,6 @@ import eng
 import net
 from proto_clean import NodeAgent
 from proto_slotless import Beacon
-from proto_state import Counter
 from proto_strkeys import Tally
 
 DEFAULT_POPULATION = 8
@@ -15,6 +14,5 @@ def build(population=DEFAULT_POPULATION):
     network = net.Network()
     agents = [NodeAgent(sim, network, i) for i in range(population)]
     beacons = [Beacon(i) for i in range(population)]
-    counters = [Counter(i) for i in range(population)]
     tallies = [Tally(i) for i in range(population)]
-    return sim, network, agents, beacons, counters, tallies
+    return sim, network, agents, beacons, tallies

@@ -1,9 +1,9 @@
-"""Arch fixture, *proto* layer (clean): engine access via touchpoints only.
+"""Arch fixture, *proto* layer (clean).
 
-``NodeAgent`` is instantiated per node by ``app.build`` and does touch the
-engine — but only inside the two declared touchpoints, it carries
-``__slots__``, keeps all state on the instance, and never lets set order
-reach the transport.  Every REP200-series rule must stay silent here.
+``NodeAgent`` is instantiated per node by ``app.build`` and drives the
+engine from its timer; it carries ``__slots__``, keeps all state on the
+instance, and never lets set order reach the transport.  Every
+REP200-series rule must stay silent here.
 """
 
 
@@ -17,7 +17,7 @@ class NodeAgent:
         self.inbox = []
 
     def on_timer(self):
-        """Declared engine touchpoint: reads the clock, reschedules."""
+        """Reads the clock and reschedules itself."""
         if self.sim.now < 10.0:
             self.sim.schedule(1.0, self.on_timer)
 

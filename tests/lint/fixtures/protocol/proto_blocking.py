@@ -1,16 +1,16 @@
 """Protocol fixture, *proto* layer (bad): host clock and host I/O.
 
-``settle`` waits on the host clock directly (REP005's ``time.sleep``);
-``converge`` reaches the same wait through a call chain, and
-``load_peers`` reads a host file.  Neither the wait nor the file is
-fixed by the master seed, so both are REP002's whole-program half.
+``settle`` waits on the host clock directly; ``converge`` reaches the
+same wait through a call chain, and ``load_peers`` reads a host file.
+Neither the wait nor the file is fixed by the master seed, so the call
+chain and the file read are REP002's whole-program half.
 """
 
 import time
 
 
 def settle():
-    time.sleep(0.01)  # REP005: waits outside the engine
+    time.sleep(0.01)  # the wait itself is no finding
 
 
 def converge(rounds):  # REP002: inherits the wall-clock wait

@@ -18,7 +18,7 @@ class Agent:
         self.peers = set()
 
     def on_timer(self):
-        """Declared engine touchpoint: reads the clock, reschedules."""
+        """Reads the clock and reschedules itself."""
         if self.sim.now < 10.0:
             self.sim.schedule(1.0, self.on_timer)
 

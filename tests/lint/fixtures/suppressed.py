@@ -5,16 +5,11 @@ the line-level directives silence individual findings in place.
 """
 # repro-lint: disable-file=REP002
 
-import random
 import time
 
 
 def timestamp():
     return time.time()
-
-
-def jitter():
-    return random.random()  # repro-lint: disable=REP001
 
 
 def deliver_all(subscribers, event):

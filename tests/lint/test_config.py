@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import fnmatch
 import textwrap
 
 import pytest
@@ -9,7 +10,9 @@ import pytest
 from repro.lint import lint_paths, load_config, main
 from repro.lint.config import ConfigError, LintConfig, PerPath
 
-BAD_RANDOM = "import random\n\n\ndef f():\n    return random.random()\n"
+from .conftest import REPO
+
+BAD_CLOCK = "import time\n\n\ndef f():\n    return time.time()\n"
 
 
 def write_project(tmp_path, toml_body: str):
@@ -31,42 +34,42 @@ class TestParsing:
             """
             [tool.repro-lint]
             exclude = ["vendored"]
-            select = ["REP001", "REP003"]
+            select = ["REP004", "REP003"]
             ignore = ["REP003"]
 
             [[tool.repro-lint.per-path]]
             path = "legacy/*"
-            disable = ["REP001"]
+            disable = ["REP004"]
             enable = ["REP003"]
             """,
         )
         config = load_config(pyproject)
         assert config.exclude == ("vendored",)
-        assert config.select == ("REP001", "REP003")
+        assert config.select == ("REP004", "REP003")
         assert config.ignore == ("REP003",)
         assert config.per_path == (
-            PerPath(pattern="legacy/*", disable=("REP001",), enable=("REP003",)),
+            PerPath(pattern="legacy/*", disable=("REP004",), enable=("REP003",)),
         )
 
 
 class TestEnabledCodes:
-    ALL = ("REP001", "REP002", "REP003")
+    ALL = ("REP002", "REP003", "REP004")
 
     def test_select_then_ignore_then_per_path(self, tmp_path):
         pyproject = write_project(
             tmp_path,
             """
             [tool.repro-lint]
-            ignore = ["REP002"]
+            ignore = ["REP003"]
 
             [[tool.repro-lint.per-path]]
             path = "legacy/*"
-            disable = ["REP001"]
-            enable = ["REP002"]
+            disable = ["REP004"]
+            enable = ["REP003"]
             """,
         )
         config = load_config(pyproject)
-        assert config.enabled_codes("src/a.py", self.ALL) == {"REP001", "REP003"}
+        assert config.enabled_codes("src/a.py", self.ALL) == {"REP002", "REP004"}
         assert config.enabled_codes("legacy/a.py", self.ALL) == {"REP002", "REP003"}
 
     def test_exclude_matches_dirs_and_globs(self):
@@ -85,13 +88,13 @@ class TestEndToEnd:
 
             [[tool.repro-lint.per-path]]
             path = "allowed/*"
-            disable = ["REP001"]
+            disable = ["REP002"]
             """,
         )
         (tmp_path / "allowed").mkdir()
         (tmp_path / "flagged").mkdir()
-        (tmp_path / "allowed" / "a.py").write_text(BAD_RANDOM)
-        (tmp_path / "flagged" / "b.py").write_text(BAD_RANDOM)
+        (tmp_path / "allowed" / "a.py").write_text(BAD_CLOCK)
+        (tmp_path / "flagged" / "b.py").write_text(BAD_CLOCK)
         result = lint_paths([tmp_path])
         assert [f.path for f in result.findings] == ["flagged/b.py"]
 
@@ -114,13 +117,13 @@ class TestEndToEnd:
             tmp_path,
             """
             [tool.repro-lint]
-            ignore = ["REP001"]
+            ignore = ["REP002"]
             """,
         )
-        (tmp_path / "a.py").write_text(BAD_RANDOM)
+        (tmp_path / "a.py").write_text(BAD_CLOCK)
         assert lint_paths([tmp_path / "a.py"]).findings == []
         isolated = lint_paths([tmp_path / "a.py"], isolated=True)
-        assert [f.code for f in isolated.findings] == ["REP001"]
+        assert [f.code for f in isolated.findings] == ["REP002"]
 
 
 class TestUnknownCodes:
@@ -157,8 +160,45 @@ class TestUnknownCodes:
             select = ["REP0O1"]
             """,
         )
-        (tmp_path / "a.py").write_text(BAD_RANDOM)
+        (tmp_path / "a.py").write_text(BAD_CLOCK)
         assert main([str(tmp_path / "a.py")]) == 2
         captured = capsys.readouterr()
         assert "REP0O1" in captured.err
         assert "clean" not in captured.out
+
+
+class TestRepoRegistries:
+    """Every pattern in the repo's registries still names something.
+
+    A rename would otherwise switch a rule off for the renamed code
+    without any failing test (the same check for the REP007 hot-path
+    registry lives in test_rules.py).
+    """
+
+    CONFIG = load_config(REPO / "pyproject.toml")
+
+    def test_durable_patterns_match_files(self):
+        files = [
+            path.relative_to(REPO).as_posix()
+            for path in (REPO / "src").rglob("*.py")
+        ]
+        durable = self.CONFIG.durable
+        assert durable.modules
+        stale = [p for p in durable.modules if not fnmatch.filter(files, p)]
+        assert stale == [], f"durable patterns matching no file: {stale}"
+
+    def test_rng_stream_and_layer_prefixes_name_packages(self):
+        prefixes = [prefix for prefix, _ in self.CONFIG.rng_streams]
+        prefixes += [
+            prefix
+            for _layer, members in self.CONFIG.layers.members
+            for prefix in members
+        ]
+        assert prefixes
+        stale = [
+            prefix
+            for prefix in prefixes
+            if not (REPO / "src" / prefix.replace(".", "/")).is_dir()
+            and not (REPO / "src" / f"{prefix.replace('.', '/')}.py").is_file()
+        ]
+        assert stale == [], f"prefixes naming no module: {stale}"

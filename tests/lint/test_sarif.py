@@ -24,12 +24,12 @@ class TestRenderSarif:
 
     def test_finding_becomes_result_with_location(self):
         finding = Finding(
-            path="src/repro/x.py", line=7, col=4, code="REP103",
-            message="rng outside rng.py",
+            path="src/repro/x.py", line=7, col=4, code="REP101",
+            message="message mutated after send",
         )
         run = _run([finding])
         (result,) = run["results"]
-        assert result["ruleId"] == "REP103"
+        assert result["ruleId"] == "REP101"
         assert result["level"] == "error"
         location = result["locations"][0]["physicalLocation"]
         assert location["artifactLocation"]["uri"] == "src/repro/x.py"
@@ -38,17 +38,17 @@ class TestRenderSarif:
 
     def test_rule_index_points_into_catalogue(self):
         finding = Finding(
-            path="a.py", line=1, col=0, code="REP001", message="m"
+            path="a.py", line=1, col=0, code="REP003", message="m"
         )
         run = _run([finding])
         rules = run["tool"]["driver"]["rules"]
         index = run["results"][0]["ruleIndex"]
-        assert rules[index]["id"] == "REP001"
+        assert rules[index]["id"] == "REP003"
 
     def test_catalogue_covers_both_rule_families(self):
         run = _run([])
         ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-        assert {"REP001", "REP006", "REP100", "REP105"} <= ids
+        assert {"REP002", "REP007", "REP101", "REP306"} <= ids
 
     def test_errors_become_notifications(self):
         error = LintError(path="bad.py", message="syntax error on line 3")
@@ -71,13 +71,13 @@ class TestCliSarif:
                 "--isolated",
                 "--analysis",
                 "--format=sarif",
-                str(FIXTURES / "analysis" / "rep103_bad.py"),
+                str(FIXTURES / "analysis" / "rep101_bad.py"),
             ]
         )
         assert exit_code == 1
         payload = json.loads(capsys.readouterr().out)
         results = payload["runs"][0]["results"]
-        assert {result["ruleId"] for result in results} == {"REP103"}
+        assert {result["ruleId"] for result in results} == {"REP101"}
 
     def test_cli_clean_sarif_exit_0(self, capsys):
         exit_code = main(
@@ -85,7 +85,7 @@ class TestCliSarif:
                 "--isolated",
                 "--analysis",
                 "--format=sarif",
-                str(FIXTURES / "analysis" / "rep103_good.py"),
+                str(FIXTURES / "analysis" / "rep101_good.py"),
             ]
         )
         assert exit_code == 0

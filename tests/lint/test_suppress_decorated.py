@@ -1,7 +1,7 @@
 """Suppression directives on a ``def`` line cover its decorator lines.
 
 Findings anchored on a decorator expression (the node of
-``@deco(random.random())`` starts on the ``@`` line) used to dodge a
+``@deco(time.time())`` starts on the ``@`` line) used to dodge a
 ``# repro-lint: disable=…`` written on the ``def`` line below — the natural
 place to put it.  ``parse_suppressions`` now records decorator-line
 redirects when given the parsed tree.
@@ -17,7 +17,7 @@ from repro.lint.suppress import parse_suppressions
 
 DECORATED = textwrap.dedent(
     """\
-    import random
+    import time
 
 
     def deco(value):
@@ -26,8 +26,8 @@ DECORATED = textwrap.dedent(
         return wrap
 
 
-    @deco(random.random())
-    def seeded():  # repro-lint: disable=REP001
+    @deco(time.time())
+    def seeded():  # repro-lint: disable=REP002
         return 1
     """
 )
@@ -52,7 +52,7 @@ class TestRedirects:
                 1,
                 2,
             )
-            def fn():  # repro-lint: disable=REP001
+            def fn():  # repro-lint: disable=REP002
                 return 1
             """
         )
@@ -74,18 +74,18 @@ class TestEndToEnd:
         )
 
     def test_violation_still_reported_without_directive(self, tmp_path):
-        bare = DECORATED.replace("  # repro-lint: disable=REP001", "")
+        bare = DECORATED.replace("  # repro-lint: disable=REP002", "")
         path = _write(tmp_path, bare)
         result = lint_paths([path], isolated=True)
-        assert [finding.code for finding in result.findings] == ["REP001"]
+        assert [finding.code for finding in result.findings] == ["REP002"]
         # anchored on the decorator line, which is what made this case hard
         assert result.findings[0].line == 10
 
     def test_directive_on_decorator_line_itself_still_works(self, tmp_path):
         moved = DECORATED.replace(
-            "@deco(random.random())",
-            "@deco(random.random())  # repro-lint: disable=REP001",
-        ).replace("  # repro-lint: disable=REP001\n    return 1", "\n    return 1")
+            "@deco(time.time())",
+            "@deco(time.time())  # repro-lint: disable=REP002",
+        ).replace("  # repro-lint: disable=REP002\n    return 1", "\n    return 1")
         path = _write(tmp_path, moved)
         result = lint_paths([path], isolated=True)
         assert result.findings == []

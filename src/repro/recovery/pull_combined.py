@@ -6,7 +6,8 @@ subscriber-based otherwise.  When the chosen style has nothing to do this
 round (no pending losses for any source with a known route, or no pending
 losses on any locally subscribed pattern) the other style is tried before
 declaring the round skipped -- the selection parameter biases effort, it
-does not waste rounds.
+does not waste rounds.  With an empty ``Lost`` buffer neither style has
+anything to do, so the round is skipped right after the selection draw.
 """
 
 from __future__ import annotations
@@ -26,6 +27,10 @@ class CombinedPullRecovery(PullRecoveryBase):
 
     def gossip_round(self) -> None:
         publisher_first = self.rng.random() < self.config.p_source
+        if not self.detector.has_losses(self._sim._now):
+            # Both styles would return before any draw: skip their scans.
+            self.stats.rounds_skipped += 1
+            return
         if publisher_first:
             emitted = self.publisher_round() or self.subscriber_round()
         else:

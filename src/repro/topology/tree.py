@@ -192,40 +192,65 @@ class Tree:
         second = self.distances_from(far_node)
         return max(second.values())
 
-    def average_path_length(self) -> float:
-        """Mean hop distance over all ordered node pairs.
+    def distance_sums(self) -> List[int]:
+        """Per-node sum of hop distances to every other node, in O(N).
 
-        O(n^2) via one BFS per node -- fine at the paper's scales (n <= 200).
+        One BFS from node 0 orders the nodes parent before child and gives
+        node 0's sum as the sum of depths.  Subtree sizes then accumulate
+        in reverse order, and moving the root from a parent to its child
+        brings the child's ``size`` nodes one hop closer and the other
+        ``N - size`` one hop farther:
+        ``sums[child] = sums[parent] + N - 2 * size[child]``.
         """
-        if self._node_count < 2:
+        n = self._node_count
+        adjacency = self._adjacency
+        parent = [-1] * n
+        parent[0] = 0
+        depth = [0] * n
+        order = [0]
+        for node in order:  # the list grows as the BFS frontier is appended
+            child_depth = depth[node] + 1
+            for peer in adjacency[node]:
+                if parent[peer] < 0:
+                    parent[peer] = node
+                    depth[peer] = child_depth
+                    order.append(peer)
+        size = [1] * n
+        for node in reversed(order[1:]):
+            size[parent[node]] += size[node]
+        sums = [0] * n
+        sums[0] = sum(depth)
+        for node in order[1:]:
+            sums[node] = sums[parent[node]] + n - 2 * size[node]
+        return sums
+
+    def average_path_length(self) -> float:
+        """Mean hop distance over all ordered node pairs, in O(N) via
+        :meth:`distance_sums`."""
+        n = self._node_count
+        if n < 2:
             return 0.0
-        total = 0
-        for node in range(self._node_count):
-            total += sum(self.distances_from(node).values())
-        return total / (self._node_count * (self._node_count - 1))
+        return sum(self.distance_sums()) / (n * (n - 1))
 
     def approx_average_path_length(self, max_sources: int = 64) -> float:
-        """Sampled mean hop distance: BFS from ``max_sources`` evenly
-        spaced sources instead of every node.
+        """Mean hop distance from ``max_sources`` evenly spaced sources
+        instead of every node.
 
         Deterministic (no RNG: the sample is a fixed stride over node
-        ids) and O(max_sources · N), which is what large-scale runs can
-        afford where :meth:`average_path_length`'s O(N²) cannot.  Falls
-        back to the exact computation when N <= max_sources.
+        ids).  It costs the same O(N) as :meth:`average_path_length`;
+        large runs keep it because their recorded results hold the
+        sampled value.  Falls back to the exact value when
+        N <= max_sources.
         """
         n = self._node_count
         if n < 2:
             return 0.0
         if n <= max_sources:
             return self.average_path_length()
-        total = 0
-        pairs = 0
+        sums = self.distance_sums()
         step = n / max_sources
-        for i in range(max_sources):
-            distances = self.distances_from(int(i * step))
-            total += sum(distances.values())
-            pairs += len(distances) - 1
-        return total / pairs
+        total = sum(sums[int(i * step)] for i in range(max_sources))
+        return total / (max_sources * (n - 1))
 
     def subtree_through(self, node: int, neighbor: int) -> Set[int]:
         """Nodes reachable from ``node`` through ``neighbor`` (the subtree

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from repro.recovery.base import RecoveryConfig
 from repro.recovery.digest import PublisherPullGossip, SubscriberPullGossip
+from repro.recovery.loss_detector import LossDetector
 from repro.topology.generator import path_tree
 from tests.recovery.harness import RecoveryHarness
 
@@ -104,3 +105,68 @@ class TestDigestShrinking:
         assert all(p.pattern == 2 for p in own)
         # And since nothing on pattern 2 was lost, node 1 sent none at all.
         assert own == []
+
+
+class _CountingRandom:
+    """Wraps a random source and records the name of every draw."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.calls = []
+
+    def __getattr__(self, name):
+        method = getattr(self._inner, name)
+
+        def counted(*args, **kwargs):
+            self.calls.append(name)
+            return method(*args, **kwargs)
+
+        return counted
+
+
+class TestCombinedPullIdleRound:
+    def _harness(self):
+        return RecoveryHarness(
+            path_tree(3),
+            "combined-pull",
+            {0: (1,), 1: (), 2: (1,)},
+            config=CONFIG,
+            start=False,
+        )
+
+    def _round(self, harness, node_id):
+        recovery = harness.recovery(node_id)
+        rng = recovery.rng = _CountingRandom(recovery.rng)
+        captured = []
+        spy_on_gossip(harness, node_id, captured)
+        skipped = recovery.stats.rounds_skipped
+        recovery.gossip_round()
+        return rng.calls, captured, recovery.stats.rounds_skipped - skipped
+
+    def test_empty_lost_buffer_draws_once_and_sends_nothing(self, monkeypatch):
+        harness = self._harness()
+        harness.publish(0, (1,))
+        harness.run_for(0.05)
+        assert not harness.recovery(2).detector.has_losses()
+
+        def unreachable(self, now=None):
+            raise AssertionError("an idle round scanned the Lost buffer")
+
+        # The idle exit returns before either style lists its candidates.
+        monkeypatch.setattr(LossDetector, "patterns_with_losses", unreachable)
+        monkeypatch.setattr(LossDetector, "sources_with_losses", unreachable)
+        calls, captured, skipped = self._round(harness, 2)
+        assert calls == ["random"]
+        assert captured == []
+        assert skipped == 1
+
+    def test_pending_loss_takes_the_normal_path(self):
+        harness = self._harness()
+        harness.publish_lossy(0, (1,), dead_links=[(1, 2)])
+        harness.publish(0, (1,))  # reveals the gap at node 2
+        harness.run_for(0.05)
+        assert harness.recovery(2).detector.has_losses()
+        calls, captured, skipped = self._round(harness, 2)
+        assert calls[:2] == ["random", "randrange"]
+        assert len(captured) == 1
+        assert skipped == 0

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
+import repro.scenarios.builder as builder_module
 import repro.scenarios.config as config_module
 from repro.scenarios.builder import Simulation
 from repro.scenarios.config import SimulationConfig
@@ -48,6 +51,44 @@ class TestBuilder:
         simulation = Simulation(SimulationConfig(algorithm="none", pi_max=2, **FAST))
         for node, patterns in simulation.subscription_assignment.items():
             assert len(patterns) == 2
+
+
+class TestGarbageCollectorState:
+    @pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
+    def gc_enabled(self, request):
+        was_enabled = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was_enabled else gc.disable)()
+
+    def test_build_and_run_restore_the_callers_state(self, gc_enabled, monkeypatch):
+        during_build = []
+        build_tree = builder_module.build_tree
+
+        def spy(*args, **kwargs):
+            during_build.append(gc.isenabled())
+            return build_tree(*args, **kwargs)
+
+        monkeypatch.setattr(builder_module, "build_tree", spy)
+        simulation = Simulation(SimulationConfig(algorithm="combined-pull", **FAST))
+        assert during_build == [False]
+        assert gc.isenabled() is gc_enabled
+        during_loop = []
+        simulation.sim.schedule(0.1, lambda: during_loop.append(gc.isenabled()))
+        simulation.run(until=0.5)
+        assert during_loop == [False]
+        assert gc.isenabled() is gc_enabled
+
+    def test_failed_build_restores_the_callers_state(self, gc_enabled):
+        with pytest.raises(KeyError):
+            Simulation(SimulationConfig(algorithm="wishful", **FAST))
+        assert gc.isenabled() is gc_enabled
+        with pytest.raises(ValueError, match="tree has"):
+            Simulation(
+                SimulationConfig(algorithm="none", **FAST),
+                tree=builder_module.build_tree("path", 5, None),
+            )
+        assert gc.isenabled() is gc_enabled
 
 
 class TestRunInvariants:

@@ -126,6 +126,75 @@ class TestPathsAndDistances:
         assert tree.path(a, b) == list(expected)
 
 
+def _shuffled_tree(n: int, seed: int) -> Tree:
+    """A random tree whose labels are permuted, so node 0 is not always
+    the root the generator grew from."""
+    rng = random.Random(seed)
+    grown = random_tree(n, rng, max_degree=rng.choice([2, 3, 4, n + 1]))
+    label = list(range(n))
+    rng.shuffle(label)
+    return Tree(n, [(label[a], label[b]) for a, b in grown.edges])
+
+
+def _bfs_average_path_length(tree: Tree, sources) -> float:
+    """The per-source BFS computation the path metrics replaced."""
+    adjacency = tree.adjacency()
+    total = pairs = 0
+    for source in sources:
+        distances = bfs_distances(adjacency, source)
+        total += sum(distances.values())
+        pairs += len(distances) - 1
+    return total / pairs
+
+
+def _sample_sources(n: int, k: int):
+    """Every node when N <= k, else k sources at a fixed stride."""
+    if n <= k:
+        return range(n)
+    step = n / k
+    return [int(i * step) for i in range(k)]
+
+
+class TestPathMetrics:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=300), st.integers())
+    def test_distance_sums_match_bfs(self, n, seed):
+        tree = _shuffled_tree(n, seed)
+        adjacency = tree.adjacency()
+        assert tree.distance_sums() == [
+            sum(bfs_distances(adjacency, node).values()) for node in range(n)
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=2, max_value=300), st.integers(), st.data())
+    def test_means_equal_bfs_reference_bit_for_bit(self, n, seed, data):
+        tree = _shuffled_tree(n, seed)
+        k = data.draw(st.sampled_from([1, 2, 7, 64, n - 1, n, n + 1]))
+        assert tree.average_path_length() == _bfs_average_path_length(
+            tree, range(n)
+        )
+        assert tree.approx_average_path_length(k) == _bfs_average_path_length(
+            tree, _sample_sources(n, k)
+        )
+
+    @pytest.mark.parametrize(
+        "n, k", [(32, 32), (33, 32), (64, 64), (65, 64), (2500, 64)]
+    )
+    def test_sample_boundaries_bit_for_bit(self, n, k):
+        # N = k takes the exact fallback, N = k + 1 is the first strided
+        # sample, and N = 2500 is past collect_result's exact-mean cutoff.
+        tree = _shuffled_tree(n, 11)
+        assert tree.approx_average_path_length(k) == _bfs_average_path_length(
+            tree, _sample_sources(n, k)
+        )
+
+    def test_single_node(self):
+        tree = Tree(1, [])
+        assert tree.distance_sums() == [0]
+        assert tree.average_path_length() == 0.0
+        assert tree.approx_average_path_length() == 0.0
+
+
 class TestGraphHelpers:
     def test_connected_components_partitions(self):
         adjacency = {0: {1}, 1: {0}, 2: {3}, 3: {2}, 4: set()}

@@ -19,7 +19,7 @@ What counts as what (Section IV-E):
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List
+from typing import Dict, List, MutableSequence, Optional
 
 from repro.network.message import MessageKind
 
@@ -42,73 +42,78 @@ class MessageCounters:
         Number of dispatchers (for the per-node tallies).
     """
 
-    __slots__ = ("node_count", "_sent", "_dropped", "_delivered",
-                 "_gossip_by_node", "_events_by_node", "_oob_by_node",
-                 "_gossip_kind", "_event_kind", "_oob_kinds")
+    __slots__ = ("node_count", "sent_tally", "dropped_tally",
+                 "delivered_tally", "node_sent_tally", "_gossip_by_node",
+                 "_events_by_node", "_oob_by_node")
 
     def __init__(self, node_count: int) -> None:
         if node_count <= 0:
             raise ValueError(f"node_count must be positive, got {node_count}")
         self.node_count = node_count
-        self._sent = [0] * _KIND_COUNT
-        self._dropped = [0] * _KIND_COUNT
-        self._delivered = [0] * _KIND_COUNT
+        # Per-kind tallies, indexed by MessageKind (an IntEnum).  Links
+        # increment these in place on every message (see
+        # repro.network.network.TrafficObserver).
+        self.sent_tally = [0] * _KIND_COUNT
+        self.dropped_tally = [0] * _KIND_COUNT
+        self.delivered_tally = [0] * _KIND_COUNT
         # bytes(8 * n) zero-fills without an intermediate Python list.
         self._gossip_by_node = array("q", bytes(8 * node_count))
         self._events_by_node = array("q", bytes(8 * node_count))
         self._oob_by_node = array("q", bytes(8 * node_count))
-        self._gossip_kind = int(MessageKind.GOSSIP)
-        self._event_kind = int(MessageKind.EVENT)
-        self._oob_kinds = (int(MessageKind.OOB_REQUEST), int(MessageKind.OOB_EVENT))
+        #: per-kind per-node send columns; out-of-band requests and
+        #: retransmissions share one column, other kinds have none.
+        self.node_sent_tally: List[Optional[MutableSequence[int]]] = (
+            [None] * _KIND_COUNT
+        )
+        self.node_sent_tally[MessageKind.EVENT] = self._events_by_node
+        self.node_sent_tally[MessageKind.GOSSIP] = self._gossip_by_node
+        self.node_sent_tally[MessageKind.OOB_REQUEST] = self._oob_by_node
+        self.node_sent_tally[MessageKind.OOB_EVENT] = self._oob_by_node
 
     # ------------------------------------------------------------------
-    # TrafficObserver interface (hot path)
+    # TrafficObserver interface
     # ------------------------------------------------------------------
     def count_send(self, kind: MessageKind, node_id: int) -> None:
-        # MessageKind is an IntEnum: it indexes lists and compares against
-        # ints directly, so no int() round-trip is needed on the hot path.
-        self._sent[kind] += 1
-        if kind == self._gossip_kind:
-            self._gossip_by_node[node_id] += 1
-        elif kind == self._event_kind:
-            self._events_by_node[node_id] += 1
-        elif kind in self._oob_kinds:
-            self._oob_by_node[node_id] += 1
+        # MessageKind is an IntEnum: it indexes lists directly.
+        self.sent_tally[kind] += 1
+        column = self.node_sent_tally[kind]
+        if column is not None:
+            column[node_id] += 1
 
     def count_drop(self, kind: MessageKind) -> None:
-        self._dropped[kind] += 1
+        self.dropped_tally[kind] += 1
 
     def count_deliver(self, kind: MessageKind) -> None:
-        self._delivered[kind] += 1
+        self.delivered_tally[kind] += 1
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def sent(self, kind: MessageKind) -> int:
-        return self._sent[int(kind)]
+        return self.sent_tally[kind]
 
     def dropped(self, kind: MessageKind) -> int:
-        return self._dropped[int(kind)]
+        return self.dropped_tally[kind]
 
     def delivered(self, kind: MessageKind) -> int:
-        return self._delivered[int(kind)]
+        return self.delivered_tally[kind]
 
     @property
     def event_messages(self) -> int:
         """Total per-link event transmissions in the system."""
-        return self._sent[self._event_kind]
+        return self.sent_tally[MessageKind.EVENT]
 
     @property
     def gossip_messages(self) -> int:
         """Total per-link gossip transmissions in the system."""
-        return self._sent[self._gossip_kind]
+        return self.sent_tally[MessageKind.GOSSIP]
 
     @property
     def oob_messages(self) -> int:
         """Out-of-band traffic: requests plus retransmissions."""
         return (
-            self._sent[int(MessageKind.OOB_REQUEST)]
-            + self._sent[int(MessageKind.OOB_EVENT)]
+            self.sent_tally[MessageKind.OOB_REQUEST]
+            + self.sent_tally[MessageKind.OOB_EVENT]
         )
 
     def gossip_per_dispatcher(self) -> float:
@@ -153,18 +158,18 @@ class MessageCounters:
 
     def loss_rate(self, kind: MessageKind) -> float:
         """Observed per-transmission drop fraction for a message kind."""
-        sent = self._sent[int(kind)]
+        sent = self.sent_tally[kind]
         if sent == 0:
             return 0.0
-        return self._dropped[int(kind)] / sent
+        return self.dropped_tally[kind] / sent
 
     def snapshot(self) -> Dict[str, int]:
         """Flat dictionary of all counters (for reports and tests)."""
         result: Dict[str, int] = {}
         for kind in MessageKind:
-            result[f"sent_{kind.name.lower()}"] = self._sent[int(kind)]
-            result[f"dropped_{kind.name.lower()}"] = self._dropped[int(kind)]
-            result[f"delivered_{kind.name.lower()}"] = self._delivered[int(kind)]
+            result[f"sent_{kind.name.lower()}"] = self.sent_tally[kind]
+            result[f"dropped_{kind.name.lower()}"] = self.dropped_tally[kind]
+            result[f"delivered_{kind.name.lower()}"] = self.delivered_tally[kind]
         return result
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -175,14 +175,6 @@ class Link:
         self._bind_drop()
 
     # ------------------------------------------------------------------
-    def other_end(self, node: int) -> int:
-        """The id of the endpoint opposite to ``node``."""
-        if node == self.node_a:
-            return self.node_b
-        if node == self.node_b:
-            return self.node_a
-        raise ValueError(f"node {node} is not an endpoint of {self!r}")
-
     def endpoints(self) -> tuple[int, int]:
         return (self.node_a, self.node_b)
 
@@ -196,14 +188,18 @@ class Link:
         the link state before trying.
         """
         network = self.network
-        observer = network.observer
         stats = self.stats
         kind = message.kind
         stats.sent += 1
-        observer.count_send(kind, from_node)
+        # Count as data: index the observer's tallies (bound on the
+        # network), no observer call per message.
+        network.sent_tally[kind] += 1
+        node_column = network.node_sent_tally[kind]
+        if node_column is not None:
+            node_column[from_node] += 1
         if not self.up:
             stats.dropped_down += 1
-            observer.count_drop(kind)
+            network.dropped_tally[kind] += 1
             return False
         sim = network.sim
         serialization = message.size_bits / self.bandwidth_bps
@@ -217,7 +213,7 @@ class Link:
         stats.busy_time += serialization
         if self._drop():
             stats.lost += 1
-            observer.count_drop(kind)
+            network.dropped_tally[kind] += 1
             return True
         # Deliveries are never cancelled, so the handle-free fast path
         # avoids one object allocation per transmission.
@@ -257,12 +253,10 @@ class Link:
         network = self.network
         if not self.up:
             self.stats.dropped_down += 1
-            network.observer.count_drop(message.kind)
+            network.dropped_tally[message.kind] += 1
             return
         self.stats.delivered += 1
-        # Network.deliver inlined (count + hand to the node): this runs once
-        # per successful link transmission and the extra frame is measurable.
-        network.observer.count_deliver(message.kind)
+        network.delivered_tally[message.kind] += 1
         network._nodes[to_node].receive(message, from_node)
 
     def _deliver_checked(
@@ -272,17 +266,17 @@ class Link:
         network = self.network
         if not self.up:
             self.stats.dropped_down += 1
-            network.observer.count_drop(message.kind)
+            network.dropped_tally[message.kind] += 1
             return
         node = network._receivers.get(to_node)
         if node is None:
             # Destination crashed (or vanished) while the message was in
             # flight: counted drop, never a KeyError.
-            network.observer.count_drop(message.kind)
+            network.dropped_tally[message.kind] += 1
             network.down_drops += 1
             return
         self.stats.delivered += 1
-        network.observer.count_deliver(message.kind)
+        network.delivered_tally[message.kind] += 1
         node.receive(message, from_node)
 
     def set_up(self, up: bool) -> None:

@@ -17,6 +17,8 @@ from typing import (
     Dict,
     Iterable,
     Iterator,
+    List,
+    MutableSequence,
     Optional,
     Protocol,
     Set,
@@ -35,7 +37,17 @@ __all__ = ["Network", "NetworkConfig", "TrafficObserver"]
 
 
 class TrafficObserver(Protocol):
-    """Hook interface for message accounting (implemented by metrics)."""
+    """Message accounting (implemented by metrics).  Links index the
+    tallies directly, with no call per message; the other paths call the
+    ``count_*`` methods, which update the same tallies."""
+
+    #: per-kind send, drop and delivery tallies, indexed by ``MessageKind``.
+    sent_tally: List[int]
+    dropped_tally: List[int]
+    delivered_tally: List[int]
+    #: per-kind send tallies per node, indexed ``[kind][node_id]``;
+    #: ``None`` for kinds not tallied per node.
+    node_sent_tally: List[Optional[MutableSequence[int]]]
 
     def count_send(self, kind: MessageKind, node_id: int) -> None: ...
 
@@ -44,8 +56,19 @@ class TrafficObserver(Protocol):
     def count_deliver(self, kind: MessageKind) -> None: ...
 
 
+_KIND_COUNT = max(MessageKind) + 1
+
+
 class _NullObserver:
-    """Default observer: counts nothing."""
+    """Default observer: per-kind tallies that nothing reads."""
+
+    def __init__(self) -> None:
+        self.sent_tally = [0] * _KIND_COUNT
+        self.dropped_tally = [0] * _KIND_COUNT
+        self.delivered_tally = [0] * _KIND_COUNT
+        self.node_sent_tally: List[Optional[MutableSequence[int]]] = (
+            [None] * _KIND_COUNT
+        )
 
     def count_send(self, kind: MessageKind, node_id: int) -> None:
         pass
@@ -118,6 +141,12 @@ class Network:
         self.config = config
         self._loss_rng = loss_rng
         self.observer: TrafficObserver = observer or _NullObserver()
+        # The observer's tallies, bound once for the links' per-message
+        # counting.
+        self.sent_tally = self.observer.sent_tally
+        self.dropped_tally = self.observer.dropped_tally
+        self.delivered_tally = self.observer.delivered_tally
+        self.node_sent_tally = self.observer.node_sent_tally
         self._loss_model_factory = loss_model_factory
         self._oob_loss_model = oob_loss_model
         self.fault_hooks = fault_hooks
@@ -368,21 +397,8 @@ class Network:
         return True
 
     # ------------------------------------------------------------------
-    # Delivery plumbing (called by links)
+    # Out-of-band delivery (``self._deliver_oob`` is bound to one variant)
     # ------------------------------------------------------------------
-    def deliver(self, message: Message, from_node: int, to_node: int) -> None:
-        """Crash-aware delivery entry point (kept for API compatibility;
-        links bind the matching variant directly)."""
-        node = self._receivers.get(to_node)
-        if node is None:
-            # Destination crashed (or was removed) while the message was in
-            # flight: counted drop, never a KeyError.
-            self.observer.count_drop(message.kind)
-            self.down_drops += 1
-            return
-        self.observer.count_deliver(message.kind)
-        node.receive(message, from_node)
-
     def _deliver_oob_checked(
         self, message: Message, from_node: int, to_node: int
     ) -> None:
@@ -399,13 +415,6 @@ class Network:
     ) -> None:
         self.observer.count_deliver(message.kind)
         self._nodes[to_node].receive_oob(message, from_node)
-
-    # Counting hooks used by Link ---------------------------------------
-    def count_send(self, kind: MessageKind, node_id: int) -> None:
-        self.observer.count_send(kind, node_id)
-
-    def count_drop(self, kind: MessageKind) -> None:
-        self.observer.count_drop(kind)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Network nodes={len(self._nodes)} links={len(self._links)}>"

@@ -55,7 +55,8 @@ _OOB_EVENT = MessageKind.OOB_EVENT
 #: recording is disabled.
 Route = Optional[Tuple[int, ...]]
 
-DeliveryCallback = Callable[[int, Event, bool], None]
+#: ``(node_id, event, recovered, now)``, called at each local delivery.
+DeliveryCallback = Callable[[int, Event, bool, float], None]
 
 
 class RecoveryHooks(Protocol):
@@ -70,7 +71,9 @@ class RecoveryHooks(Protocol):
     #: ``None`` when graceful degradation is disabled.
     peers: Optional[Any]
 
-    def on_event_received(self, event: Event, route: Route) -> None: ...
+    #: Observer of every event arrival ``(event, route)``, or ``None`` for
+    #: algorithms that keep no per-event state (no call per hop).
+    on_event_received: Optional[Callable[[Event, Route], None]]
 
     def on_event_published(self, event: Event) -> None: ...
 
@@ -103,15 +106,16 @@ class Dispatcher:
         When true, event messages accumulate the dispatcher ids they
         traverse (required by publisher-based pull).
     on_deliver:
-        Callback ``(node_id, event, recovered)`` invoked at each local
-        delivery; wired to the metrics layer by the scenario builder.
+        Callback ``(node_id, event, recovered, now)`` invoked at each local
+        delivery; the scenario builder binds it straight to the metrics
+        layer's ``DeliveryTracker.on_deliver``.
     """
 
     __slots__ = ("node_id", "sim", "network", "pattern_space", "table",
                  "cache", "record_routes", "on_deliver", "on_publish",
                  "tree_routing_enabled", "recovery", "receive",
                  "receive_oob", "send_gossip", "send_oob_request",
-                 "received_ids",
+                 "observe_event", "received_ids", "_match_memo",
                  "_next_event_seq", "_pattern_counters", "match_operations",
                  "published_count", "delivered_count", "recovered_count")
 
@@ -134,6 +138,9 @@ class Dispatcher:
         self.network = network
         self.pattern_space = pattern_space
         self.table = SubscriptionTable(pattern_space.size)
+        # The table's match memo, probed inline on every hop (the table
+        # clears it in place, so this reference never goes stale).
+        self._match_memo = self.table._match_cache
         if cache_layout == "compact":
             self.cache = CompactEventCache(buffer_size, policy=cache_policy)
         else:
@@ -150,6 +157,8 @@ class Dispatcher:
         #: comparator), where epidemic exchange is the sole transport.
         self.tree_routing_enabled: bool = True
         self.recovery: Optional[RecoveryHooks] = None
+        #: the recovery's event observer (bound by attach_recovery), if any.
+        self.observe_event: Optional[Callable[[Event, Route], None]] = None
         # Network-facing entry points, bound per-instance so the per-message
         # path never re-tests whether peer-liveness tracking (graceful
         # degradation) is configured: attach_recovery swaps in the tracked
@@ -188,6 +197,8 @@ class Dispatcher:
     # ------------------------------------------------------------------
     def attach_recovery(self, recovery: RecoveryHooks) -> None:
         self.recovery = recovery
+        # getattr: stub recovery objects in tests may omit the observer.
+        self.observe_event = getattr(recovery, "on_event_received", None)
         # getattr: stub recovery objects in tests may omit ``peers``.
         if getattr(recovery, "peers", None) is not None:
             # Graceful degradation is on: inbound traffic must feed the
@@ -309,7 +320,9 @@ class Dispatcher:
         self.received_ids.add(event.event_id)
         directions = self.table.matching_directions_for(content_id, canonical)
         if directions and directions[0] == LOCAL:
-            self._deliver(event, recovered=False)
+            self.delivered_count += 1
+            if self.on_deliver is not None:
+                self.on_deliver(self.node_id, event, False, self.sim._now)
         # "Each dispatcher caches only events for which it is either the
         # publisher or a subscriber" -- the publisher always caches.
         self.cache.insert(event)
@@ -332,10 +345,11 @@ class Dispatcher:
         """
         if not self.tree_routing_enabled:
             return
-        patterns = event.patterns
         if directions is None:
-            directions = self._matching_directions(event)
-        self.match_operations += len(patterns)
+            directions = self.table.matching_directions_for(
+                event.content_id, event.patterns
+            )
+        self.match_operations += len(event.patterns)
         if not directions:
             return
         node_id = self.node_id
@@ -367,39 +381,6 @@ class Dispatcher:
                 observer.count_send(_EVENT, node_id)
                 observer.count_drop(_EVENT)
 
-    def _matching_directions(self, event: Event) -> Tuple[int, ...]:
-        """Memoized direction tuple for ``event``'s content.
-
-        Interned events key the shared memo by their ``content_id`` int
-        (one hash of a machine int); uninterned events (constructed outside
-        a pattern space) fall back to the pattern-tuple key.
-        """
-        content_id = event.content_id
-        if content_id >= 0:
-            return self.table.matching_directions_for(content_id, event.patterns)
-        return self.table.matching_directions_sorted(event.patterns)
-
-    def _handle_event(self, payload: Tuple[Event, Route], from_node: int) -> None:
-        event, route = payload
-        event_id = event.event_id
-        received_ids = self.received_ids
-        if event_id in received_ids:
-            return  # duplicate (possible across reconfigurations)
-        received_ids.add(event_id)
-        # One memoized table query serves the local-match test and the
-        # forwarding decision (LOCAL sorts first: it is -1, node ids >= 0).
-        directions = self._matching_directions(event)
-        is_subscriber = bool(directions) and directions[0] == LOCAL
-        if is_subscriber:
-            self._deliver(event, recovered=False)
-        if self.recovery is not None:
-            self.recovery.on_event_received(event, route)
-        if is_subscriber:
-            self.cache.insert(event)
-        if route is not None:
-            route = route + (self.node_id,)
-        self._forward_event(event, route, exclude=from_node, directions=directions)
-
     def receive_recovered_event(self, event: Event) -> None:
         """Process an event obtained through the recovery machinery.
 
@@ -410,13 +391,14 @@ class Dispatcher:
         if event.event_id in self.received_ids:
             return
         self.received_ids.add(event.event_id)
-        directions = self._matching_directions(event)
+        directions = self.table.matching_directions_for(
+            event.content_id, event.patterns
+        )
         is_subscriber = bool(directions) and directions[0] == LOCAL
         if is_subscriber:
-            self.recovered_count += 1
-            self._deliver(event, recovered=True)
-        if self.recovery is not None:
-            self.recovery.on_event_received(event, None)
+            self._deliver_recovered(event)
+        if self.observe_event is not None:
+            self.observe_event(event, None)
         if is_subscriber:
             self.cache.insert(event)
 
@@ -432,19 +414,23 @@ class Dispatcher:
         if event.event_id in self.received_ids:
             return False
         self.received_ids.add(event.event_id)
-        directions = self._matching_directions(event)
-        if bool(directions) and directions[0] == LOCAL:
-            self.recovered_count += 1
-            self._deliver(event, recovered=True)
-        if self.recovery is not None:
-            self.recovery.on_event_received(event, None)
+        directions = self.table.matching_directions_for(
+            event.content_id, event.patterns
+        )
+        if directions and directions[0] == LOCAL:
+            self._deliver_recovered(event)
+        if self.observe_event is not None:
+            self.observe_event(event, None)
         self.cache.insert(event)
         return True
 
-    def _deliver(self, event: Event, recovered: bool) -> None:
+    def _deliver_recovered(self, event: Event) -> None:
+        """Local delivery of an event obtained outside tree routing (the
+        per-hop receive delivers inline)."""
+        self.recovered_count += 1
         self.delivered_count += 1
         if self.on_deliver is not None:
-            self.on_deliver(self.node_id, event, recovered)
+            self.on_deliver(self.node_id, event, True, self.sim._now)
 
     # ------------------------------------------------------------------
     # Primitives offered to the recovery algorithms
@@ -498,7 +484,36 @@ class Dispatcher:
     def _receive_plain(self, message: Message, from_node: int) -> None:
         kind = message.kind
         if kind is _EVENT:
-            self._handle_event(message.payload, from_node)
+            # The per-hop event path in one frame: dedup, match, local
+            # delivery, recovery observation, cache insert, forward.
+            event, route = message.payload
+            event_id = event.event_id
+            received_ids = self.received_ids
+            if event_id in received_ids:
+                return  # duplicate (possible across reconfigurations)
+            received_ids.add(event_id)
+            # One memoized table query serves the local-match test and the
+            # forwarding decision (LOCAL sorts first: it is -1, node ids
+            # >= 0).  A memo miss costs the table one frame.
+            directions = self._match_memo.get(event.content_id)
+            if directions is None:
+                directions = self.table.matching_directions_for(
+                    event.content_id, event.patterns
+                )
+            is_subscriber = directions and directions[0] == LOCAL
+            if is_subscriber:
+                self.delivered_count += 1
+                on_deliver = self.on_deliver
+                if on_deliver is not None:
+                    on_deliver(self.node_id, event, False, self.sim._now)
+            observe = self.observe_event
+            if observe is not None:
+                observe(event, route)
+            if is_subscriber:
+                self.cache.insert(event)
+            if route is not None:
+                route = route + (self.node_id,)
+            self._forward_event(event, route, from_node, directions)
         elif kind is _GOSSIP:
             recovery = self.recovery
             if recovery is not None:
@@ -508,20 +523,13 @@ class Dispatcher:
         # CONTROL and unknown kinds are ignored by design.
 
     def _receive_tracked(self, message: Message, from_node: int) -> None:
-        kind = message.kind
-        if kind is _EVENT:
-            self._handle_event(message.payload, from_node)
-        elif kind is _GOSSIP:
+        if message.kind is _GOSSIP:
             recovery = self.recovery
-            if recovery is not None:
-                if recovery.peers is not None:
-                    # Inbound gossip proves the neighbor is alive (graceful
-                    # degradation; no-op dict miss when nothing is tracked).
-                    recovery.peers.note_response(from_node)
-                recovery.handle_gossip(message.payload, from_node)
-        elif kind is _SUBSCRIPTION:
-            self._handle_subscription(message.payload, from_node)
-        # CONTROL and unknown kinds are ignored by design.
+            if recovery is not None and recovery.peers is not None:
+                # Inbound gossip proves the neighbor is alive (graceful
+                # degradation; no-op dict miss when nothing is tracked).
+                recovery.peers.note_response(from_node)
+        self._receive_plain(message, from_node)
 
     def _receive_oob_plain(self, message: Message, from_node: int) -> None:
         kind = message.kind
@@ -533,17 +541,12 @@ class Dispatcher:
             self.receive_recovered_event(message.payload)
 
     def _receive_oob_tracked(self, message: Message, from_node: int) -> None:
-        kind = message.kind
         recovery = self.recovery
         if recovery is not None and recovery.peers is not None:
             # Out-of-band traffic (requests and retransmissions) also proves
             # the sender is alive.
             recovery.peers.note_response(from_node)
-        if kind is _OOB_REQUEST:
-            if recovery is not None:
-                recovery.handle_oob_request(message.payload, from_node)
-        elif kind is _OOB_EVENT:
-            self.receive_recovered_event(message.payload)
+        self._receive_oob_plain(message, from_node)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -21,36 +21,33 @@ publisher-based pull travels in the event *message*, not in the event
 
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import Dict, Iterator, List, Optional, Tuple
 
 __all__ = ["EventId", "Event", "EventIdRegistry", "ReceivedLog"]
 
 
-class EventId:
-    """Globally unique event identity: (source dispatcher, per-source seq)."""
+class EventId(namedtuple("EventId", "source seq")):
+    """Globally unique event identity: (source dispatcher, per-source seq).
 
-    __slots__ = ("source", "seq", "_hash")
+    A tuple subclass: ids are hashed millions of times per run, and
+    ``tuple.__hash__`` runs in C while equalling the ``hash((source,
+    seq))`` ids have always had, so every set and dict keeps its iteration
+    order (int-tuple hashes are also stable across processes).
+    """
 
-    def __init__(self, source: int, seq: int) -> None:
-        self.source = source
-        self.seq = seq
-        # Ids are hashed millions of times per run (duplicate suppression,
-        # cache indexes); precompute once.  hash() of an int tuple is
-        # deterministic across processes (no string hash randomization).
-        self._hash = hash((source, seq))
+    __slots__ = ()
+
+    __hash__ = tuple.__hash__
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, EventId)
-            and self.source == other.source
-            and self.seq == other.seq
-        )
+        # Never equal to a plain tuple.  Dict and set probes settle on
+        # identity first, and all copies of an event share the id
+        # ``publish`` made, so this runs only for ids rebuilt elsewhere.
+        return isinstance(other, EventId) and tuple.__eq__(self, other)
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __lt__(self, other: "EventId") -> bool:
-        return (self.source, self.seq) < (other.source, other.seq)
+    def __ne__(self, other: object) -> bool:
+        return not self.__eq__(other)
 
     def as_tuple(self) -> Tuple[int, int]:
         return (self.source, self.seq)
@@ -125,7 +122,7 @@ class Event:
         return isinstance(other, Event) and self.event_id == other.event_id
 
     def __hash__(self) -> int:
-        return self.event_id._hash
+        return hash(self.event_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -102,7 +102,8 @@ class SubscriptionTable:
         self._known = 0
         #: content key (pattern tuple or interned content id) -> sorted
         #: direction tuple (LOCAL first if present, since LOCAL is -1 and
-        #: node ids are >= 0).
+        #: node ids are >= 0).  Cleared in place, never rebound: the
+        #: owning dispatcher probes this dict directly on every hop.
         self._match_cache: Dict[object, Tuple[int, ...]] = {}
         #: direction-mask -> decoded tuple intern pool.  Many memo entries
         #: decode to the same direction set (a table with d live directions
@@ -491,36 +492,6 @@ class SubscriptionTable:
         if self._mask_intern:
             self._mask_intern.clear()
 
-    def _matching_tuple(self, patterns: Iterable[int]) -> Tuple[int, ...]:
-        """Memoized sorted direction tuple for one event content."""
-        key = patterns if type(patterns) is tuple else tuple(patterns)
-        cache = self._match_cache
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-        value = self._compute_matching(key)
-        if len(cache) >= _MATCH_CACHE_LIMIT:
-            cache.clear()
-        cache[key] = value
-        return value
-
-    def _compute_matching(self, key: Tuple[int, ...]) -> Tuple[int, ...]:
-        mask = 0
-        if self._dense:
-            masks = self._masks
-            size = self._size
-            for pattern in key:
-                if 0 <= pattern < size:  # type: ignore[operator]
-                    mask |= masks[pattern]
-        else:
-            masks = self._masks
-            for pattern in key:
-                mask |= masks.get(pattern, 0)  # type: ignore[union-attr]
-        interned = self._mask_intern.get(mask)
-        if interned is None:
-            interned = self._mask_intern[mask] = tuple(self._decode(mask))
-        return interned
-
     def matching_directions(self, patterns: Iterable[int]) -> Set[int]:
         """Union of directions over the given event content.
 
@@ -528,7 +499,7 @@ class SubscriptionTable:
         may match several subscriptions, laid down on the same tree, so the
         forwarding set is the union (each direction receives one copy).
         """
-        return set(self._matching_tuple(patterns))
+        return set(self.matching_directions_sorted(patterns))
 
     def matching_directions_sorted(self, patterns: Iterable[int]) -> Tuple[int, ...]:
         """Sorted direction tuple for one event content (memoized).
@@ -538,32 +509,48 @@ class SubscriptionTable:
         kills the per-forward ``sorted()``.  With LOCAL = -1 and node ids
         >= 0, LOCAL -- when present -- is always the first element.
         """
-        return self._matching_tuple(patterns)
+        key = patterns if type(patterns) is tuple else tuple(patterns)
+        return self.matching_directions_for(-1, key)
 
     def matching_directions_for(
         self, content_id: int, patterns: Tuple[int, ...]
     ) -> Tuple[int, ...]:
-        """Sorted direction tuple keyed by an interned content id.
+        """Sorted direction tuple for one event content (memoized).
 
-        The large-scale hot path: when event contents are interned (see
-        :meth:`repro.pubsub.pattern.PatternSpace.intern_content`), the memo
-        key is the content's small int -- hashed in a few ns -- instead of
-        the pattern tuple.  Content ids and pattern tuples never collide as
-        dict keys, so both keying schemes share one memo.
+        The memo key is the content's interned id (see
+        :meth:`repro.pubsub.pattern.PatternSpace.intern_content`) -- a small
+        int, hashed in a few ns -- or the pattern tuple itself when
+        ``content_id`` is negative (uninterned content).  Ints and tuples
+        never collide as dict keys, so both keying schemes share one memo.
+        The dispatcher's receive probes the memo by content id itself and
+        calls this only on a miss, so a miss costs this one frame.
         """
+        key = content_id if content_id >= 0 else patterns
         cache = self._match_cache
-        cached = cache.get(content_id)
+        cached = cache.get(key)
         if cached is not None:
             return cached
-        value = self._compute_matching(patterns)
+        mask = 0
+        masks = self._masks
+        if self._dense:
+            size = self._size
+            for pattern in patterns:
+                if 0 <= pattern < size:  # type: ignore[operator]
+                    mask |= masks[pattern]
+        else:
+            for pattern in patterns:
+                mask |= masks.get(pattern, 0)  # type: ignore[union-attr]
+        value = self._mask_intern.get(mask)
+        if value is None:
+            value = self._mask_intern[mask] = tuple(self._decode(mask))
         if len(cache) >= _MATCH_CACHE_LIMIT:
             cache.clear()
-        cache[content_id] = value
+        cache[key] = value
         return value
 
     def matches_locally(self, patterns: Iterable[int]) -> bool:
         """True iff any of the event's patterns is locally subscribed."""
-        matching = self._matching_tuple(patterns)
+        matching = self.matching_directions_sorted(patterns)
         return bool(matching) and matching[0] == LOCAL
 
     def __len__(self) -> int:

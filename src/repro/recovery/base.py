@@ -189,14 +189,12 @@ class RecoveryAlgorithm:
         """Process a gossip message received from a tree neighbor."""
         raise NotImplementedError
 
-    def on_event_received(self, event, route) -> None:
-        """Observe an event arrival (normal routing or recovery).
-
-        ``route`` is the forward route recorded in the event message, or
-        ``None`` for out-of-band recoveries and when route recording is
-        off.  The base implementation does nothing (push needs no
-        per-event state beyond what the dispatcher already keeps).
-        """
+    #: ``on_event_received(event, route)`` observes every event arrival;
+    #: ``route`` is the forward route of the event message, or ``None``
+    #: (out-of-band recovery, route recording off).  Subclasses with
+    #: per-event state define it as a method; left ``None`` (push), the
+    #: dispatcher makes no call per received event.
+    on_event_received: Optional[Callable[[Any, Any], None]] = None
 
     def on_event_published(self, event) -> None:
         """Observe a local publish (before routing).

@@ -19,7 +19,7 @@ __all__ = ["RoutesBuffer"]
 
 
 class RoutesBuffer:
-    """Most-recently-observed reverse routes toward each event source."""
+    """Most-recently-observed routes from each event source."""
 
     __slots__ = ("_routes", "updates")
 
@@ -28,11 +28,12 @@ class RoutesBuffer:
         self.updates = 0
 
     def update_from_event_route(self, source: int, route: Tuple[int, ...]) -> None:
-        """Record the reverse of the route carried by an event message.
+        """Record the route carried by an event message.
 
         ``route`` is the forward path the event travelled, publisher first
-        and previous hop last; the stored reverse route therefore starts at
-        our previous hop and ends at the source.
+        and previous hop last.  It is stored as is: every event receipt
+        lands here, but only publisher-pull rounds read a route back, so
+        :meth:`route_to` reverses it on demand.
         """
         if not route:
             return
@@ -40,12 +41,13 @@ class RoutesBuffer:
             raise ValueError(
                 f"event route must start at its source {source}, got {route}"
             )
-        self._routes[source] = tuple(reversed(route))
+        self._routes[source] = route
         self.updates += 1
 
     def route_to(self, source: int) -> Optional[Tuple[int, ...]]:
-        """Hop sequence toward ``source`` (next hop first, source last)."""
-        return self._routes.get(source)
+        """Hop sequence toward ``source`` (previous hop first, source last)."""
+        route = self._routes.get(source)
+        return None if route is None else route[::-1]
 
     def known_sources(self) -> List[int]:
         return sorted(self._routes)

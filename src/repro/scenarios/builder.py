@@ -136,7 +136,8 @@ class Simulation:
             self.pattern_space,
             config.buffer_size,
             record_routes=algorithm_cls.requires_route_recording,
-            on_deliver=self._on_deliver,
+            # Straight to the tracker: the dispatcher passes the clock.
+            on_deliver=self.tracker.on_deliver,
             cache_policy=config.cache_policy,
             cache_rng_factory=(
                 (lambda node_id: self.streams.stream(f"cache[{node_id}]"))
@@ -250,9 +251,6 @@ class Simulation:
         expected = self.system.expected_recipients(event)
         self._receiver_pair_total += len(expected)
         self.tracker.on_publish(event, expected)
-
-    def _on_deliver(self, node_id: int, event: Event, recovered: bool) -> None:
-        self.tracker.on_deliver(node_id, event, recovered, self.sim.now)
 
     # ------------------------------------------------------------------
     # Execution

@@ -15,6 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.faults import FaultPlan, GilbertElliottConfig, scripted_crashes
+from repro.metrics.delivery import DeliveryTracker
 from repro.network.link import Link
 from repro.network.network import Network
 from repro.recovery.degrade import DegradationConfig
@@ -118,3 +119,52 @@ class TestFastPathBinding:
         assert network.config.oob_error_rate == 0.5
         network.set_oob_error_rate(0.0)
         assert network.send_oob.__func__ is Network._send_oob_lossless
+
+
+class TestFusedHopBinding:
+    """What the per-hop event path (``Dispatcher._receive_plain``) calls
+    is decided once at set-up, like the fault-free variants above."""
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        ["subscriber-pull", "publisher-pull", "combined-pull", "random-pull",
+         "ack", "gossip-dissemination"],
+    )
+    def test_observing_algorithms_bind_their_observer(self, algorithm):
+        simulation = Simulation(_config(algorithm=algorithm))
+        for dispatcher in simulation.system.dispatchers:
+            observe = dispatcher.observe_event
+            assert observe.__self__ is dispatcher.recovery
+            assert observe.__func__ is type(dispatcher.recovery).on_event_received
+
+    @pytest.mark.parametrize(
+        "algorithm", ["none", "push", "random-push", "adaptive-push"]
+    )
+    def test_non_observing_algorithms_bind_nothing(self, algorithm):
+        simulation = Simulation(_config(algorithm=algorithm))
+        for dispatcher in simulation.system.dispatchers:
+            assert dispatcher.observe_event is None
+
+    def test_delivery_callback_is_the_tracker_method(self):
+        simulation = Simulation(_config())
+        for dispatcher in simulation.system.dispatchers:
+            callback = dispatcher.on_deliver
+            assert callback.__self__ is simulation.tracker
+            assert callback.__func__ is DeliveryTracker.on_deliver
+        assert not hasattr(Simulation, "_on_deliver")
+
+    def test_match_memo_is_the_live_table_memo(self):
+        simulation = Simulation(_config(n_patterns=4))
+        dispatcher = simulation.system.dispatchers[0]
+        table = dispatcher.table
+        assert dispatcher._match_memo is table._match_cache
+        # Table mutations clear the memo in place; the dispatcher's
+        # reference must keep pointing at the one the table fills.
+        table.matching_directions_for(0, (0,))
+        assert dispatcher._match_memo
+        table.add(3, 99)
+        assert not dispatcher._match_memo
+        table.drop_direction(99)
+        table.matching_directions_for(0, (0,))
+        assert dispatcher._match_memo is table._match_cache
+        assert dispatcher._match_memo

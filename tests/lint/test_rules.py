@@ -106,6 +106,7 @@ class TestRep007Details:
         assert "Link.transmit" in config.hot_path.methods
         assert "Link._drop_*" in config.hot_path.methods
         assert "Dispatcher._forward_event" in config.hot_path.methods
+        assert "Dispatcher._receive_plain" in config.hot_path.methods
         methods = defined_methods(REPO / "src" / "repro")
         stale = [
             pattern

@@ -36,7 +36,7 @@ class TestRecoveredEventHandling:
         system.apply_subscriptions({0: (), 1: (3,)})
         deliveries = []
         system.set_delivery_callback(
-            lambda node, event, recovered: deliveries.append((node, recovered))
+            lambda node, event, recovered, now: deliveries.append((node, recovered))
         )
         event = make_event(source=0, seq=1, patterns=(3,))
         dispatcher = system.dispatchers[1]
@@ -71,7 +71,7 @@ class TestDuplicateTreeCopies:
         system.apply_subscriptions({0: (), 1: (3,)})
         deliveries = []
         system.set_delivery_callback(
-            lambda node, event, recovered: deliveries.append(node)
+            lambda node, event, recovered, now: deliveries.append(node)
         )
         event = make_event(source=0, seq=1, patterns=(3,))
         message = Message(MessageKind.EVENT, (event, None), 0)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.pubsub.event import Event, EventId
@@ -25,6 +27,35 @@ class TestEventId:
 
     def test_not_equal_to_other_types(self):
         assert EventId(1, 2) != (1, 2)
+
+    def test_hash_equals_plain_tuple_hash(self):
+        # What keeps every run signature stable: set and dict iteration
+        # orders over ids depend on these hashes.
+        for source, seq in ((0, 1), (1, 2), (99, 1), (7, 123456), (-1, 0)):
+            assert hash(EventId(source, seq)) == hash((source, seq))
+
+    def test_not_equal_to_plain_tuple_in_either_order(self):
+        assert not EventId(1, 2) == (1, 2)
+        assert not (1, 2) == EventId(1, 2)
+        assert (1, 2) != EventId(1, 2)
+        # Equal hashes, so a dict probe reaches __eq__ and must miss.
+        assert {(1, 2): "tuple"}.get(EventId(1, 2)) is None
+
+    def test_pickle_round_trip(self):
+        # Campaign journals and process pools carry ids across processes.
+        original = EventId(4, 17)
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(original, protocol))
+            assert type(copy) is EventId
+            assert copy == original and copy is not original
+            assert hash(copy) == hash(original)
+            assert {original: "x"}[copy] == "x"
+
+    def test_repr_and_fields(self):
+        event_id = EventId(3, 7)
+        assert repr(event_id) == "EventId(3, 7)"
+        assert event_id.source == 3
+        assert event_id.seq == 7
 
 
 class TestEvent:

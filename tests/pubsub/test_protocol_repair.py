@@ -40,7 +40,7 @@ class TestRepairViaProtocol:
         system.apply_subscriptions({0: (), 3: (5,)})
         deliveries = []
         system.set_delivery_callback(
-            lambda node, event, recovered: deliveries.append(node)
+            lambda node, event, recovered, now: deliveries.append(node)
         )
         system.repair_routes_via_protocol()
         # Publish immediately: the SUBSCRIBE from node 3 has not reached

@@ -30,7 +30,7 @@ class DeliveryLog:
     def __init__(self):
         self.deliveries = []
 
-    def __call__(self, node_id, event, recovered):
+    def __call__(self, node_id, event, recovered, now):
         self.deliveries.append((node_id, event.event_id, recovered))
 
 

@@ -64,7 +64,7 @@ class TestGroundTruth:
     def test_delivery_callback_fanout(self):
         sim, system = make_system()
         seen = []
-        system.set_delivery_callback(lambda n, e, r: seen.append(n))
+        system.set_delivery_callback(lambda n, e, r, t: seen.append(n))
         system.apply_subscriptions({0: (), 3: (5,)})
         system.publish(0, (5,))
         sim.run()

@@ -64,7 +64,7 @@ class RecoveryHarness:
                 recovery.start()
 
     # ------------------------------------------------------------------
-    def _on_deliver(self, node_id, event, recovered):
+    def _on_deliver(self, node_id, event, recovered, now):
         self.deliveries.append((node_id, event.event_id, recovered))
 
     def publish(self, node_id: int, patterns: Tuple[int, ...]):

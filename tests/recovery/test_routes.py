@@ -41,6 +41,19 @@ class TestRoutesBuffer:
         with pytest.raises(ValueError):
             routes.update_from_event_route(0, (1, 0))
 
+    def test_reversed_on_read_and_checked_on_update(self):
+        """The buffer stores the forward route and reverses it only when a
+        publisher-pull round reads it; the source check stays at update."""
+        routes = RoutesBuffer()
+        routes.update_from_event_route(5, (5, 8, 2, 9))
+        assert routes.route_to(5) == (9, 2, 8, 5)  # previous hop first
+        assert routes.route_to(5) == (9, 2, 8, 5)  # reading is repeatable
+        with pytest.raises(ValueError, match="must start at its source"):
+            routes.update_from_event_route(5, (8, 5))
+        # The rejected route left the stored one untouched.
+        assert routes.route_to(5) == (9, 2, 8, 5)
+        assert routes.updates == 1
+
     def test_known_sources_and_forget(self):
         routes = RoutesBuffer()
         routes.update_from_event_route(2, (2,))

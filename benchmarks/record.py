@@ -197,9 +197,11 @@ def bench_forward_event(quick: bool) -> Dict[str, float]:
     def forward() -> int:
         simulation = Simulation(config)
         dispatcher = simulation.system.dispatchers[0]
+        matching = dispatcher.table.matching_directions_for
         for _ in range(count):
             for event in events:
-                dispatcher._forward_event(event, None, exclude=None)
+                directions = matching(event.content_id, event.patterns)
+                dispatcher._forward_event(event, None, None, directions)
         return simulation.sim.pending
 
     return _time(forward, repeats=3)

@@ -32,7 +32,7 @@ therefore supports:
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.pubsub.event import Event, EventId
 
@@ -230,6 +230,31 @@ class EventCache:
             del events[event_id]
             events[event_id] = event
         return event
+
+    def split_loss_keys(
+        self, entries: Iterable[LossKey]
+    ) -> Tuple[List[Event], Tuple[LossKey, ...]]:
+        """:meth:`get_by_loss_key` over a whole negative digest in one call:
+        the cached events in entry order (once per entry met) and the tuple
+        of unmet entries."""
+        if not self._loss_index_active:
+            self._activate_loss_index()
+        by_loss_key = self._by_loss_key
+        events = self._events
+        found: List[Event] = []
+        unmet: List[LossKey] = []
+        for entry in entries:
+            event_id = by_loss_key.get(entry)
+            if event_id is None:
+                unmet.append(entry)
+            elif self._is_lru:
+                found.append(events.pop(event_id))
+                events[event_id] = found[-1]  # refresh: back of the order
+            else:
+                found.append(events[event_id])
+        self.hits += len(found)
+        self.misses += len(unmet)
+        return found, tuple(unmet)
 
     def contains(self, event_id: EventId) -> bool:
         return event_id in self._events

@@ -29,7 +29,7 @@ dict layout is not a bottleneck.
 from __future__ import annotations
 
 from array import array
-from typing import Iterator, List, Optional
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.pubsub.event import Event, EventId
 
@@ -150,6 +150,28 @@ class CompactEventCache:
             return None
         self.hits += 1
         return self._events[index // _LOSS_SLOTS]
+
+    def split_loss_keys(
+        self, entries: Iterable[Tuple[int, int, int]]
+    ) -> Tuple[List[Event], Tuple[Tuple[int, int, int], ...]]:
+        """:meth:`get_by_loss_key` over a whole negative digest in one call:
+        the cached events in entry order and the tuple of unmet entries."""
+        loss_keys = self._loss_keys
+        found: List[Event] = []
+        unmet: List[Tuple[int, int, int]] = []
+        for entry in entries:
+            source, pattern, pattern_seq = entry
+            packed = (
+                source << _LK_SOURCE_SHIFT | pattern << _LK_PATTERN_SHIFT | pattern_seq
+            )
+            # Most entries miss: a membership scan beats a raised ValueError.
+            if packed in loss_keys:
+                found.append(self._events[loss_keys.index(packed) // _LOSS_SLOTS])
+            else:
+                unmet.append(entry)
+        self.hits += len(found)
+        self.misses += len(unmet)
+        return found, tuple(unmet)
 
     def contains(self, event_id: EventId) -> bool:
         return (

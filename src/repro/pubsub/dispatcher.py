@@ -71,8 +71,9 @@ class RecoveryHooks(Protocol):
     #: ``None`` when graceful degradation is disabled.
     peers: Optional[Any]
 
-    #: Observer of every event arrival ``(event, route)``, or ``None`` for
-    #: algorithms that keep no per-event state (no call per hop).
+    #: Observer ``(event, route)``, called once per newly received event
+    #: that matches a local subscription, or ``None`` for algorithms that
+    #: keep no per-event state (no call per hop).
     on_event_received: Optional[Callable[[Event, Route], None]]
 
     def on_event_published(self, event: Event) -> None: ...
@@ -104,7 +105,8 @@ class Dispatcher:
         β, the FIFO event-cache capacity.
     record_routes:
         When true, event messages accumulate the dispatcher ids they
-        traverse (required by publisher-based pull).
+        traverse, and ``routes`` keeps the forward route of the latest
+        event from each source (required by publisher-based pull).
     on_deliver:
         Callback ``(node_id, event, recovered, now)`` invoked at each local
         delivery; the scenario builder binds it straight to the metrics
@@ -112,7 +114,7 @@ class Dispatcher:
     """
 
     __slots__ = ("node_id", "sim", "network", "pattern_space", "table",
-                 "cache", "record_routes", "on_deliver", "on_publish",
+                 "cache", "routes", "on_deliver", "on_publish",
                  "tree_routing_enabled", "recovery", "receive",
                  "receive_oob", "send_gossip", "send_oob_request",
                  "observe_event", "received_ids", "_match_memo",
@@ -147,7 +149,13 @@ class Dispatcher:
             self.cache = EventCache(
                 buffer_size, policy=cache_policy, rng=cache_rng
             )
-        self.record_routes = record_routes
+        #: source -> forward route of its latest event (publisher first,
+        #: previous hop last), wrapped by pull's ``RoutesBuffer``.  Routes
+        #: are recorded iff it is not ``None`` (no flag slot: one more slot
+        #: would grow every dispatcher by 16 bytes).
+        self.routes: Optional[Dict[int, Tuple[int, ...]]] = (
+            {} if record_routes else None
+        )
         self.on_deliver = on_deliver
         #: invoked with the fresh event right after creation, before local
         #: delivery and forwarding (metrics register expectations here).
@@ -206,10 +214,6 @@ class Dispatcher:
             # bound and the hot path carries no tracking work at all.
             self.receive = self._receive_tracked
             self.receive_oob = self._receive_oob_tracked
-
-    @property
-    def local_patterns(self) -> list[int]:
-        return self.table.local_patterns()
 
     def neighbors(self) -> list[int]:
         return self.network.neighbors(self.node_id)
@@ -326,8 +330,8 @@ class Dispatcher:
         # "Each dispatcher caches only events for which it is either the
         # publisher or a subscriber" -- the publisher always caches.
         self.cache.insert(event)
-        route: Route = (self.node_id,) if self.record_routes else None
-        self._forward_event(event, route, exclude=None, directions=directions)
+        route: Route = (self.node_id,) if self.routes is not None else None
+        self._forward_event(event, route, None, directions)
         return event
 
     def _forward_event(
@@ -335,20 +339,12 @@ class Dispatcher:
         event: Event,
         route: Route,
         exclude: Optional[int],
-        directions: Optional[Tuple[int, ...]] = None,
+        directions: Tuple[int, ...],
     ) -> None:
-        """Forward ``event`` to every matching direction but ``exclude``.
-
-        ``directions`` lets callers that already resolved the (memoized)
-        sorted direction tuple for this event content pass it in, saving a
-        second table query per hop.
-        """
+        """Forward ``event`` to every matching direction but ``exclude``;
+        ``directions`` is the caller's (memoized) sorted direction tuple."""
         if not self.tree_routing_enabled:
             return
-        if directions is None:
-            directions = self.table.matching_directions_for(
-                event.content_id, event.patterns
-            )
         self.match_operations += len(event.patterns)
         if not directions:
             return
@@ -381,35 +377,13 @@ class Dispatcher:
                 observer.count_send(_EVENT, node_id)
                 observer.count_drop(_EVENT)
 
-    def receive_recovered_event(self, event: Event) -> None:
+    def receive_recovered_event(self, event: Event) -> bool:
         """Process an event obtained through the recovery machinery.
 
         Recovered events are delivered locally and cached, but *not*
         forwarded on the tree: recovery is point-to-point and every
-        dispatcher recovers on its own behalf.
-        """
-        if event.event_id in self.received_ids:
-            return
-        self.received_ids.add(event.event_id)
-        directions = self.table.matching_directions_for(
-            event.content_id, event.patterns
-        )
-        is_subscriber = bool(directions) and directions[0] == LOCAL
-        if is_subscriber:
-            self._deliver_recovered(event)
-        if self.observe_event is not None:
-            self.observe_event(event, None)
-        if is_subscriber:
-            self.cache.insert(event)
-
-    def ingest_disseminated_event(self, event: Event) -> bool:
-        """Process an event that arrived via gossip-only dissemination.
-
-        Like :meth:`receive_recovered_event` but following the hpcast
-        model the comparator implements: the event is cached whether or
-        not this dispatcher subscribes (everyone relays the epidemic),
-        and never forwarded on the tree.  Returns ``True`` if the event
-        was new.
+        dispatcher recovers on its own behalf.  Returns ``True`` if the
+        event was new.
         """
         if event.event_id in self.received_ids:
             return False
@@ -418,19 +392,27 @@ class Dispatcher:
             event.content_id, event.patterns
         )
         if directions and directions[0] == LOCAL:
-            self._deliver_recovered(event)
-        if self.observe_event is not None:
-            self.observe_event(event, None)
-        self.cache.insert(event)
+            self.recovered_count += 1
+            self.delivered_count += 1
+            if self.on_deliver is not None:
+                self.on_deliver(self.node_id, event, True, self.sim._now)
+            if self.observe_event is not None:
+                self.observe_event(event, None)
+            self.cache.insert(event)
         return True
 
-    def _deliver_recovered(self, event: Event) -> None:
-        """Local delivery of an event obtained outside tree routing (the
-        per-hop receive delivers inline)."""
-        self.recovered_count += 1
-        self.delivered_count += 1
-        if self.on_deliver is not None:
-            self.on_deliver(self.node_id, event, True, self.sim._now)
+    def ingest_disseminated_event(self, event: Event) -> bool:
+        """Process an event that arrived via gossip-only dissemination.
+
+        Like :meth:`receive_recovered_event` but following the hpcast
+        model the comparator implements: the event is cached whether or
+        not this dispatcher subscribes (everyone relays the epidemic).
+        Returns ``True`` if the event was new.
+        """
+        if not self.receive_recovered_event(event):
+            return False
+        self.cache.insert(event)  # a no-op if cached as a subscriber
+        return True
 
     # ------------------------------------------------------------------
     # Primitives offered to the recovery algorithms
@@ -484,8 +466,8 @@ class Dispatcher:
     def _receive_plain(self, message: Message, from_node: int) -> None:
         kind = message.kind
         if kind is _EVENT:
-            # The per-hop event path in one frame: dedup, match, local
-            # delivery, recovery observation, cache insert, forward.
+            # The per-hop event path in one frame: dedup, match, delivery,
+            # recovery observation, cache insert, route learning, forward.
             event, route = message.payload
             event_id = event.event_id
             received_ids = self.received_ids
@@ -500,18 +482,20 @@ class Dispatcher:
                 directions = self.table.matching_directions_for(
                     event.content_id, event.patterns
                 )
-            is_subscriber = directions and directions[0] == LOCAL
-            if is_subscriber:
+            if directions and directions[0] == LOCAL:
                 self.delivered_count += 1
                 on_deliver = self.on_deliver
                 if on_deliver is not None:
                     on_deliver(self.node_id, event, False, self.sim._now)
-            observe = self.observe_event
-            if observe is not None:
-                observe(event, route)
-            if is_subscriber:
+                # Loss detection only runs on locally subscribed streams,
+                # so non-subscribers make no observe call.
+                observe = self.observe_event
+                if observe is not None:
+                    observe(event, route)
                 self.cache.insert(event)
             if route is not None:
+                # Routes are learned on every hop, subscriber or not.
+                self.routes[event_id.source] = route
                 route = route + (self.node_id,)
             self._forward_event(event, route, from_node, directions)
         elif kind is _GOSSIP:

@@ -124,11 +124,11 @@ class AckRecovery(RecoveryAlgorithm):
     # Subscriber side
     # ------------------------------------------------------------------
     def on_event_received(self, event: Event, route) -> None:
-        if self.dispatcher.table.matches_locally(event.patterns):
-            self.dispatcher.send_oob_request(
-                event.source, AckMessage(event.event_id, self.node_id)
-            )
-            self.acks_sent += 1
+        # The dispatcher observes only events matching a local subscription.
+        self.dispatcher.send_oob_request(
+            event.source, AckMessage(event.event_id, self.node_id)
+        )
+        self.acks_sent += 1
 
     # ------------------------------------------------------------------
     # Message handling

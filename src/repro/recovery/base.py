@@ -189,11 +189,11 @@ class RecoveryAlgorithm:
         """Process a gossip message received from a tree neighbor."""
         raise NotImplementedError
 
-    #: ``on_event_received(event, route)`` observes every event arrival;
-    #: ``route`` is the forward route of the event message, or ``None``
-    #: (out-of-band recovery, route recording off).  Subclasses with
-    #: per-event state define it as a method; left ``None`` (push), the
-    #: dispatcher makes no call per received event.
+    #: ``on_event_received(event, route)`` is called once per newly received
+    #: event that matches a local subscription; ``route`` is the message's
+    #: forward route, or ``None`` (out-of-band recovery, route recording
+    #: off).  Subclasses with per-event state define it as a method; left
+    #: ``None`` (push), the dispatcher makes no call per received event.
     on_event_received: Optional[Callable[[Any, Any], None]] = None
 
     def on_event_published(self, event) -> None:
@@ -317,21 +317,13 @@ class RecoveryAlgorithm:
     def serve_from_cache(self, entries, requester: int):
         """Pull-style short-circuit: retransmit the cached subset of a
         negative digest and return the entries still unmet."""
-        remaining = []
-        append = remaining.append
-        dispatcher = self.dispatcher
-        get_by_loss_key = dispatcher.cache.get_by_loss_key
-        send_oob_event = dispatcher.send_oob_event
-        stats = self.stats
-        for entry in entries:
-            event = get_by_loss_key(entry[0], entry[1], entry[2])
-            if event is None:
-                append(entry)
-            else:
-                send_oob_event(requester, event)
-                stats.retransmissions_sent += 1
-                stats.cache_short_circuits += 1
-        return tuple(remaining)
+        events, remaining = self.dispatcher.cache.split_loss_keys(entries)
+        if events:
+            for event in events:
+                self.dispatcher.send_oob_event(requester, event)
+            self.stats.retransmissions_sent += len(events)
+            self.stats.cache_short_circuits += len(events)
+        return remaining
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} node={self.node_id} rounds={self.stats.rounds}>"

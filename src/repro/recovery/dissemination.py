@@ -100,9 +100,6 @@ class GossipDisseminationRecovery(RecoveryAlgorithm):
     def on_event_published(self, event: Event) -> None:
         self._remember(event)
 
-    def on_event_received(self, event: Event, route) -> None:
-        self._remember(event)
-
     # ------------------------------------------------------------------
     def gossip_round(self) -> None:
         if not self._fresh:
@@ -134,7 +131,8 @@ class GossipDisseminationRecovery(RecoveryAlgorithm):
             return
         self.stats.gossip_handled += 1
         for event in payload.events:
-            # Drawback 1 made explicit: everyone ingests and caches
-            # everything it sees, interested or not, to keep the
-            # epidemic alive (ingestion also calls back into _remember).
-            self.dispatcher.ingest_disseminated_event(event)
+            # Drawback 1 made explicit: everyone ingests, caches and
+            # passes on everything new it sees, interested or not, to
+            # keep the epidemic alive.
+            if self.dispatcher.ingest_disseminated_event(event):
+                self._remember(event)

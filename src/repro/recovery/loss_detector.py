@@ -46,9 +46,6 @@ class LostEntry:
         self.seq = seq
         self.detected_at = detected_at
 
-    def key(self) -> LostKey:
-        return (self.source, self.pattern, self.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"LostEntry(src={self.source}, p={self.pattern}, seq={self.seq})"
 
@@ -258,20 +255,18 @@ class LossDetector:
     def entries_for_pattern(self, pattern: int, limit: Optional[int] = None) -> List[LostKey]:
         """Oldest-first loss keys for ``pattern`` (subscriber-based pull)."""
         keys = [
-            entry.key() for entry in self._lost.values() if entry.pattern == pattern
+            (entry.source, pattern, entry.seq)
+            for entry in self._lost.values() if entry.pattern == pattern
         ]
-        if limit is not None:
-            keys = keys[:limit]
-        return keys
+        return keys if limit is None else keys[:limit]
 
     def entries_for_source(self, source: int, limit: Optional[int] = None) -> List[LostKey]:
         """Oldest-first loss keys for ``source`` (publisher-based pull)."""
         keys = [
-            entry.key() for entry in self._lost.values() if entry.source == source
+            (source, entry.pattern, entry.seq)
+            for entry in self._lost.values() if entry.source == source
         ]
-        if limit is not None:
-            keys = keys[:limit]
-        return keys
+        return keys if limit is None else keys[:limit]
 
     def is_pending(self, source: int, pattern: int, seq: int) -> bool:
         return (

@@ -3,7 +3,8 @@
 All pull variants share: sequence-number loss detection feeding the ``Lost``
 buffer, negative digests served (and shrunk) from caches along the way, and
 the out-of-band retransmission path.  Publisher-based routing additionally
-maintains the ``Routes`` buffer from the routes recorded in event messages.
+reads the ``Routes`` buffer, a view of the routes the dispatcher learns
+from event messages.
 
 Both the subscriber-based and the publisher-based mechanics live here, so
 that :class:`~repro.recovery.pull_combined.CombinedPullRecovery` can flip
@@ -42,7 +43,9 @@ class PullRecoveryBase(RecoveryAlgorithm):
         self.detector = LossDetector(
             capacity=config.lost_capacity, give_up_age=config.give_up_age
         )
-        self.routes = RoutesBuffer()
+        # Bound here: attach_recovery runs in the base constructor, before
+        # this slot exists.
+        self.routes = RoutesBuffer(dispatcher.routes)
         self._local_patterns_cache: Optional[frozenset] = None
         # The simulator never changes for the lifetime of a dispatcher;
         # aliasing it (and reading the clock via the raw ``_now`` slot
@@ -50,19 +53,8 @@ class PullRecoveryBase(RecoveryAlgorithm):
         self._sim = dispatcher.sim
 
     # ------------------------------------------------------------------
-    # Loss detection and route learning
+    # Loss detection
     # ------------------------------------------------------------------
-    def _local_patterns(self) -> frozenset:
-        # Local subscriptions are stable during a run (the paper evaluates a
-        # stable-subscription regime); cache the set for the hot path.
-        if self._local_patterns_cache is None:
-            self._local_patterns_cache = frozenset(self.dispatcher.table.local_patterns())
-        return self._local_patterns_cache
-
-    def invalidate_local_patterns(self) -> None:
-        """Call if local subscriptions change mid-run."""
-        self._local_patterns_cache = None
-
     def on_restart(self) -> None:
         """Crash-recovery restart: volatile pull state does not survive.
 
@@ -74,16 +66,18 @@ class PullRecoveryBase(RecoveryAlgorithm):
         """
         super().on_restart()
         self.detector.reset(resync=True)
-        self.routes = RoutesBuffer()
+        self.routes.clear()
         self._local_patterns_cache = None
 
     def on_event_received(self, event, route) -> None:
         local_patterns = self._local_patterns_cache
         if local_patterns is None:
-            local_patterns = self._local_patterns()
+            # Local subscriptions are stable during a run (the paper's
+            # stable-subscription regime): derive the set once.
+            local_patterns = self._local_patterns_cache = frozenset(
+                self.dispatcher.table.local_patterns()
+            )
         self.detector.observe(event, local_patterns, self._sim._now)
-        if route is not None and self.requires_route_recording:
-            self.routes.update_from_event_route(event.event_id.source, route)
 
     # ------------------------------------------------------------------
     # Subscriber-based mechanics

@@ -19,30 +19,14 @@ __all__ = ["RoutesBuffer"]
 
 
 class RoutesBuffer:
-    """Most-recently-observed routes from each event source."""
+    """Most-recently-observed routes from each event source: a view of the
+    dispatcher's ``source -> forward route`` dict, written on every event
+    hop and reversed only when a publisher-pull round reads it."""
 
-    __slots__ = ("_routes", "updates")
+    __slots__ = ("_routes",)
 
-    def __init__(self) -> None:
-        self._routes: Dict[int, Tuple[int, ...]] = {}
-        self.updates = 0
-
-    def update_from_event_route(self, source: int, route: Tuple[int, ...]) -> None:
-        """Record the route carried by an event message.
-
-        ``route`` is the forward path the event travelled, publisher first
-        and previous hop last.  It is stored as is: every event receipt
-        lands here, but only publisher-pull rounds read a route back, so
-        :meth:`route_to` reverses it on demand.
-        """
-        if not route:
-            return
-        if route[0] != source:
-            raise ValueError(
-                f"event route must start at its source {source}, got {route}"
-            )
-        self._routes[source] = route
-        self.updates += 1
+    def __init__(self, routes: Optional[Dict[int, Tuple[int, ...]]] = None) -> None:
+        self._routes = {} if routes is None else routes
 
     def route_to(self, source: int) -> Optional[Tuple[int, ...]]:
         """Hop sequence toward ``source`` (previous hop first, source last)."""
@@ -55,6 +39,11 @@ class RoutesBuffer:
     def forget(self, source: int) -> None:
         self._routes.pop(source, None)
 
+    def clear(self) -> None:
+        """Forget every route, in place: the dispatcher keeps writing the
+        same dict."""
+        self._routes.clear()
+
     def __len__(self) -> int:
         return len(self._routes)
 
@@ -62,4 +51,4 @@ class RoutesBuffer:
         return source in self._routes
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<RoutesBuffer sources={len(self._routes)} updates={self.updates}>"
+        return f"<RoutesBuffer sources={len(self._routes)}>"

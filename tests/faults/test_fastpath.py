@@ -19,6 +19,7 @@ from repro.metrics.delivery import DeliveryTracker
 from repro.network.link import Link
 from repro.network.network import Network
 from repro.recovery.degrade import DegradationConfig
+from repro.recovery.digest import PublisherPullGossip
 from repro.scenarios.builder import Simulation
 from repro.scenarios.config import SimulationConfig
 
@@ -128,7 +129,7 @@ class TestFusedHopBinding:
     @pytest.mark.parametrize(
         "algorithm",
         ["subscriber-pull", "publisher-pull", "combined-pull", "random-pull",
-         "ack", "gossip-dissemination"],
+         "ack"],
     )
     def test_observing_algorithms_bind_their_observer(self, algorithm):
         simulation = Simulation(_config(algorithm=algorithm))
@@ -138,12 +139,54 @@ class TestFusedHopBinding:
             assert observe.__func__ is type(dispatcher.recovery).on_event_received
 
     @pytest.mark.parametrize(
-        "algorithm", ["none", "push", "random-push", "adaptive-push"]
+        "algorithm",
+        ["none", "push", "random-push", "adaptive-push", "gossip-dissemination"],
     )
     def test_non_observing_algorithms_bind_nothing(self, algorithm):
         simulation = Simulation(_config(algorithm=algorithm))
         for dispatcher in simulation.system.dispatchers:
             assert dispatcher.observe_event is None
+
+    @pytest.mark.parametrize("algorithm", ["publisher-pull", "combined-pull"])
+    def test_route_dict_is_the_one_recovery_reads(self, algorithm):
+        """The dispatcher writes routes into the dict ``recovery.routes``
+        wraps, and a restart clears that same dict in place."""
+        simulation = Simulation(_config(algorithm=algorithm))
+        for dispatcher in simulation.system.dispatchers:
+            learned = dispatcher.routes
+            assert type(learned) is dict
+            assert dispatcher.recovery.routes._routes is learned
+            learned[99] = (99,)
+            dispatcher.recovery.on_restart()
+            assert dispatcher.routes is learned
+            assert dispatcher.recovery.routes._routes is learned
+            assert not learned
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        ["none", "push", "random-push", "adaptive-push", "subscriber-pull",
+         "random-pull", "ack", "gossip-dissemination"],
+    )
+    def test_other_algorithms_have_no_route_dict(self, algorithm):
+        simulation = Simulation(_config(algorithm=algorithm))
+        for dispatcher in simulation.system.dispatchers:
+            assert dispatcher.routes is None
+
+    def test_combined_pull_sends_publisher_digests(self):
+        """Routes bound too early (before the pull base creates its
+        buffer) would leave every round without a route: no
+        publisher-based digest would ever be sent."""
+        simulation = Simulation(_config())
+        digests = []
+        for dispatcher in simulation.system.dispatchers:
+            def spy(neighbor, payload, size_bits=None, send=dispatcher.send_gossip):
+                if isinstance(payload, PublisherPullGossip):
+                    digests.append(payload)
+                send(neighbor, payload, size_bits)
+
+            dispatcher.send_gossip = spy
+        simulation.run()
+        assert len(digests) > 0
 
     def test_delivery_callback_is_the_tracker_method(self):
         simulation = Simulation(_config())

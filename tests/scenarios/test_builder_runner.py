@@ -36,7 +36,7 @@ class TestBuilder:
         assert len(simulation.publishers) == 12
         assert simulation.reconfiguration is None
         # Combined pull needs route recording on event messages.
-        assert all(d.record_routes for d in simulation.system.dispatchers)
+        assert all(d.routes is not None for d in simulation.system.dispatchers)
 
     def test_reconfiguration_engine_created_when_requested(self):
         config = SimulationConfig(

@@ -27,7 +27,7 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Tuple, TypeVar
 
-from repro.campaign.executor import ResilientProcessExecutor
+from repro.campaign.executor import ProcessExecutor
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -76,8 +76,9 @@ def _chaos_invoke(action: str, fn: Callable[[T], R], item: T) -> R:
     return fn(item)
 
 
-class ChaosExecutor(ResilientProcessExecutor):
-    """A :class:`ResilientProcessExecutor` with a sabotage script.
+class ChaosExecutor(ProcessExecutor):
+    """A :class:`~repro.campaign.executor.ProcessExecutor` with a sabotage
+    script.
 
     Cells not named in ``events`` run normally; a scripted (index,
     attempt) pair routes through :func:`_chaos_invoke` in the worker.

@@ -1,27 +1,29 @@
-"""Worker-failure-tolerant process fan-out.
+"""The process pool: ordered fan-out that survives worker failures.
 
-:class:`ResilientProcessExecutor` runs the same contract as
-:class:`~repro.parallel.executor.ProcessExecutor` -- ordered ``map`` of a
-pure picklable function -- but survives the failure modes a long campaign
-actually meets:
+:class:`ProcessExecutor` is the one process backend of
+:mod:`repro.parallel` -- ordered ``map`` of a pure picklable function
+over a :class:`~concurrent.futures.ProcessPoolExecutor` -- and it
+survives the failure modes a long campaign actually meets:
 
 * **crashed workers** (OOM kill, segfault): a dead worker breaks the
-  whole :class:`~concurrent.futures.ProcessPoolExecutor`; the pool is
-  rebuilt and every in-flight cell is retried (each charged one attempt,
-  since the coordinator cannot tell victim from bystander);
-* **hung workers**: each cell gets a wall-clock deadline from the moment
-  it is submitted; a cell past its deadline gets the pool's processes
-  killed (the only way to stop a running task), is charged one attempt,
-  and innocent in-flight cells are resubmitted without charge;
-* **raising cells**: retried with exponential backoff
-  (``backoff_base * backoff_factor**(attempt-1)``, capped at
-  ``backoff_max``).
+  whole pool; the pool is rebuilt and every in-flight cell is charged
+  one attempt, since the coordinator cannot tell victim from bystander;
+* **hung workers**: with ``cell_timeout`` set, each cell gets a
+  wall-clock deadline from the moment it is submitted; a cell past its
+  deadline gets the pool's processes killed (the only way to stop a
+  running task), is charged one attempt, and innocent in-flight cells
+  are resubmitted without charge;
+* **raising cells**: charged one attempt, retried after exponential
+  backoff (``backoff_base * 2**(attempt-1)``, capped at 5 s).
 
 A cell that fails ``1 + max_retries`` attempts is *quarantined*: it
 surfaces as a :class:`~repro.parallel.executor.CellFailure` in the
-:class:`ExecutorReport` (and from :meth:`map` as a
-:class:`~repro.parallel.executor.CellFailureError` carrying the ordered
-partial results) -- never silently dropped.
+:class:`~repro.parallel.executor.ExecutorReport` (and from :meth:`map`
+as a :class:`~repro.parallel.executor.CellFailureError` carrying the
+ordered partial results) -- never silently dropped.  With the defaults
+that ``jobs=N`` sweeps use (``max_retries=0``, no deadline) no cell is
+retried, and cells not yet submitted when a worker dies still run on
+the rebuilt pool.  The campaign runtime asks for two retries.
 
 Determinism: cells are pure functions of their item, so retries and pool
 rebuilds cannot change values; results are returned in submission order
@@ -40,67 +42,57 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, TypeVar, cast
 
 from repro.parallel.executor import (
     CellFailure,
     CellFailureError,
+    ExecutorReport,
     ExperimentExecutor,
 )
 
 T = TypeVar("T")
 R = TypeVar("R")
 
-__all__ = ["ExecutorReport", "ResilientProcessExecutor"]
+__all__ = ["ProcessExecutor"]
 
-
-@dataclass
-class ExecutorReport:
-    """What one resilient ``map`` did beyond computing results."""
-
-    #: Resubmissions that charged an attempt (exceptions, crashes, hangs).
-    retries: int = 0
-    #: Cells whose deadline expired at least once.
-    timeouts: int = 0
-    #: Attempts lost to a broken pool (worker death).
-    worker_crashes: int = 0
-    #: Times the process pool was torn down and rebuilt.
-    pool_rebuilds: int = 0
-    #: Cells that exhausted their attempts, in index order.
-    failures: List[CellFailure] = field(default_factory=list)
+#: Growth factor and cap (seconds) of the backoff before a charged retry.
+_BACKOFF_FACTOR = 2.0
+_BACKOFF_MAX = 5.0
 
 
 class _Cell:
     """Mutable bookkeeping for one submitted item."""
 
-    __slots__ = ("index", "item", "attempts", "last_error", "last_kind")
+    __slots__ = ("index", "item", "attempts")
 
     def __init__(self, index: int, item: object) -> None:
         self.index = index
         self.item = item
         self.attempts = 0
-        self.last_error = ""
-        self.last_kind = ""
 
 
-class ResilientProcessExecutor(ExperimentExecutor):
+class ProcessExecutor(ExperimentExecutor):
     """Ordered process fan-out with deadlines, retries, and quarantine.
 
     Parameters
     ----------
     jobs:
-        Worker process count (>= 1).
+        Worker process count (>= 1).  ``jobs=1`` still goes through a
+        single worker process.
     cell_timeout:
         Per-cell wall-clock deadline in seconds; ``None`` disables
         hung-worker detection.
     max_retries:
         Retries after the first attempt (so a cell runs at most
         ``1 + max_retries`` times).
-    backoff_base, backoff_factor, backoff_max:
-        Exponential-backoff schedule applied before a charged retry.
-    clock, sleep:
-        Injectable time sources (tests pass fakes to avoid real waiting).
+    backoff_base:
+        Seconds slept before the first retry of a raising cell; each
+        further retry doubles it, up to 5 s.
+
+    The pool is created per :meth:`map_report` call: experiment fan-outs
+    are coarse (seconds per cell), so pool start-up is noise, and the
+    short-lived pool avoids leaking workers across sweeps.
     """
 
     def __init__(
@@ -108,12 +100,8 @@ class ResilientProcessExecutor(ExperimentExecutor):
         jobs: int,
         *,
         cell_timeout: Optional[float] = None,
-        max_retries: int = 2,
+        max_retries: int = 0,
         backoff_base: float = 0.25,
-        backoff_factor: float = 2.0,
-        backoff_max: float = 5.0,
-        clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -125,10 +113,6 @@ class ResilientProcessExecutor(ExperimentExecutor):
         self.cell_timeout = cell_timeout
         self.max_retries = max_retries
         self.backoff_base = backoff_base
-        self.backoff_factor = backoff_factor
-        self.backoff_max = backoff_max
-        self._clock = clock
-        self._sleep = sleep
 
     # ------------------------------------------------------------------
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
@@ -144,13 +128,11 @@ class ResilientProcessExecutor(ExperimentExecutor):
         items: Sequence[T],
         on_result: Optional[Callable[[int, R], None]] = None,
     ) -> Tuple[List[Optional[R]], ExecutorReport]:
-        """Run every item, retrying failures; never raises for cell faults.
+        """Run every item on the pool, retrying up to ``max_retries``.
 
-        Returns the ordered result list (``None`` at quarantined slots)
-        plus the :class:`ExecutorReport`.  ``on_result(index, result)``
-        fires in the coordinator as each cell completes -- the campaign
-        runtime journals incrementally through it, so results survive
-        even if the coordinator is later killed.
+        Same contract as :meth:`ExperimentExecutor.map_report`;
+        ``on_result`` fires in the coordinator, and the report also counts
+        retries, timeouts, worker crashes and pool rebuilds.
         """
         items = list(items)
         report = ExecutorReport()
@@ -159,24 +141,33 @@ class ResilientProcessExecutor(ExperimentExecutor):
             return results, report
         cells = [_Cell(index, item) for index, item in enumerate(items)]
         ready: Deque[_Cell] = deque(cells)
-        max_attempts = 1 + self.max_retries
         pool = self._new_pool(len(items))
         running: Dict["Future[R]", Tuple[_Cell, float]] = {}
         try:
             while ready or running:
+                pool_broke = False
                 while ready and len(running) < self.jobs:
                     cell = ready.popleft()
                     cell.attempts += 1
-                    future = self._submit(
-                        pool, fn, cast(T, cell.item), cell.index, cell.attempts
-                    )
-                    running[future] = (cell, self._clock() + self._cell_budget())
-                timeout = self._wait_budget(running)
+                    try:
+                        future = self._submit(
+                            pool, fn, cast(T, cell.item), cell.index, cell.attempts
+                        )
+                    except BrokenProcessPool:
+                        # A worker died after the last wait: the pool refuses
+                        # work before it fails the futures in flight.  This
+                        # cell never ran, so it goes back uncharged.
+                        cell.attempts -= 1
+                        ready.appendleft(cell)
+                        pool_broke = True
+                        break
+                    budget = self.cell_timeout or float("inf")
+                    running[future] = (cell, time.monotonic() + budget)
+                timeout = 0.0 if pool_broke else self._wait_budget(running)
                 done, _pending = wait(
                     set(running), timeout=timeout, return_when=FIRST_COMPLETED
                 )
                 crashed: List[_Cell] = []
-                pool_broke = False
                 for future in done:
                     cell, _deadline = running.pop(future)
                     try:
@@ -192,7 +183,6 @@ class ResilientProcessExecutor(ExperimentExecutor):
                             f"{type(exc).__name__}: {exc}",
                             report,
                             ready,
-                            max_attempts,
                             backoff=True,
                         )
                         continue
@@ -213,7 +203,6 @@ class ResilientProcessExecutor(ExperimentExecutor):
                             "BrokenProcessPool: worker died mid-cell",
                             report,
                             ready,
-                            max_attempts,
                             backoff=False,
                         )
                     pool = self._rebuild_pool(pool, report, len(items))
@@ -231,7 +220,6 @@ class ResilientProcessExecutor(ExperimentExecutor):
                             f"cell exceeded {self.cell_timeout}s deadline",
                             report,
                             ready,
-                            max_attempts,
                             backoff=False,
                         )
                     innocents = [
@@ -271,35 +259,22 @@ class ResilientProcessExecutor(ExperimentExecutor):
         error: str,
         report: ExecutorReport,
         ready: Deque[_Cell],
-        max_attempts: int,
         *,
         backoff: bool,
     ) -> None:
         """Record a failed attempt; requeue or quarantine the cell."""
-        cell.last_kind = kind
-        cell.last_error = error
-        if cell.attempts >= max_attempts:
+        if cell.attempts > self.max_retries:
             report.failures.append(
-                CellFailure(
-                    index=cell.index,
-                    kind=kind,
-                    error=error,
-                    attempts=cell.attempts,
-                )
+                CellFailure(cell.index, kind, error, cell.attempts)
             )
             return
         report.retries += 1
         if backoff:
             exponent = max(0, cell.attempts - 1)
-            delay = min(
-                self.backoff_max, self.backoff_base * self.backoff_factor**exponent
-            )
+            delay = min(_BACKOFF_MAX, self.backoff_base * _BACKOFF_FACTOR**exponent)
             if delay > 0:
-                self._sleep(delay)
+                time.sleep(delay)
         ready.append(cell)
-
-    def _cell_budget(self) -> float:
-        return self.cell_timeout if self.cell_timeout is not None else float("inf")
 
     def _wait_budget(
         self, running: Dict["Future[R]", Tuple[_Cell, float]]
@@ -308,14 +283,14 @@ class ResilientProcessExecutor(ExperimentExecutor):
         if self.cell_timeout is None or not running:
             return None
         earliest = min(deadline for _, deadline in running.values())
-        return max(0.0, earliest - self._clock())
+        return max(0.0, earliest - time.monotonic())
 
     def _overdue(
         self, running: Dict["Future[R]", Tuple[_Cell, float]]
     ) -> List[_Cell]:
         if self.cell_timeout is None:
             return []
-        now = self._clock()
+        now = time.monotonic()
         return [cell for cell, deadline in running.values() if now >= deadline]
 
     def _new_pool(self, n_items: int) -> ProcessPoolExecutor:
@@ -330,17 +305,13 @@ class ResilientProcessExecutor(ExperimentExecutor):
         kill: bool = False,
     ) -> ProcessPoolExecutor:
         if kill:
-            self._kill_pool(pool)
+            # SIGKILL the pool's workers: a hung task cannot be cancelled.
+            processes = getattr(pool, "_processes", None) or {}
+            for process in list(processes.values()):
+                process.kill()
         self._shutdown_pool(pool)
         report.pool_rebuilds += 1
         return self._new_pool(n_items)
-
-    @staticmethod
-    def _kill_pool(pool: ProcessPoolExecutor) -> None:
-        """SIGKILL the pool's workers (hung tasks cannot be cancelled)."""
-        processes = getattr(pool, "_processes", None) or {}
-        for process in list(processes.values()):
-            process.kill()
 
     @staticmethod
     def _shutdown_pool(pool: ProcessPoolExecutor) -> None:
@@ -351,6 +322,6 @@ class ResilientProcessExecutor(ExperimentExecutor):
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"<ResilientProcessExecutor jobs={self.jobs} "
+            f"<ProcessExecutor jobs={self.jobs} "
             f"timeout={self.cell_timeout} max_retries={self.max_retries}>"
         )

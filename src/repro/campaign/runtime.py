@@ -5,10 +5,10 @@ through when a campaign directory is given:
 
 1. load the journal and *skip* every already-recorded cell (dedup by
    config digest -- identical configs share one record);
-2. run the remaining cells, journaling each one the moment it completes
-   (serially in-process for ``jobs=1``, else on a
-   :class:`~repro.campaign.executor.ResilientProcessExecutor` that
-   retries crashed/hung workers);
+2. run the remaining cells through one ``map_report`` call, journaling
+   each one the moment it completes (serially in-process for ``jobs=1``,
+   else on a :class:`~repro.campaign.executor.ProcessExecutor` that
+   retries crashed workers and raising cells);
 3. merge journaled + fresh results back into config order and report
    what happened (:class:`CampaignReport`): skipped/executed counts,
    retry totals, and the quarantined failures -- never silently dropped.
@@ -25,13 +25,13 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.campaign.executor import ResilientProcessExecutor
+from repro.campaign.executor import ProcessExecutor
 from repro.campaign.journal import CampaignJournal
 from repro.parallel.executor import (
     CellFailure,
     CellFailureError,
-    ExperimentExecutor,
     JobsSpec,
+    get_executor,
     resolve_jobs,
 )
 from repro.scenarios.config import SimulationConfig
@@ -95,18 +95,13 @@ def run_campaign(
     configs: List[SimulationConfig],
     campaign_dir: Union[str, "os.PathLike[str]"],
     jobs: JobsSpec = None,
-    *,
-    executor: Optional[ExperimentExecutor] = None,
-    cell_timeout: Optional[float] = None,
-    max_retries: int = 2,
 ) -> CampaignResult:
     """Run ``configs`` under the journal at ``campaign_dir``.
 
-    ``jobs`` follows the usual contract (``None``/1 serial, N fans out)
-    except that the parallel backend is always the resilient executor --
-    robustness is the point of a campaign.  Pass ``executor`` explicitly
-    to override (the chaos tests inject :class:`ChaosExecutor` here).
-    ``cell_timeout`` and ``max_retries`` configure the resilient backend.
+    ``jobs`` follows the usual contract (``None``/1 serial, N fans out,
+    an executor instance is used as-is), except that a worker count
+    always gets a :class:`ProcessExecutor` with two retries, even past
+    the host's core count -- robustness is the point of a campaign.
     """
     from repro.scenarios.runner import run_scenario
 
@@ -134,62 +129,30 @@ def run_campaign(
     quarantined: Dict[str, CellFailure] = {}
     if pending:
         report.executed = len(pending)
-        pending_configs = [config for _, config in pending]
-        if executor is None and resolve_jobs(jobs) > 1:
-            executor = ResilientProcessExecutor(
-                resolve_jobs(jobs),
-                cell_timeout=cell_timeout,
-                max_retries=max_retries,
-            )
-        if isinstance(executor, ResilientProcessExecutor):
-
-            def journal_result(index: int, result: RunResult) -> None:
-                digest = pending[index][0]
-                journal.record(result)
-                fresh[digest] = result
-
-            sub_results, exec_report = executor.map_report(
-                run_scenario, pending_configs, on_result=journal_result
-            )
-            report.retries = exec_report.retries
-            report.timeouts = exec_report.timeouts
-            report.worker_crashes = exec_report.worker_crashes
-            report.pool_rebuilds = exec_report.pool_rebuilds
-            for failure in exec_report.failures:
-                digest, config = pending[failure.index]
-                journal.record_failure(
-                    config, failure.kind, failure.error, failure.attempts
-                )
-                quarantined[digest] = failure
+        if isinstance(jobs, int) and resolve_jobs(jobs) > 1:
+            executor = ProcessExecutor(resolve_jobs(jobs), max_retries=2)
         else:
-            # Serial (or caller-supplied plain executor) path: run one
-            # cell at a time, journaling as each completes so a kill at
-            # any point loses at most the in-flight cell.
-            serial = executor  # None means "call run_scenario directly"
-            for digest, config in pending:
-                try:
-                    if serial is None:
-                        result = run_scenario(config)
-                    else:
-                        result = serial.map(run_scenario, [config])[0]
-                except CellFailureError as exc:
-                    inner = exc.failures[0]
-                    journal.record_failure(
-                        config, inner.kind, inner.error, inner.attempts
-                    )
-                    quarantined[digest] = inner
-                except Exception as exc:
-                    journal.record_failure(
-                        config, "exception", f"{type(exc).__name__}: {exc}", 1
-                    )
-                    quarantined[digest] = CellFailure(
-                        index=0,
-                        kind="exception",
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                else:
-                    journal.record(result)
-                    fresh[digest] = result
+            executor = get_executor(jobs)
+
+        def journal_result(index: int, result: RunResult) -> None:
+            journal.record(result)
+            fresh[pending[index][0]] = result
+
+        _, exec_report = executor.map_report(
+            run_scenario,
+            [config for _, config in pending],
+            on_result=journal_result,
+        )
+        report.retries = exec_report.retries
+        report.timeouts = exec_report.timeouts
+        report.worker_crashes = exec_report.worker_crashes
+        report.pool_rebuilds = exec_report.pool_rebuilds
+        for failure in exec_report.failures:
+            digest, config = pending[failure.index]
+            journal.record_failure(
+                config, failure.kind, failure.error, failure.attempts
+            )
+            quarantined[digest] = failure
 
     # Merge journaled + fresh results back into config-position order.
     for position, digest in enumerate(digests):

@@ -202,7 +202,7 @@ class ExecutorPicklableRule(AnalysisRule):
             func_expr = node.func
             if not (
                 isinstance(func_expr, ast.Attribute)
-                and func_expr.attr in ("map", "submit")
+                and func_expr.attr in ("map", "map_report", "submit")
                 and node.args
             ):
                 continue

@@ -5,8 +5,10 @@ algorithm crosses, replication seeds -- over a pluggable executor.  Two
 backends ship:
 
 * :class:`SerialExecutor` -- the default; runs cells in order, in process.
-* :class:`ProcessExecutor` -- a :class:`concurrent.futures.ProcessPoolExecutor`
-  fan-out across CPU cores.
+* :class:`repro.campaign.executor.ProcessExecutor` -- the one process
+  pool, which :func:`get_executor` builds for ``jobs=N``.  It lives in
+  :mod:`repro.campaign` because its optional per-cell deadlines read the
+  wall clock, which this package never does.
 
 Both preserve submission order and, because every simulation is a pure
 function of its :class:`~repro.scenarios.config.SimulationConfig` (no
@@ -19,15 +21,15 @@ Failed cells surface as structured :class:`CellFailure` records inside a
 :class:`CellFailureError` that carries the ordered partial results --
 one bad cell no longer destroys its completed siblings.  For long
 campaigns, :mod:`repro.campaign` builds journaled, resumable execution
-with worker-failure recovery on top of this layer (``map_scenarios``
-routes there when given ``campaign_dir=``).
+on top of this layer (``map_scenarios`` routes there when given
+``campaign_dir=``).
 """
 
 from repro.parallel.executor import (
     CellFailure,
     CellFailureError,
+    ExecutorReport,
     ExperimentExecutor,
-    ProcessExecutor,
     SerialExecutor,
     get_executor,
     map_scenarios,
@@ -37,8 +39,8 @@ from repro.parallel.executor import (
 __all__ = [
     "CellFailure",
     "CellFailureError",
+    "ExecutorReport",
     "ExperimentExecutor",
-    "ProcessExecutor",
     "SerialExecutor",
     "get_executor",
     "map_scenarios",

@@ -14,15 +14,17 @@ Design notes
   ordered list satisfies :class:`ExperimentExecutor`; pass an instance
   wherever a ``jobs=`` parameter is accepted if the two bundled backends
   do not fit (e.g. a cluster submitter).
+* **One pool**: the process backend is
+  :class:`repro.campaign.executor.ProcessExecutor`, imported lazily here.
+  It lives beside the campaign runtime because its per-cell deadlines
+  read the wall clock, which this package never does.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -30,6 +32,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Tuple,
     TypeVar,
     Union,
     cast,
@@ -47,9 +50,9 @@ _log = logging.getLogger(__name__)
 __all__ = [
     "CellFailure",
     "CellFailureError",
+    "ExecutorReport",
     "ExperimentExecutor",
     "SerialExecutor",
-    "ProcessExecutor",
     "resolve_jobs",
     "get_executor",
     "map_scenarios",
@@ -70,12 +73,11 @@ class CellFailure:
     #: Position of the failed item in the submitted sequence.
     index: int
     #: "exception" (fn raised), "worker-crash" (process died mid-cell),
-    #: or "timeout" (exceeded the resilient executor's per-cell deadline).
+    #: or "timeout" (exceeded the process pool's per-cell deadline).
     kind: str
     #: ``TypeName: message`` of the final error observed.
     error: str
-    #: Execution attempts consumed (1 for the plain process executor;
-    #: the resilient executor counts its retries here).
+    #: Execution attempts consumed (1 unless the process pool retried).
     attempts: int = 1
 
 
@@ -102,6 +104,22 @@ class CellFailureError(Exception):
         )
 
 
+@dataclass
+class ExecutorReport:
+    """What one ``map_report`` did beyond computing results."""
+
+    #: Resubmissions that charged an attempt (exceptions, crashes, hangs).
+    retries: int = 0
+    #: Cells whose deadline expired at least once.
+    timeouts: int = 0
+    #: Attempts lost to a broken pool (worker death).
+    worker_crashes: int = 0
+    #: Times the process pool was torn down and rebuilt.
+    pool_rebuilds: int = 0
+    #: Cells that failed for good, in index order.
+    failures: List[CellFailure] = field(default_factory=list)
+
+
 class ExperimentExecutor:
     """Interface: ``map`` a picklable function over items, in order."""
 
@@ -110,6 +128,41 @@ class ExperimentExecutor:
 
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
         raise NotImplementedError
+
+    def map_report(
+        self,
+        fn: Callable[[T], R],
+        items: Sequence[T],
+        on_result: Optional[Callable[[int, R], None]] = None,
+    ) -> Tuple[List[Optional[R]], ExecutorReport]:
+        """Run every item; never raises for cell faults.
+
+        Returns the ordered result list (``None`` at failed slots) plus
+        an :class:`ExecutorReport` naming each failed cell.
+        ``on_result(index, result)`` fires as each cell completes -- the
+        campaign runtime journals through it, so results survive even if
+        the caller is later killed.
+
+        This default runs one item at a time through :meth:`map`, so a
+        ``map``-only executor loses at most the cell in flight.
+        """
+        items = list(items)
+        report = ExecutorReport()
+        results: List[Optional[R]] = [None] * len(items)
+        for index, item in enumerate(items):
+            try:
+                value = self.map(fn, [item])[0]
+            except CellFailureError as exc:
+                report.failures.append(replace(exc.failures[0], index=index))
+            except Exception as exc:
+                report.failures.append(
+                    CellFailure(index, "exception", f"{type(exc).__name__}: {exc}")
+                )
+            else:
+                results[index] = value
+                if on_result is not None:
+                    on_result(index, value)
+        return results, report
 
 
 class SerialExecutor(ExperimentExecutor):
@@ -122,77 +175,6 @@ class SerialExecutor(ExperimentExecutor):
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return "<SerialExecutor>"
-
-
-class ProcessExecutor(ExperimentExecutor):
-    """Fan cells over a :class:`~concurrent.futures.ProcessPoolExecutor`.
-
-    Parameters
-    ----------
-    jobs:
-        Worker process count (>= 1).  ``jobs=1`` still goes through a
-        single worker process, which is occasionally useful to prove that
-        process isolation itself does not change results.
-
-    The pool is created per :meth:`map` call: experiment fan-outs are
-    coarse (seconds per cell), so pool start-up is noise, and the
-    short-lived pool avoids leaking workers across sweeps.
-    """
-
-    def __init__(self, jobs: int) -> None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        items = list(items)
-        if not items:
-            return []
-        workers = min(self.jobs, len(items))
-        results: List[Optional[R]] = [None] * len(items)
-        done = [False] * len(items)
-        failures: List[CellFailure] = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # One future per item (rather than pool.map) so each cell's
-            # outcome is individually observable: a raising or crashed
-            # cell becomes a CellFailure instead of destroying the whole
-            # ordered result list.  Per-item submission also keeps
-            # scheduling granular for unevenly sized cells.
-            futures = {
-                pool.submit(fn, item): index for index, item in enumerate(items)
-            }
-            for future in as_completed(futures):
-                index = futures[future]
-                try:
-                    results[index] = future.result()
-                    done[index] = True
-                except BrokenProcessPool as exc:
-                    # A dead worker poisons every in-flight future with
-                    # this same exception; each affected cell gets its
-                    # own worker-crash record.
-                    failures.append(
-                        CellFailure(
-                            index=index,
-                            kind="worker-crash",
-                            error=f"{type(exc).__name__}: {exc}",
-                        )
-                    )
-                except Exception as exc:
-                    failures.append(
-                        CellFailure(
-                            index=index,
-                            kind="exception",
-                            error=f"{type(exc).__name__}: {exc}",
-                        )
-                    )
-        if failures:
-            failures.sort(key=lambda failure: failure.index)
-            raise CellFailureError(failures, results)
-        assert all(done), "executor lost track of a cell"
-        return cast(List[R], results)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<ProcessExecutor jobs={self.jobs}>"
 
 
 JobsSpec = Union[None, int, ExperimentExecutor]
@@ -213,23 +195,21 @@ def resolve_jobs(jobs: JobsSpec) -> int:
     return jobs
 
 
-def get_executor(
-    jobs: JobsSpec, *, force_processes: bool = False
-) -> ExperimentExecutor:
+def get_executor(jobs: JobsSpec) -> ExperimentExecutor:
     """Build (or pass through) the executor for a ``jobs=`` parameter.
 
     ``None`` and ``1`` select :class:`SerialExecutor`; any other integer
-    selects :class:`ProcessExecutor` with that many workers (``0`` and
-    negatives mean "all CPUs"); an :class:`ExperimentExecutor` instance is
-    returned as-is.
+    selects :class:`~repro.campaign.executor.ProcessExecutor` with that
+    many workers (``0`` and negatives mean "all CPUs"), whose defaults
+    neither retry a cell nor time it out; an :class:`ExperimentExecutor`
+    instance is returned as-is.
 
     When the request asks for more workers than the host has cores, a pool
     cannot run them in parallel -- it only adds pickling and start-up
     overhead (on the 1-CPU CI host, ``jobs=4`` sweeps measured *slower*
     than ``jobs=1``).  Such requests therefore fall back to
     :class:`SerialExecutor` with a logged note; results are bit-identical
-    either way.  Pass ``force_processes=True`` to get the pool regardless
-    (tests proving process isolation does not change results need it).
+    either way.  Pass a ``ProcessExecutor`` instance to keep the pool.
     """
     if isinstance(jobs, ExperimentExecutor):
         return jobs
@@ -237,15 +217,17 @@ def get_executor(
     if count == 1:
         return SerialExecutor()
     cpus = os.cpu_count() or 1
-    if count > cpus and not force_processes:
+    if count > cpus:
         _log.info(
             "jobs=%d exceeds the %d available CPU(s); falling back to the "
-            "serial executor (results are identical; pass "
-            "force_processes=True to keep the pool)",
+            "serial executor (results are identical; pass a ProcessExecutor "
+            "instance to keep the pool)",
             count,
             cpus,
         )
         return SerialExecutor()
+    from repro.campaign.executor import ProcessExecutor
+
     return ProcessExecutor(count)
 
 

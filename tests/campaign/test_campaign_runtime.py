@@ -14,7 +14,11 @@ import pytest
 from repro.campaign.chaos import ChaosEvent, ChaosExecutor
 from repro.campaign.journal import CampaignJournal
 from repro.campaign.runtime import run_campaign
-from repro.parallel.executor import CellFailureError
+from repro.parallel.executor import (
+    CellFailureError,
+    ExperimentExecutor,
+    SerialExecutor,
+)
 from repro.parallel import map_scenarios
 
 from tests.campaign.conftest import tiny_grid
@@ -22,6 +26,31 @@ from tests.campaign.conftest import tiny_grid
 
 def signatures(results):
     return [result.signature() for result in results]
+
+
+class CountingSerial(SerialExecutor):
+    """A caller's executor that claims two jobs and counts its ``map`` calls."""
+
+    jobs = 2
+
+    def __init__(self):
+        self.calls = 0
+
+    def map(self, fn, items):
+        self.calls += 1
+        return super().map(fn, items)
+
+
+class MapOnly(ExperimentExecutor):
+    """An executor with only ``map``: one config always raises."""
+
+    def __init__(self, poisoned):
+        self.poisoned = poisoned
+
+    def map(self, fn, items):
+        if self.poisoned in items:
+            raise RuntimeError("poisoned cell")
+        return [fn(item) for item in items]
 
 
 class TestSerialResume:
@@ -77,7 +106,7 @@ class TestChaosEquivalence:
             max_retries=3,
             backoff_base=0.0,
         )
-        outcome = run_campaign(configs, tmp_path, executor=executor)
+        outcome = run_campaign(configs, tmp_path, jobs=executor)
         report = outcome.report
         assert report.failures == []
         assert report.worker_crashes >= 1
@@ -103,7 +132,7 @@ class TestChaosEquivalence:
             max_retries=3,
             backoff_base=0.0,
         )
-        outcome = run_campaign(configs, tmp_path, executor=executor)
+        outcome = run_campaign(configs, tmp_path, jobs=executor)
         report = outcome.report
         assert report.failures == []
         assert report.worker_crashes == 0
@@ -121,7 +150,7 @@ class TestChaosEquivalence:
         configs = tiny_grid()
         events = [ChaosEvent(3, "raise", attempt=a) for a in (1, 2)]
         executor = ChaosExecutor(2, events, max_retries=1, backoff_base=0.0)
-        broken = run_campaign(configs, tmp_path, executor=executor)
+        broken = run_campaign(configs, tmp_path, jobs=executor)
         assert [f.index for f in broken.report.failures] == [3]
         assert broken.results[3] is None
         with pytest.raises(CellFailureError):
@@ -143,7 +172,7 @@ class TestQuarantineReporting:
         configs = tiny_grid(3)
         events = [ChaosEvent(1, "raise", attempt=a) for a in (1, 2, 3)]
         executor = ChaosExecutor(2, events, max_retries=2, backoff_base=0.0)
-        outcome = run_campaign(configs, tmp_path, executor=executor)
+        outcome = run_campaign(configs, tmp_path, jobs=executor)
         report = outcome.report
         assert report.total == 3
         assert [f.index for f in report.failures] == [1]
@@ -158,6 +187,28 @@ class TestQuarantineReporting:
         assert record["attempts"] == 3
 
 
+class TestMapOnlyExecutor:
+    def test_map_only_executor_journals_and_quarantines(
+        self, tmp_path, reference_results
+    ):
+        configs = tiny_grid()
+        outcome = run_campaign(configs, tmp_path, jobs=MapOnly(configs[1]))
+        report = outcome.report
+        assert report.executed == 4
+        assert [f.index for f in report.failures] == [1]
+        assert report.failures[0].kind == "exception"
+        assert report.failures[0].attempts == 1
+        assert "poisoned cell" in report.failures[0].error
+        assert outcome.results[1] is None
+        kept = [0, 2, 3]
+        assert signatures(outcome.results[i] for i in kept) == signatures(
+            reference_results[i] for i in kept
+        )
+        journal = CampaignJournal(tmp_path)
+        assert len(journal.load()) == 3
+        assert len(journal.failures()) == 1
+
+
 class TestMapScenariosRouting:
     def test_campaign_dir_makes_map_scenarios_resumable(
         self, tmp_path, reference_results
@@ -169,3 +220,13 @@ class TestMapScenariosRouting:
         assert signatures(second) == signatures(first)
         # Second call was served from the journal: still exactly 2 cells.
         assert len(CampaignJournal(tmp_path).load()) == 2
+
+    def test_campaign_dir_keeps_the_callers_executor(self, tmp_path):
+        configs = tiny_grid(2)
+        plain = CountingSerial()
+        map_scenarios(configs, jobs=plain)
+        assert plain.calls == 1
+        journaled = CountingSerial()
+        results = map_scenarios(configs, jobs=journaled, campaign_dir=tmp_path)
+        assert journaled.calls == len(configs)  # one map call per cell
+        assert signatures(results) == signatures(map_scenarios(configs))

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.campaign.executor import ProcessExecutor
 from repro.faults import (
     ChurnProcess,
     FaultPlan,
@@ -26,7 +27,7 @@ from repro.faults import (
     PartitionProcess,
     scripted_crashes,
 )
-from repro.parallel import ProcessExecutor, map_scenarios
+from repro.parallel import map_scenarios
 from repro.recovery.degrade import DegradationConfig
 from repro.scenarios.config import SimulationConfig
 from repro.scenarios.runner import run_scenario

@@ -21,6 +21,7 @@ BAD_EXPECTATIONS = [
     ("rep101_bad.py", "REP101", 1),
     ("rep104_bad.py", "REP104", 2),  # lambda + nested def
     ("rep104_partial_bad.py", "REP104", 3),  # partial of each of those
+    ("rep104_report_bad.py", "REP104", 1),  # lambda to map_report
 ]
 
 
@@ -60,7 +61,7 @@ def test_whole_fixture_directory_counts():
     by_code: dict = {}
     for finding in result.findings:
         by_code[finding.code] = by_code.get(finding.code, 0) + 1
-    assert by_code == {"REP101": 1, "REP104": 5}
+    assert by_code == {"REP101": 1, "REP104": 6}
 
 
 def test_analysis_findings_honor_inline_suppression(tmp_path):

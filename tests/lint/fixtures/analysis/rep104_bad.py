@@ -1,6 +1,6 @@
 """REP104 fixture: unpicklable callables submitted to an executor."""
 
-from repro.parallel.executor import ProcessExecutor
+from repro.campaign.executor import ProcessExecutor
 
 
 def run_all(scenarios):

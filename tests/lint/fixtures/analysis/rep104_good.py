@@ -1,6 +1,6 @@
 """REP104 fixture (clean): a module-level callable is picklable."""
 
-from repro.parallel.executor import ProcessExecutor
+from repro.campaign.executor import ProcessExecutor
 
 
 def run_one(scenario):

@@ -8,7 +8,7 @@ the kind of callable REP104 exists to reject.
 import functools
 from functools import partial
 
-from repro.parallel.executor import ProcessExecutor
+from repro.campaign.executor import ProcessExecutor
 
 
 def run_lambda(scenarios):

@@ -9,7 +9,7 @@ it would be a false positive.
 import functools
 from functools import partial
 
-from repro.parallel.executor import ProcessExecutor
+from repro.campaign.executor import ProcessExecutor
 
 
 def run_one(scenario, scale=1):

@@ -8,7 +8,7 @@ Any divergence means pool state leaked into a result.
 
 from __future__ import annotations
 
-from repro.parallel import ProcessExecutor
+from repro.campaign.executor import ProcessExecutor
 from repro.scenarios.config import SimulationConfig
 from repro.scenarios.replication import run_replications
 from repro.scenarios.results import RunResult

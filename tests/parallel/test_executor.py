@@ -6,9 +6,9 @@ import os
 
 import pytest
 
+from repro.campaign.executor import ProcessExecutor
 from repro.parallel import (
     ExperimentExecutor,
-    ProcessExecutor,
     SerialExecutor,
     get_executor,
     resolve_jobs,
@@ -55,12 +55,17 @@ def test_resolve_jobs():
     assert resolve_jobs(-1) == (os.cpu_count() or 1)
 
 
-def test_get_executor_selection():
+def test_get_executor_selection(monkeypatch):
+    import repro.parallel.executor as executor_module
+
+    monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 8)
     assert isinstance(get_executor(None), SerialExecutor)
     assert isinstance(get_executor(1), SerialExecutor)
-    process = get_executor(4, force_processes=True)
+    process = get_executor(4)
     assert isinstance(process, ProcessExecutor)
     assert process.jobs == 4
+    # The default pool neither retries a cell nor times it out.
+    assert process.max_retries == 0 and process.cell_timeout is None
 
 
 def test_get_executor_falls_back_to_serial_when_oversubscribed(
@@ -75,15 +80,6 @@ def test_get_executor_falls_back_to_serial_when_oversubscribed(
     assert any("falling back" in record.message for record in caplog.records)
     # At or below the core count, the pool is still used.
     assert isinstance(get_executor(2), ProcessExecutor)
-
-
-def test_get_executor_force_processes_overrides_fallback(monkeypatch):
-    import repro.parallel.executor as executor_module
-
-    monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 1)
-    forced = get_executor(4, force_processes=True)
-    assert isinstance(forced, ProcessExecutor)
-    assert forced.jobs == 4
 
 
 def test_get_executor_passes_instances_through():

@@ -23,7 +23,6 @@ See ``examples/`` for complete scenarios and ``benchmarks/`` for the
 reproduction of every figure of the paper's evaluation.
 """
 
-from repro.campaign import run_campaign
 from repro.scenarios.config import SimulationConfig
 from repro.scenarios.builder import Simulation
 from repro.scenarios.results import RunResult
@@ -36,6 +35,16 @@ from repro.pubsub.event import Event, EventId
 from repro.sim.engine import Simulator
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name: str):
+    # ``repro.campaign`` loads the process pool; most imports never need it.
+    if name == "run_campaign":
+        from repro.campaign import run_campaign
+
+        return run_campaign
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "SimulationConfig",

@@ -57,12 +57,10 @@ SEEDS = (
                 "        try:\n",
             ),
             (
-                "                if not current:\n"
-                "                    if not self._advance():",
-                "                if not current:\n"
-                "                    if _wall.monotonic() > wall_deadline:\n"
-                "                        break\n"
-                "                    if not self._advance():",
+                "            while queue and not self._stopped:\n",
+                "            while queue and not self._stopped:\n"
+                "                if _wall.monotonic() > wall_deadline:\n"
+                "                    break\n",
             ),
         ),
         "if _wall.monotonic() > wall_deadline:",

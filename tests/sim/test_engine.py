@@ -49,14 +49,6 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule_at(0.5, lambda: None)
 
-    def test_schedule_in_past_clamps_in_lenient_mode(self):
-        sim = Simulator(strict=False)
-        fired = []
-        sim.schedule(1.0, lambda: sim.schedule_at(0.0, fired.append, "late"))
-        sim.run()
-        assert fired == ["late"]
-        assert sim.now == 1.0
-
     def test_nested_scheduling_from_callbacks(self):
         sim = Simulator()
         fired = []

@@ -14,28 +14,66 @@ class TestEngineChurn:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(), operations=st.integers(min_value=1, max_value=300))
     def test_random_schedule_cancel_interleavings(self, seed, operations):
+        """Every handle never cancelled fires once, in ``(time, seq)`` order.
+
+        The op mix covers relative and absolute schedules over horizons
+        from sub-millisecond to tens of seconds, cancels before the run,
+        and callbacks that schedule and cancel further work mid-run.
+        """
         rng = random.Random(seed)
         sim = Simulator()
+        handles = []  # every handle, indexed by the tag its callback gets
+        live = []  # handles neither fired nor cancelled
+        cancelled = []
         fired = []
-        handles = []
-        for index in range(operations):
-            roll = rng.random()
-            if roll < 0.6 or not handles:
-                handle = sim.schedule(rng.random() * 10, fired.append, index)
-                handles.append((index, handle))
-            else:
-                _, handle = handles.pop(rng.randrange(len(handles)))
+
+        def add(handle):
+            handles.append(handle)
+            live.append(handle)
+
+        def cancel_one():
+            if live:
+                handle = live.pop(rng.randrange(len(live)))
                 handle.cancel()
-        cancelled_late = set()
-        # Cancel a few more mid-run via scheduled cancellations.
-        for _ in range(min(5, len(handles))):
-            index, handle = handles.pop(rng.randrange(len(handles)))
-            sim.schedule(0.0, handle.cancel)  # fires first (t=0)
-            cancelled_late.add(index)
+                cancelled.append(handle)
+
+        def fire(tag):
+            fired.append(handles[tag])
+            live.remove(handles[tag])
+
+        def fire_spawn_and_cancel(tag, delay):
+            fire(tag)
+            add(sim.schedule(delay, fire, len(handles)))
+            if rng.random() < 0.5:
+                cancel_one()
+
+        def fire_and_cancel(tag):
+            fire(tag)
+            cancel_one()
+
+        for _ in range(operations):
+            roll = rng.random()
+            if roll < 0.4 or not live:
+                delay = rng.random() * rng.choice((1e-4, 1e-2, 1.0, 50.0))
+                add(sim.schedule(delay, fire, len(handles)))
+            elif roll < 0.55:
+                add(sim.schedule_at(rng.random() * 5.0, fire, len(handles)))
+            elif roll < 0.8:
+                cancel_one()
+            elif roll < 0.95:
+                add(sim.schedule(
+                    rng.random() * 2.0, fire_spawn_and_cancel, len(handles),
+                    rng.random() * 3.0,
+                ))
+            else:
+                add(sim.schedule(0.0, fire_and_cancel, len(handles)))
         sim.run()
-        assert cancelled_late.isdisjoint(fired)
-        expected = {index for index, _ in handles}
-        assert set(fired) == expected
+        survivors = [handle for handle in handles if handle not in cancelled]
+        assert fired == sorted(survivors, key=lambda h: (h.time, h.seq))
+        assert sim.events_processed == len(fired)
+        assert sim.now == (fired[-1].time if fired else 0.0)
+        assert sim.pending == 0
+        assert sim.cancelled_pending == 0
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(), depth=st.integers(min_value=1, max_value=30))

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import importlib
+import os
 import pathlib
 import pkgutil
 import py_compile
+import subprocess
+import sys
 
 import repro
 
@@ -26,6 +29,23 @@ class TestImports:
 
     def test_version_is_set(self):
         assert repro.__version__
+
+    def test_running_a_scenario_does_not_load_the_process_pool(self):
+        # In a fresh interpreter: this process has already imported every
+        # module (test_every_module_imports).
+        probe = (
+            "import sys\n"
+            "from repro.scenarios.runner import run_scenario\n"
+            "loaded = {'repro.campaign', 'concurrent.futures.process'}\n"
+            "assert not loaded & set(sys.modules), loaded & set(sys.modules)\n"
+            "from repro import run_campaign\n"
+            "assert run_campaign.__module__.startswith('repro.campaign')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        completed = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+        )
+        assert completed.returncode == 0, completed.stderr
 
 
 class TestExamples:

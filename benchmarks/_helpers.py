@@ -1,11 +1,11 @@
 """Shared plumbing for the figure-reproduction benchmarks.
 
-Every benchmark runs its experiment exactly once (``rounds=1``): the
-experiments are deterministic simulations, so repeated rounds would only
-re-measure the same computation.  Each benchmark prints the paper-shaped
-table (visible with ``pytest benchmarks/ --benchmark-only -s``) and asserts
-the qualitative shape the paper reports; EXPERIMENTS.md records the
-paper-vs-measured comparison.
+These are plain pytest tests: each runs its experiment once (the
+experiments are deterministic simulations, so a second run would only
+repeat the same computation), prints the paper-shaped table (visible with
+``pytest benchmarks -s``) and asserts the qualitative shape the paper
+reports; EXPERIMENTS.md records the paper-vs-measured comparison.  Timing
+is the job of ``bench/``, not of these tests.
 
 Set ``REPRO_PAPER_SCALE=1`` to run at the paper's full scale (N = 100,
 25 s simulations) -- slower, but the same harness.
@@ -13,14 +13,14 @@ Set ``REPRO_PAPER_SCALE=1`` to run at the paper's full scale (N = 100,
 
 from __future__ import annotations
 
-import pytest
+#: Worker processes per figure grid.  Results are bit-identical at any
+#: ``jobs``; two workers keep a 2-core host busy without oversubscribing it.
+JOBS = 2
 
 
-def run_once(benchmark, experiment_fn, *args, **kwargs):
-    """Execute ``experiment_fn`` under pytest-benchmark, once."""
-    result = benchmark.pedantic(
-        experiment_fn, args=args, kwargs=kwargs, rounds=1, iterations=1
-    )
+def run_once(experiment_fn, *args, **kwargs):
+    """Run ``experiment_fn`` once and print its table."""
+    result = experiment_fn(*args, **kwargs)
     print()
     print(result.to_table())
     return result

@@ -12,25 +12,34 @@ publisher-driven out-of-band retransmissions) quantifies the trade:
 
 from __future__ import annotations
 
+from benchmarks._helpers import JOBS
 from repro.analysis.tables import format_table
 from repro.scenarios.experiments import base_config
-from repro.scenarios.runner import run_scenario
+from repro.scenarios.sweep import run_grid
+
+ERROR_RATES = (0.01, 0.1)
 
 
 def _recovery_traffic(run):
     return run.oob_messages + run.messages["sent_gossip"]
 
 
-def test_ack_upper_bound_and_its_cost(benchmark):
-    def experiment():
-        results = {}
-        for algorithm in ("ack", "combined-pull"):
-            for eps in (0.01, 0.1):
-                config = base_config().replace(algorithm=algorithm, error_rate=eps)
-                results[(algorithm, eps)] = run_scenario(config)
-        return results
-
-    results = benchmark.pedantic(experiment, rounds=1, iterations=1)
+def test_ack_upper_bound_and_its_cost():
+    grid = run_grid(
+        {
+            algorithm: [
+                base_config().replace(algorithm=algorithm, error_rate=eps)
+                for eps in ERROR_RATES
+            ]
+            for algorithm in ("ack", "combined-pull")
+        },
+        jobs=JOBS,
+    )
+    results = {
+        (algorithm, eps): run
+        for algorithm, runs in grid.items()
+        for eps, run in zip(ERROR_RATES, runs)
+    }
     rows = [
         (
             algorithm,

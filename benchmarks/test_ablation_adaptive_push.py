@@ -8,25 +8,22 @@ essentially intact on lossy networks.
 
 from __future__ import annotations
 
+from benchmarks._helpers import JOBS
+from repro.parallel import map_scenarios
 from repro.scenarios.experiments import base_config
-from repro.scenarios.runner import run_scenario
 
 
-def _run(algorithm, error_rate, load="low"):
-    config = base_config(load=load).replace(
-        algorithm=algorithm, error_rate=error_rate
+def _run(algorithms, error_rate, load):
+    """One run per algorithm, all at ``error_rate`` under ``load``."""
+    base = base_config(load=load).replace(error_rate=error_rate)
+    return map_scenarios(
+        [base.replace(algorithm=algorithm) for algorithm in algorithms],
+        jobs=JOBS,
     )
-    return run_scenario(config)
 
 
-def test_adaptive_push_cuts_idle_overhead(benchmark):
-    def experiment():
-        return (
-            _run("push", error_rate=0.01),
-            _run("adaptive-push", error_rate=0.01),
-        )
-
-    fixed, adaptive = benchmark.pedantic(experiment, rounds=1, iterations=1)
+def test_adaptive_push_cuts_idle_overhead():
+    fixed, adaptive = _run(("push", "adaptive-push"), error_rate=0.01, load="low")
     print(
         f"\nfixed-T push: {fixed.gossip_per_dispatcher:.0f} msgs/disp, "
         f"delivery {fixed.delivery_rate:.3f}"
@@ -41,14 +38,10 @@ def test_adaptive_push_cuts_idle_overhead(benchmark):
     assert adaptive.delivery_rate > fixed.delivery_rate - 0.05
 
 
-def test_adaptive_push_still_recovers_under_loss(benchmark):
-    def experiment():
-        return (
-            _run("none", error_rate=0.1, load="high"),
-            _run("adaptive-push", error_rate=0.1, load="high"),
-        )
-
-    baseline, adaptive = benchmark.pedantic(experiment, rounds=1, iterations=1)
+def test_adaptive_push_still_recovers_under_loss():
+    baseline, adaptive = _run(
+        ("none", "adaptive-push"), error_rate=0.1, load="high"
+    )
     print(
         f"\nbaseline {baseline.delivery_rate:.3f} -> "
         f"adaptive push {adaptive.delivery_rate:.3f}"

@@ -8,23 +8,22 @@ tight buffer, where the policy actually matters.
 
 from __future__ import annotations
 
+from benchmarks._helpers import JOBS
 from repro.analysis.tables import format_table
+from repro.parallel import map_scenarios
 from repro.scenarios.experiments import base_config, equivalent_buffer
-from repro.scenarios.runner import run_scenario
+
+POLICIES = ("fifo", "lru", "random")
 
 
-def test_cache_policy_comparison(benchmark):
+def test_cache_policy_comparison():
     base = base_config().replace(algorithm="combined-pull")
     # A tight buffer (paper-equivalent beta=500): ~1.4 s of persistence.
     tight = base.replace(buffer_size=equivalent_buffer(base, 500))
-
-    def experiment():
-        return {
-            policy: run_scenario(tight.replace(cache_policy=policy))
-            for policy in ("fifo", "lru", "random")
-        }
-
-    results = benchmark.pedantic(experiment, rounds=1, iterations=1)
+    runs = map_scenarios(
+        [tight.replace(cache_policy=policy) for policy in POLICIES], jobs=JOBS
+    )
+    results = dict(zip(POLICIES, runs))
     rows = [
         (
             policy,

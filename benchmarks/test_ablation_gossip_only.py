@@ -13,9 +13,12 @@ delivered fraction against bits moved.
 
 from __future__ import annotations
 
+from benchmarks._helpers import JOBS
 from repro.analysis.tables import format_table
 from repro.scenarios.experiments import base_config
-from repro.scenarios.runner import run_scenario
+from repro.scenarios.sweep import run_grid
+
+ERROR_RATES = (0.0, 0.1)
 
 
 def _traffic(run):
@@ -28,20 +31,23 @@ def _traffic(run):
     )
 
 
-def test_gossip_only_dissemination_tradeoff(benchmark):
-    def experiment():
-        results = {}
-        for algorithm in ("combined-pull", "gossip-dissemination"):
-            for eps in (0.0, 0.1):
-                config = base_config().replace(
-                    algorithm=algorithm,
-                    error_rate=eps,
-                    gossip_interval=0.02,
-                )
-                results[(algorithm, eps)] = run_scenario(config)
-        return results
-
-    results = benchmark.pedantic(experiment, rounds=1, iterations=1)
+def test_gossip_only_dissemination_tradeoff():
+    base = base_config().replace(gossip_interval=0.02)
+    grid = run_grid(
+        {
+            algorithm: [
+                base.replace(algorithm=algorithm, error_rate=eps)
+                for eps in ERROR_RATES
+            ]
+            for algorithm in ("combined-pull", "gossip-dissemination")
+        },
+        jobs=JOBS,
+    )
+    results = {
+        (algorithm, eps): run
+        for algorithm, runs in grid.items()
+        for eps, run in zip(ERROR_RATES, runs)
+    }
     rows = [
         (
             algorithm,

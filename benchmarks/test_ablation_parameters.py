@@ -8,28 +8,30 @@ the reproduction-honesty companion to the figure benchmarks.
 
 from __future__ import annotations
 
+from benchmarks._helpers import JOBS
 from repro.analysis.tables import format_series_table
 from repro.scenarios.experiments import base_config
-from repro.scenarios.runner import run_scenario
+from repro.scenarios.sweep import run_grid
 
 
-def _delivery(algorithm, **overrides):
-    config = base_config().replace(algorithm=algorithm, **overrides)
-    return run_scenario(config).delivery_rate
+def _delivery_curves(algorithms, field, values):
+    """Delivery rate per value of ``field``, one curve per algorithm."""
+    grid = run_grid(
+        {
+            algorithm: [
+                base_config().replace(algorithm=algorithm, **{field: value})
+                for value in values
+            ]
+            for algorithm in algorithms
+        },
+        jobs=JOBS,
+    )
+    return {name: [run.delivery_rate for run in runs] for name, runs in grid.items()}
 
 
-def test_p_forward_sweep(benchmark):
+def test_p_forward_sweep():
     values = (0.2, 0.5, 0.8, 1.0)
-
-    def experiment():
-        return {
-            "push": [_delivery("push", p_forward=v) for v in values],
-            "combined-pull": [
-                _delivery("combined-pull", p_forward=v) for v in values
-            ],
-        }
-
-    curves = benchmark.pedantic(experiment, rounds=1, iterations=1)
+    curves = _delivery_curves(("push", "combined-pull"), "p_forward", values)
     print()
     print(format_series_table("p_forward", list(values), curves, "Ablation: P_forward"))
     # Both algorithms degrade when gossip is pruned too aggressively.
@@ -42,17 +44,9 @@ def test_p_forward_sweep(benchmark):
     assert push_span > pull_span - 0.02
 
 
-def test_p_source_sweep(benchmark):
+def test_p_source_sweep():
     values = (0.0, 0.25, 0.5, 0.75, 1.0)
-
-    def experiment():
-        return {
-            "combined-pull": [
-                _delivery("combined-pull", p_source=v) for v in values
-            ]
-        }
-
-    curves = benchmark.pedantic(experiment, rounds=1, iterations=1)
+    curves = _delivery_curves(("combined-pull",), "p_source", values)
     print()
     print(format_series_table("p_source", list(values), curves, "Ablation: P_source"))
     curve = curves["combined-pull"]
@@ -63,18 +57,9 @@ def test_p_source_sweep(benchmark):
     assert best_mix >= curve[-1] - 0.02
 
 
-def test_oob_loss_sweep(benchmark):
+def test_oob_loss_sweep():
     values = (0.0, 0.1, 0.3)
-
-    def experiment():
-        return {
-            "combined-pull": [
-                _delivery("combined-pull", oob_error_rate=v) for v in values
-            ],
-            "push": [_delivery("push", oob_error_rate=v) for v in values],
-        }
-
-    curves = benchmark.pedantic(experiment, rounds=1, iterations=1)
+    curves = _delivery_curves(("combined-pull", "push"), "oob_error_rate", values)
     print()
     print(
         format_series_table(
@@ -89,18 +74,9 @@ def test_oob_loss_sweep(benchmark):
         assert curve[0] - curve[1] < 0.10, name
 
 
-def test_tree_style_sensitivity(benchmark):
+def test_tree_style_sensitivity():
     styles = ("bushy", "uniform")
-
-    def experiment():
-        return {
-            "none": [_delivery("none", tree_style=s) for s in styles],
-            "combined-pull": [
-                _delivery("combined-pull", tree_style=s) for s in styles
-            ],
-        }
-
-    curves = benchmark.pedantic(experiment, rounds=1, iterations=1)
+    curves = _delivery_curves(("none", "combined-pull"), "tree_style", styles)
     print()
     print(
         format_series_table(

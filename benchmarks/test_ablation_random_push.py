@@ -9,16 +9,16 @@ to full delivery.
 
 from __future__ import annotations
 
-from benchmarks._helpers import run_once
+from benchmarks._helpers import JOBS, run_once
 from repro.scenarios.experiments import fig3a_lossy_delivery
 
 
-def test_random_push_is_extremely_poor(benchmark):
+def test_random_push_is_extremely_poor():
     result = run_once(
-        benchmark,
         fig3a_lossy_delivery,
         error_rate=0.1,
         algorithms=("none", "random-push", "push"),
+        jobs=JOBS,
     )
     rates = dict(zip(result.x_values, result.curves["delivery_rate"]))
     gap_random = rates["random-push"] - rates["none"]

@@ -10,20 +10,17 @@ smaller latency."  This benchmark measures both latencies directly.
 
 from __future__ import annotations
 
+from benchmarks._helpers import JOBS
+from repro.parallel import map_scenarios
 from repro.scenarios.experiments import base_config
-from repro.scenarios.runner import run_scenario
 
 
-def test_pull_recovers_faster_than_push(benchmark):
+def test_pull_recovers_faster_than_push():
     base = base_config()
-
-    def experiment():
-        return (
-            run_scenario(base.replace(algorithm="push")),
-            run_scenario(base.replace(algorithm="combined-pull")),
-        )
-
-    push, pull = benchmark.pedantic(experiment, rounds=1, iterations=1)
+    push, pull = map_scenarios(
+        [base.replace(algorithm="push"), base.replace(algorithm="combined-pull")],
+        jobs=JOBS,
+    )
     push_latency = push.delivery.mean_recovery_latency
     pull_latency = pull.delivery.mean_recovery_latency
     print(

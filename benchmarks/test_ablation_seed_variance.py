@@ -10,17 +10,14 @@ variation of the delivery rate lands in that band.
 
 from __future__ import annotations
 
+from benchmarks._helpers import JOBS
 from repro.scenarios.experiments import base_config
 from repro.scenarios.replication import run_replications
 
 
-def test_seed_variance_is_one_to_two_percent(benchmark):
+def test_seed_variance_is_one_to_two_percent():
     config = base_config().replace(algorithm="combined-pull")
-
-    def experiment():
-        return run_replications(config, seeds=list(range(1, 11)))
-
-    summary = benchmark.pedantic(experiment, rounds=1, iterations=1)
+    summary = run_replications(config, seeds=list(range(1, 11)), jobs=JOBS)
     print(
         f"\ndelivery over 10 seeds: mean={summary.mean:.4f} "
         f"std={summary.std:.4f} cv={summary.coefficient_of_variation:.2%} "

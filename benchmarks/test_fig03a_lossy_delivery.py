@@ -9,7 +9,7 @@ satisfactory rate; combined pull and push come close to full delivery
 
 from __future__ import annotations
 
-from benchmarks._helpers import run_once
+from benchmarks._helpers import JOBS, run_once
 from repro.scenarios.experiments import fig3a_lossy_delivery
 
 
@@ -17,8 +17,8 @@ def _rates(result):
     return dict(zip(result.x_values, result.curves["delivery_rate"]))
 
 
-def test_fig3a_low_error_rate(benchmark):
-    result = run_once(benchmark, fig3a_lossy_delivery, error_rate=0.05)
+def test_fig3a_low_error_rate():
+    result = run_once(fig3a_lossy_delivery, error_rate=0.05, jobs=JOBS)
     rates = _rates(result)
     # Baseline band (tree-shape dependent; paper: ~75 %).
     assert 0.60 < rates["none"] < 0.90
@@ -31,8 +31,8 @@ def test_fig3a_low_error_rate(benchmark):
     assert rates["combined-pull"] > 0.9
 
 
-def test_fig3a_high_error_rate(benchmark):
-    result = run_once(benchmark, fig3a_lossy_delivery, error_rate=0.1)
+def test_fig3a_high_error_rate():
+    result = run_once(fig3a_lossy_delivery, error_rate=0.1, jobs=JOBS)
     rates = _rates(result)
     # Baseline band (paper: ~55 %; shallower bench tree sits a bit higher).
     assert 0.45 < rates["none"] < 0.75

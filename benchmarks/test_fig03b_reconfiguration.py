@@ -10,7 +10,7 @@ even in the overlapping case).
 
 from __future__ import annotations
 
-from benchmarks._helpers import run_once
+from benchmarks._helpers import JOBS, run_once
 from repro.scenarios.experiments import fig3b_reconfiguration
 
 
@@ -18,8 +18,8 @@ def _by_algorithm(result, curve):
     return dict(zip(result.x_values, result.curves[curve]))
 
 
-def test_fig3b_non_overlapping(benchmark):
-    result = run_once(benchmark, fig3b_reconfiguration, interval=0.2)
+def test_fig3b_non_overlapping():
+    result = run_once(fig3b_reconfiguration, interval=0.2, jobs=JOBS)
     rates = _by_algorithm(result, "delivery_rate")
     worst = _by_algorithm(result, "worst_bin")
     # Reconfigurations cost the baseline real deliveries...
@@ -32,8 +32,8 @@ def test_fig3b_non_overlapping(benchmark):
         assert worst[name] > worst["none"], name
 
 
-def test_fig3b_overlapping(benchmark):
-    result = run_once(benchmark, fig3b_reconfiguration, interval=0.03)
+def test_fig3b_overlapping():
+    result = run_once(fig3b_reconfiguration, interval=0.03, jobs=JOBS)
     rates = _by_algorithm(result, "delivery_rate")
     worst = _by_algorithm(result, "worst_bin")
     # The extreme case: overlapping reconfigurations hurt the baseline more

@@ -9,12 +9,12 @@ combined pull is the better of the two at small buffers.
 
 from __future__ import annotations
 
-from benchmarks._helpers import curve_pairs, run_once
+from benchmarks._helpers import JOBS, curve_pairs, run_once
 from repro.scenarios.experiments import fig4_buffer_sweep
 
 
-def test_fig4_buffer_size(benchmark):
-    result = run_once(benchmark, fig4_buffer_sweep)
+def test_fig4_buffer_size():
+    result = run_once(fig4_buffer_sweep, jobs=JOBS)
     curves = result.curves
 
     def final(name):

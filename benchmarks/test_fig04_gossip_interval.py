@@ -8,12 +8,12 @@ combined pull holding up better as the interval between rounds grows.
 
 from __future__ import annotations
 
-from benchmarks._helpers import run_once
+from benchmarks._helpers import JOBS, run_once
 from repro.scenarios.experiments import fig4_interval_sweep
 
 
-def test_fig4_gossip_interval(benchmark):
-    result = run_once(benchmark, fig4_interval_sweep)
+def test_fig4_gossip_interval():
+    result = run_once(fig4_interval_sweep, jobs=JOBS)
     curves = result.curves
 
     # Fastest gossip (first x) vs slowest (last x).

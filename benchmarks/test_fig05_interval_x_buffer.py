@@ -9,7 +9,7 @@ less frequent gossip).
 
 from __future__ import annotations
 
-from benchmarks._helpers import run_once
+from benchmarks._helpers import JOBS, run_once
 from repro.scenarios.experiments import fig5_interval_buffer_grid
 
 
@@ -18,8 +18,8 @@ def _span(curve):
     return max(values) - min(values)
 
 
-def test_fig5_interval_buffer_interplay(benchmark):
-    result = run_once(benchmark, fig5_interval_buffer_grid)
+def test_fig5_interval_buffer_interplay():
+    result = run_once(fig5_interval_buffer_grid, jobs=JOBS)
     curves = result.curves
     smallest = curves["beta=500"]
     mid = curves["beta=1500"]

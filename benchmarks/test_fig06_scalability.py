@@ -10,12 +10,12 @@ per pattern to gossip with).
 
 from __future__ import annotations
 
-from benchmarks._helpers import run_once
+from benchmarks._helpers import JOBS, run_once
 from repro.scenarios.experiments import fig6_scalability
 
 
-def test_fig6_scalability(benchmark):
-    result = run_once(benchmark, fig6_scalability)
+def test_fig6_scalability():
+    result = run_once(fig6_scalability, jobs=JOBS)
     curves = result.curves
 
     # Push and combined pull beat the baseline at every size.

@@ -7,12 +7,12 @@ already reaches about 25 % of dispatchers; πmax = 30 reaches about 80 %,
 
 from __future__ import annotations
 
-from benchmarks._helpers import run_once
+from benchmarks._helpers import JOBS, run_once
 from repro.scenarios.experiments import fig7_receivers_per_event
 
 
-def test_fig7_receivers_per_event(benchmark):
-    result = run_once(benchmark, fig7_receivers_per_event)
+def test_fig7_receivers_per_event():
+    result = run_once(fig7_receivers_per_event, jobs=JOBS)
     receivers = dict(zip(result.x_values, result.curves["receivers"]))
     n = 100  # the experiment pins N = 100 like the paper
 

@@ -13,15 +13,15 @@ persistence *fraction* matches the paper's -- see
 
 from __future__ import annotations
 
-from benchmarks._helpers import run_once
+from benchmarks._helpers import JOBS, run_once
 from repro.scenarios.experiments import fig8_patterns_delivery
 
 PI_VALUES = (1, 2, 4, 8, 12)
 
 
-def test_fig8_low_load(benchmark):
+def test_fig8_low_load():
     result = run_once(
-        benchmark, fig8_patterns_delivery, load="low", pi_values=PI_VALUES
+        fig8_patterns_delivery, load="low", pi_values=PI_VALUES, jobs=JOBS
     )
     curves = result.curves
     for name in ("push", "combined-pull"):
@@ -32,9 +32,9 @@ def test_fig8_low_load(benchmark):
             assert recovered > baseline, name
 
 
-def test_fig8_high_load(benchmark):
+def test_fig8_high_load():
     result = run_once(
-        benchmark, fig8_patterns_delivery, load="high", pi_values=PI_VALUES
+        fig8_patterns_delivery, load="high", pi_values=PI_VALUES, jobs=JOBS
     )
     curves = result.curves
     # Under high load, large pi_max overloads the fixed buffer: delivery

@@ -10,12 +10,12 @@ while gossip touches only a fraction -- falling from ≈ 28 % at 40 nodes to
 
 from __future__ import annotations
 
-from benchmarks._helpers import run_once
+from benchmarks._helpers import JOBS, run_once
 from repro.scenarios.experiments import fig9a_overhead_scale
 
 
-def test_fig9a_overhead_vs_size(benchmark):
-    result = run_once(benchmark, fig9a_overhead_scale)
+def test_fig9a_overhead_vs_size():
+    result = run_once(fig9a_overhead_scale, jobs=JOBS)
     sizes = result.x_values
     for algorithm in ("push", "combined-pull"):
         absolute = result.curves[f"{algorithm}:msgs/disp"]

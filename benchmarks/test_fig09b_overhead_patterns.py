@@ -9,16 +9,14 @@ not keep pace.
 
 from __future__ import annotations
 
-from benchmarks._helpers import run_once
+from benchmarks._helpers import JOBS, run_once
 from repro.scenarios.experiments import fig9b_overhead_patterns
 
 PI_VALUES = (1, 2, 5, 10, 16)
 
 
-def test_fig9b_overhead_vs_patterns(benchmark):
-    result = run_once(
-        benchmark, fig9b_overhead_patterns, pi_values=PI_VALUES
-    )
+def test_fig9b_overhead_vs_patterns():
+    result = run_once(fig9b_overhead_patterns, pi_values=PI_VALUES, jobs=JOBS)
     for algorithm in ("push", "combined-pull"):
         absolute = result.curves[f"{algorithm}:msgs/disp"]
         ratio = result.curves[f"{algorithm}:ratio"]

@@ -10,12 +10,12 @@ in ε.
 
 from __future__ import annotations
 
-from benchmarks._helpers import run_once
+from benchmarks._helpers import JOBS, run_once
 from repro.scenarios.experiments import fig10_overhead_error_rate
 
 
-def test_fig10_high_load(benchmark):
-    result = run_once(benchmark, fig10_overhead_error_rate, load="high")
+def test_fig10_high_load():
+    result = run_once(fig10_overhead_error_rate, load="high", jobs=JOBS)
     push = result.curves["push"]
     pull = result.curves["combined-pull"]
     # Push gossips unconditionally: its overhead is ~flat in eps.
@@ -24,8 +24,8 @@ def test_fig10_high_load(benchmark):
     assert pull[-1] > pull[0]
 
 
-def test_fig10_low_load(benchmark):
-    result = run_once(benchmark, fig10_overhead_error_rate, load="low")
+def test_fig10_low_load():
+    result = run_once(fig10_overhead_error_rate, load="low", jobs=JOBS)
     push = result.curves["push"]
     pull = result.curves["combined-pull"]
     # The paper's headline: at the smallest error rate under low load,

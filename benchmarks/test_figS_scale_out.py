@@ -20,8 +20,8 @@ from repro.scenarios.experiments import fig_scalability
 BENCH_SIZES = (200, 500, 1_000)
 
 
-def test_figS_scale_out(benchmark):
-    result = run_once(benchmark, fig_scalability, sizes=BENCH_SIZES)
+def test_figS_scale_out():
+    result = run_once(fig_scalability, sizes=BENCH_SIZES)
     curves = result.curves
 
     # Recovery keeps working at every size: combined pull on a lossy

@@ -206,8 +206,10 @@ def test_forward_event_throughput(benchmark):
     def forward():
         simulation = Simulation(config)
         dispatcher = simulation.system.dispatchers[0]
+        matching = dispatcher.table.matching_directions_for
         for event in events:
-            dispatcher._forward_event(event, None, exclude=None)
+            directions = matching(event.content_id, event.patterns)
+            dispatcher._forward_event(event, None, None, directions)
         return simulation.sim.pending
 
     pending = benchmark(forward)

@@ -13,9 +13,9 @@
   and results (the campaign journal's encoding).
 
 Every multi-cell entry point (``sweep``, ``sweep_algorithms``,
-``run_many``, ``run_replications``, the ``fig*`` experiments) accepts
-``campaign_dir=`` for journaled, crash-resumable execution -- see
-:mod:`repro.campaign`.
+``run_grid``, ``run_many``, ``run_replications``, the ``fig*`` experiments
+but ``fig_scalability``) accepts ``campaign_dir=`` for journaled,
+crash-resumable execution -- see :mod:`repro.campaign`.
 """
 
 from repro.scenarios.config import SimulationConfig

@@ -28,11 +28,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.faults.plan import ChurnProcess, FaultPlan
-from repro.parallel import map_scenarios
 from repro.recovery import PAPER_ALGORITHMS
 from repro.recovery.degrade import DegradationConfig
 from repro.scenarios.config import SimulationConfig
 from repro.scenarios.results import RunResult
+from repro.scenarios.sweep import run_grid
 
 __all__ = [
     "ExperimentResult",
@@ -161,48 +161,35 @@ class ExperimentResult:
 
 
 # ----------------------------------------------------------------------
-# Generic sweep driver
+# Curve helpers: every figure runs one run_grid and reads curves off it
 # ----------------------------------------------------------------------
-def _run_curves(
-    experiment_id: str,
-    title: str,
-    x_label: str,
-    x_values: Sequence,
-    algorithms: Sequence[str],
-    config_for: Callable[[str], SimulationConfig],
-    apply_x: Callable[[SimulationConfig], SimulationConfig],
-    metric: Callable[[RunResult], float],
-    jobs=None,
-    campaign_dir: Optional[str] = None,
-) -> ExperimentResult:
-    """Run ``algorithms`` x ``x_values`` and collect ``metric`` curves.
-
-    ``config_for(algorithm)`` yields the per-algorithm base config;
-    ``apply_x(config, x)`` specializes it for one x value.  ``jobs`` fans
-    the full algorithm x value grid over worker processes (see
-    :mod:`repro.parallel`).
-    """
-    result = ExperimentResult(experiment_id, title, x_label, list(x_values))
-    cells = [
-        (algorithm, apply_x(config_for(algorithm), x))
-        for algorithm in algorithms
-        for x in x_values
-    ]
-    run_results = map_scenarios(
-        [config for _, config in cells], jobs=jobs, campaign_dir=campaign_dir
-    )
-    grouped: Dict[str, List[RunResult]] = {a: [] for a in algorithms}
-    for (algorithm, _config), run in zip(cells, run_results):
-        grouped[algorithm].append(run)
-    for algorithm in algorithms:
-        runs = grouped[algorithm]
-        result.curves[algorithm] = [metric(run) for run in runs]
-        result.results[algorithm] = runs
-    return result
+def _curves(
+    grid: Dict[str, List[RunResult]], metric: Callable[[RunResult], float]
+) -> Dict[str, List[Optional[float]]]:
+    """One ``metric`` curve per row of a :func:`run_grid` result."""
+    return {name: [metric(run) for run in runs] for name, runs in grid.items()}
 
 
 def _delivery(run: RunResult) -> float:
     return run.delivery_rate
+
+
+def _at_size(config: SimulationConfig, n: int) -> SimulationConfig:
+    """``config`` at ``n`` dispatchers, β scaled for ~4 s of persistence."""
+    scaled = config.replace(n_dispatchers=n)
+    return scaled.replace(buffer_size=scaled.buffer_for_persistence(4.0))
+
+
+def _overhead_curves(
+    grid: Dict[str, List[RunResult]]
+) -> Dict[str, List[Optional[float]]]:
+    """Figure 9's two curves per algorithm: gossip messages per dispatcher
+    and the gossip/event message ratio."""
+    curves: Dict[str, List[Optional[float]]] = {}
+    for algorithm, runs in grid.items():
+        curves[f"{algorithm}:msgs/disp"] = [r.gossip_per_dispatcher for r in runs]
+        curves[f"{algorithm}:ratio"] = [r.gossip_event_ratio for r in runs]
+    return curves
 
 
 # ----------------------------------------------------------------------
@@ -222,20 +209,18 @@ def fig3a_lossy_delivery(
     steady level per algorithm -- we report the steady aggregate and keep
     the full time series in the RunResults.
     """
-    result = ExperimentResult(
+    base = base_config(seed=seed).replace(error_rate=error_rate)
+    grid = run_grid(
+        {"delivery_rate": [base.replace(algorithm=a) for a in algorithms]},
+        jobs=jobs, campaign_dir=campaign_dir,
+    )
+    return ExperimentResult(
         "Fig3a",
         f"delivery under lossy links (eps={error_rate})",
         "algorithm",
         list(algorithms),
+        curves=_curves(grid, _delivery), results=grid,
     )
-    configs = [
-        base_config(seed=seed).replace(algorithm=algorithm, error_rate=error_rate)
-        for algorithm in algorithms
-    ]
-    runs = map_scenarios(configs, jobs=jobs, campaign_dir=campaign_dir)
-    result.curves["delivery_rate"] = [run.delivery_rate for run in runs]
-    result.results["delivery_rate"] = runs
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -255,31 +240,30 @@ def fig3b_reconfiguration(
     aggregate and the *minimum* of the time series (the depth of the spikes
     that recovery is supposed to level out).
     """
-    result = ExperimentResult(
+    base = base_config(seed=seed).replace(
+        error_rate=0.0, reconfiguration_interval=interval
+    )
+    grid = run_grid(
+        {"delivery_rate": [base.replace(algorithm=a) for a in algorithms]},
+        jobs=jobs, campaign_dir=campaign_dir,
+    )
+    runs = grid["delivery_rate"]
+    return ExperimentResult(
         "Fig3b",
         f"delivery under reconfiguration (rho={interval}s)",
         "algorithm",
         list(algorithms),
+        curves={
+            "delivery_rate": [run.delivery_rate for run in runs],
+            "worst_bin": [
+                run.series.clipped(
+                    run.config.measure_start, run.config.effective_measure_end
+                ).min_value()
+                for run in runs
+            ],
+        },
+        results=grid,
     )
-    configs = [
-        base_config(seed=seed).replace(
-            algorithm=algorithm,
-            error_rate=0.0,
-            reconfiguration_interval=interval,
-        )
-        for algorithm in algorithms
-    ]
-    runs = map_scenarios(configs, jobs=jobs, campaign_dir=campaign_dir)
-    minima = []
-    for config, run in zip(configs, runs):
-        window = run.series.clipped(
-            config.measure_start, config.effective_measure_end
-        )
-        minima.append(window.min_value())
-    result.curves["delivery_rate"] = [run.delivery_rate for run in runs]
-    result.curves["worst_bin"] = minima
-    result.results["delivery_rate"] = runs
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -294,19 +278,20 @@ def fig4_buffer_sweep(
 ) -> ExperimentResult:
     """Delivery vs. buffer size β (paper sweeps 500..4000)."""
     base = base_config(seed=seed)
-    return _run_curves(
+    buffers = [equivalent_buffer(base, beta) for beta in paper_betas]
+    grid = run_grid(
+        {
+            a: [base.replace(algorithm=a, buffer_size=b) for b in buffers]
+            for a in algorithms
+        },
+        jobs=jobs, campaign_dir=campaign_dir,
+    )
+    return ExperimentResult(
         "Fig4-top",
         "delivery vs buffer size",
         "beta(paper)",
         list(paper_betas),
-        algorithms,
-        lambda algorithm: base.replace(algorithm=algorithm),
-        lambda config, beta: config.replace(
-            buffer_size=equivalent_buffer(config, beta)
-        ),
-        _delivery,
-        jobs=jobs,
-        campaign_dir=campaign_dir,
+        curves=_curves(grid, _delivery), results=grid,
     )
 
 
@@ -319,17 +304,19 @@ def fig4_interval_sweep(
 ) -> ExperimentResult:
     """Delivery vs. gossip interval T (paper sweeps 0.01..0.055 s)."""
     base = base_config(seed=seed)
-    return _run_curves(
+    grid = run_grid(
+        {
+            a: [base.replace(algorithm=a, gossip_interval=t) for t in intervals]
+            for a in algorithms
+        },
+        jobs=jobs, campaign_dir=campaign_dir,
+    )
+    return ExperimentResult(
         "Fig4-bottom",
         "delivery vs gossip interval",
         "T",
         list(intervals),
-        algorithms,
-        lambda algorithm: base.replace(algorithm=algorithm),
-        lambda config, interval: config.replace(gossip_interval=interval),
-        _delivery,
-        jobs=jobs,
-        campaign_dir=campaign_dir,
+        curves=_curves(grid, _delivery), results=grid,
     )
 
 
@@ -345,30 +332,25 @@ def fig5_interval_buffer_grid(
 ) -> ExperimentResult:
     """Combined pull: delivery vs T, one curve per β."""
     base = base_config(seed=seed).replace(algorithm="combined-pull")
-    result = ExperimentResult(
+    grid = run_grid(
+        {
+            f"beta={beta}": [
+                base.replace(
+                    buffer_size=equivalent_buffer(base, beta), gossip_interval=t
+                )
+                for t in intervals
+            ]
+            for beta in paper_betas
+        },
+        jobs=jobs, campaign_dir=campaign_dir,
+    )
+    return ExperimentResult(
         "Fig5",
         "combined pull: delivery vs T for several beta",
         "T",
         list(intervals),
+        curves=_curves(grid, _delivery), results=grid,
     )
-    cells = [
-        (beta, base.replace(
-            buffer_size=equivalent_buffer(base, beta), gossip_interval=interval
-        ))
-        for beta in paper_betas
-        for interval in intervals
-    ]
-    run_results = map_scenarios(
-        [config for _, config in cells], jobs=jobs, campaign_dir=campaign_dir
-    )
-    for beta in paper_betas:
-        runs = [
-            run for (cell_beta, _), run in zip(cells, run_results)
-            if cell_beta == beta
-        ]
-        result.curves[f"beta={beta}"] = [run.delivery_rate for run in runs]
-        result.results[f"beta={beta}"] = runs
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -389,22 +371,19 @@ def fig6_scalability(
     if sizes is None:
         sizes = (20, 60, 100, 140, 200) if scale_mode() == "paper" else (20, 40, 60, 80)
     base = base_config(seed=seed).replace(n_patterns=70)
-
-    def apply_n(config: SimulationConfig, n: int) -> SimulationConfig:
-        scaled = config.replace(n_dispatchers=n)
-        return scaled.replace(buffer_size=scaled.buffer_for_persistence(4.0))
-
-    return _run_curves(
+    grid = run_grid(
+        {
+            a: [_at_size(base.replace(algorithm=a), n) for n in sizes]
+            for a in algorithms
+        },
+        jobs=jobs, campaign_dir=campaign_dir,
+    )
+    return ExperimentResult(
         "Fig6",
         "delivery vs system size (Pi fixed at 70)",
         "N",
         list(sizes),
-        algorithms,
-        lambda algorithm: base.replace(algorithm=algorithm),
-        apply_n,
-        _delivery,
-        jobs=jobs,
-        campaign_dir=campaign_dir,
+        curves=_curves(grid, _delivery), results=grid,
     )
 
 
@@ -437,20 +416,17 @@ def fig7_receivers_per_event(
         buffer_size=100,
         seed=seed,
     )
-    result = ExperimentResult(
+    grid = run_grid(
+        {"receivers": [base.replace(pi_max=pi_max) for pi_max in pi_values]},
+        jobs=jobs, campaign_dir=campaign_dir,
+    )
+    return ExperimentResult(
         "Fig7",
         "receivers per event vs pi_max (N=100, Pi=70)",
         "pi_max",
         list(pi_values),
+        curves=_curves(grid, lambda run: run.receivers_per_event), results=grid,
     )
-    runs = map_scenarios(
-        [base.replace(pi_max=pi_max) for pi_max in pi_values],
-        jobs=jobs,
-        campaign_dir=campaign_dir,
-    )
-    result.curves["receivers"] = [run.receivers_per_event for run in runs]
-    result.results["receivers"] = runs
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -486,18 +462,20 @@ def fig8_patterns_delivery(
             paper_beta = 4000
         else:
             paper_beta = 1200
-    beta = equivalent_buffer(base, paper_beta)
-    return _run_curves(
+    base = base.replace(buffer_size=equivalent_buffer(base, paper_beta))
+    grid = run_grid(
+        {
+            a: [base.replace(algorithm=a, pi_max=pi_max) for pi_max in pi_values]
+            for a in algorithms
+        },
+        jobs=jobs, campaign_dir=campaign_dir,
+    )
+    return ExperimentResult(
         f"Fig8-{load}",
         f"delivery vs pi_max ({load} load, beta={paper_beta}-equivalent)",
         "pi_max",
         list(pi_values),
-        algorithms,
-        lambda algorithm: base.replace(algorithm=algorithm, buffer_size=beta),
-        lambda config, pi_max: config.replace(pi_max=pi_max),
-        _delivery,
-        jobs=jobs,
-        campaign_dir=campaign_dir,
+        curves=_curves(grid, _delivery), results=grid,
     )
 
 
@@ -515,35 +493,20 @@ def fig9a_overhead_scale(
     if sizes is None:
         sizes = (40, 80, 120, 160, 200) if scale_mode() == "paper" else (20, 40, 60, 80)
     base = base_config(seed=seed).replace(n_patterns=70)
-
-    def apply_n(config: SimulationConfig, n: int) -> SimulationConfig:
-        scaled = config.replace(n_dispatchers=n)
-        return scaled.replace(buffer_size=scaled.buffer_for_persistence(4.0))
-
-    result = ExperimentResult(
-        "Fig9a", "overhead vs system size", "N", list(sizes)
+    grid = run_grid(
+        {
+            a: [_at_size(base.replace(algorithm=a), n) for n in sizes]
+            for a in algorithms
+        },
+        jobs=jobs, campaign_dir=campaign_dir,
     )
-    cells = [
-        (algorithm, apply_n(base.replace(algorithm=algorithm), n))
-        for algorithm in algorithms
-        for n in sizes
-    ]
-    run_results = map_scenarios(
-        [config for _, config in cells], jobs=jobs, campaign_dir=campaign_dir
+    return ExperimentResult(
+        "Fig9a",
+        "overhead vs system size",
+        "N",
+        list(sizes),
+        curves=_overhead_curves(grid), results=grid,
     )
-    for algorithm in algorithms:
-        runs = [
-            run for (cell_algo, _), run in zip(cells, run_results)
-            if cell_algo == algorithm
-        ]
-        result.curves[f"{algorithm}:msgs/disp"] = [
-            run.gossip_per_dispatcher for run in runs
-        ]
-        result.curves[f"{algorithm}:ratio"] = [
-            run.gossip_event_ratio for run in runs
-        ]
-        result.results[algorithm] = runs
-    return result
 
 
 def fig9b_overhead_patterns(
@@ -555,33 +518,21 @@ def fig9b_overhead_patterns(
 ) -> ExperimentResult:
     """Gossip msgs/dispatcher and gossip/event ratio vs πmax."""
     base = base_config(seed=seed)
-    beta = equivalent_buffer(base, 4000)
-    result = ExperimentResult(
-        "Fig9b", "overhead vs subscriptions per dispatcher", "pi_max", list(pi_values)
+    base = base.replace(buffer_size=equivalent_buffer(base, 4000))
+    grid = run_grid(
+        {
+            a: [base.replace(algorithm=a, pi_max=pi_max) for pi_max in pi_values]
+            for a in algorithms
+        },
+        jobs=jobs, campaign_dir=campaign_dir,
     )
-    cells = [
-        (algorithm, base.replace(
-            algorithm=algorithm, pi_max=pi_max, buffer_size=beta
-        ))
-        for algorithm in algorithms
-        for pi_max in pi_values
-    ]
-    run_results = map_scenarios(
-        [config for _, config in cells], jobs=jobs, campaign_dir=campaign_dir
+    return ExperimentResult(
+        "Fig9b",
+        "overhead vs subscriptions per dispatcher",
+        "pi_max",
+        list(pi_values),
+        curves=_overhead_curves(grid), results=grid,
     )
-    for algorithm in algorithms:
-        runs = [
-            run for (cell_algo, _), run in zip(cells, run_results)
-            if cell_algo == algorithm
-        ]
-        result.curves[f"{algorithm}:msgs/disp"] = [
-            run.gossip_per_dispatcher for run in runs
-        ]
-        result.curves[f"{algorithm}:ratio"] = [
-            run.gossip_event_ratio for run in runs
-        ]
-        result.results[algorithm] = runs
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -602,17 +553,19 @@ def fig10_overhead_error_rate(
     buffer are skipped while push gossips unconditionally.
     """
     base = base_config(load=load, seed=seed)
-    return _run_curves(
+    grid = run_grid(
+        {
+            a: [base.replace(algorithm=a, error_rate=eps) for eps in error_rates]
+            for a in algorithms
+        },
+        jobs=jobs, campaign_dir=campaign_dir,
+    )
+    return ExperimentResult(
         f"Fig10-{load}",
         f"overhead vs error rate ({load} load)",
         "eps",
         list(error_rates),
-        algorithms,
-        lambda algorithm: base.replace(algorithm=algorithm),
-        lambda config, eps: config.replace(error_rate=eps),
-        lambda run: run.gossip_per_dispatcher,
-        jobs=jobs,
-        campaign_dir=campaign_dir,
+        curves=_curves(grid, lambda run: run.gossip_per_dispatcher), results=grid,
     )
 
 
@@ -623,7 +576,6 @@ def fig_scalability(
     sizes: Optional[Sequence[int]] = None,
     algorithm: str = "combined-pull",
     seed: int = 1,
-    campaign_dir: Optional[str] = None,
 ) -> ExperimentResult:
     """Delivery, overhead, wall time and peak RSS as N grows to 10⁵.
 
@@ -643,12 +595,9 @@ def fig_scalability(
     so the points run sequentially in this process in ascending N order
     -- RSS grows with N, hence each reading is, to first order, the peak
     of its own point rather than a leftover from a smaller one.  Wall
-    time is measured around each run individually.
-
-    ``campaign_dir`` journals each point as it completes (with its wall
-    and RSS readings attached as ``extra``), so a killed scale sweep --
-    these are the expensive ones -- resumes from the largest completed N
-    with the original measurements intact.
+    time is measured around each run individually.  For the same reason
+    it takes neither ``jobs=`` nor ``campaign_dir=``: a point resumed from
+    a journal or run in a worker has no RSS reading from this process.
     """
     if sizes is None:
         sizes = (
@@ -669,15 +618,6 @@ def fig_scalability(
         "N",
         list(sizes),
     )
-    journal = None
-    journaled = {}
-    if campaign_dir is not None:
-        from repro.campaign.journal import CampaignJournal
-
-        journal = CampaignJournal(campaign_dir)
-        journal.ensure()
-        journaled = journal.load()
-
     runs: List[RunResult] = []
     walls: List[float] = []
     peaks_mb: List[float] = []
@@ -698,20 +638,6 @@ def fig_scalability(
             workload_model="aggregate",
             seed=seed,
         )
-        if journal is not None:
-            from repro.scenarios.serialize import config_digest
-
-            digest = config_digest(config)
-            entry = journaled.get(digest)
-            if entry is not None:
-                # Resumed point: restore the original process's wall and
-                # RSS readings (this process's high-water mark says
-                # nothing about a run it never executed).
-                extra = entry.extra or {}
-                runs.append(entry.result)
-                walls.append(extra.get("wall_seconds", 0.0))
-                peaks_mb.append(extra.get("peak_rss_mb", 0.0))
-                continue
         # Wall-clock reads time the run for reporting only; nothing feeds
         # back into simulation state.
         start = _time.perf_counter()  # repro-lint: disable=REP002
@@ -721,13 +647,6 @@ def fig_scalability(
         if _sys.platform == "darwin":  # pragma: no cover - bytes there
             peak_kb //= 1024
         peaks_mb.append(round(peak_kb / 1024, 1))
-        if journal is not None:
-            journal.record(
-                runs[-1],
-                extra={"wall_seconds": walls[-1], "peak_rss_mb": peaks_mb[-1]},
-            )
-    if journal is not None:
-        journal.compact()
     result.curves["delivery_rate"] = [run.delivery_rate for run in runs]
     result.curves["messages_per_event"] = [
         round(
@@ -771,7 +690,7 @@ def figX_churn_delivery(
     """
     base = base_config(seed=seed).replace(error_rate=error_rate)
 
-    def apply_rate(config: SimulationConfig, rate: float) -> SimulationConfig:
+    def at_rate(config: SimulationConfig, rate: float) -> SimulationConfig:
         if rate == 0.0:
             return config
         plan = FaultPlan(
@@ -783,16 +702,18 @@ def figX_churn_delivery(
         )
         return config.replace(faults=plan, degradation=DegradationConfig())
 
-    return _run_curves(
+    grid = run_grid(
+        {
+            a: [at_rate(base.replace(algorithm=a), rate) for rate in churn_rates]
+            for a in algorithms
+        },
+        jobs=jobs, campaign_dir=campaign_dir,
+    )
+    return ExperimentResult(
         "FigX-churn",
         f"delivery under node churn (eps={error_rate}, "
         f"downtime={mean_downtime}s)",
         "crashes/s",
         list(churn_rates),
-        algorithms,
-        lambda algorithm: base.replace(algorithm=algorithm),
-        apply_rate,
-        _delivery,
-        jobs=jobs,
-        campaign_dir=campaign_dir,
+        curves=_curves(grid, _delivery), results=grid,
     )

@@ -4,22 +4,26 @@ A sweep runs the same base configuration with one (or more) field varied,
 optionally crossed with a set of recovery algorithms -- exactly the
 structure of the paper's Figures 4, 5, 6, 8, 9, and 10.
 
-Every cell of a sweep is independent, so both helpers accept ``jobs``:
+Every cell of a sweep is independent, so every helper accepts ``jobs``:
 ``jobs=1`` (default) runs serially in process, ``jobs=N`` fans the cells
 over N worker processes via :mod:`repro.parallel`, with bit-identical
 results in the same order (only ``wall_clock_seconds`` differs).
+:func:`run_grid` is the one grid driver: ``sweep_algorithms`` and every
+``fig*`` experiment in :mod:`repro.scenarios.experiments` go through it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from repro.parallel import map_scenarios
 from repro.parallel.executor import JobsSpec
 from repro.scenarios.config import SimulationConfig
 from repro.scenarios.results import RunResult
 
-__all__ = ["sweep", "sweep_algorithms", "SweepPoint"]
+__all__ = ["run_grid", "sweep", "sweep_algorithms", "SweepPoint"]
 
 
 class SweepPoint:
@@ -53,6 +57,25 @@ def _sweep_configs(
             config = derive(config, value)
         configs.append(config)
     return configs
+
+
+def run_grid(
+    rows: Mapping[str, Sequence[SimulationConfig]],
+    jobs: JobsSpec = None,
+    campaign_dir: Optional[str] = None,
+) -> Dict[str, List[RunResult]]:
+    """Run a grid of scenarios: ``{row name: configs in column order}``.
+
+    The whole grid is one :func:`~repro.parallel.map_scenarios` call over
+    the cells flattened row by row, so ``jobs`` workers stay busy even
+    when each row is short and ``campaign_dir`` journals every cell.
+    Results come back as ``{row name: [RunResult per column]}`` in the
+    same row and column order.
+    """
+    rows = {name: list(row) for name, row in rows.items()}
+    flat = [config for row in rows.values() for config in row]
+    results = iter(map_scenarios(flat, jobs=jobs, campaign_dir=campaign_dir))
+    return {name: [next(results) for _ in row] for name, row in rows.items()}
 
 
 def sweep(
@@ -96,23 +119,25 @@ def sweep_algorithms(
     when each sweeps only a few values.  ``campaign_dir`` makes the grid
     journaled and resumable (see :mod:`repro.campaign`).
     """
-    cells: List[Tuple[str, Any, SimulationConfig]] = []
-    for algorithm in algorithms:
-        algo_base = base.replace(algorithm=algorithm)
-        if field is None:
-            cells.append((algorithm, None, algo_base))
-        else:
-            for value, config in zip(
-                values, _sweep_configs(algo_base, field, values, derive)
-            ):
-                cells.append((algorithm, value, config))
-    run_results = map_scenarios(
-        [config for _, _, config in cells], jobs=jobs, campaign_dir=campaign_dir
-    )
-    results: Dict[str, List[SweepPoint]] = {algorithm: [] for algorithm in algorithms}
-    for (algorithm, value, config), result in zip(cells, run_results):
-        results[algorithm].append(SweepPoint(value, config.algorithm, result))
-    return results
+    rows = {
+        algorithm: (
+            [base.replace(algorithm=algorithm)]
+            if field is None
+            else _sweep_configs(
+                base.replace(algorithm=algorithm), field, values, derive
+            )
+        )
+        for algorithm in algorithms
+    }
+    xs = [None] if field is None else list(values)
+    grid = run_grid(rows, jobs=jobs, campaign_dir=campaign_dir)
+    return {
+        algorithm: [
+            SweepPoint(x, config.algorithm, result)
+            for x, config, result in zip(xs, rows[algorithm], grid[algorithm])
+        ]
+        for algorithm in algorithms
+    }
 
 
 def series_of(

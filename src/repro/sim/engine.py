@@ -267,6 +267,10 @@ class Simulator:
                         self._cancelled -= 1
                         continue
                     self._now = time
+                    # Off the calendar now: a later cancel() (e.g. a
+                    # periodic tick stopping its own timer) must not count
+                    # it as a cancelled entry still pending.
+                    event._sim = None
                     event.callback(*event.args)
                 processed += 1
                 if budget > 0:
@@ -308,6 +312,9 @@ class Simulator:
 
     def clear(self) -> None:
         """Drop every pending event.  The clock is left unchanged."""
+        for entry in self._queue:
+            if len(entry) == 3:
+                entry[2]._sim = None
         self._queue.clear()
         self._cancelled = 0
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.sim.engine import SimulationError, Simulator
+from repro.sim.timers import PeriodicTimer
 
 
 class TestScheduling:
@@ -95,6 +96,30 @@ class TestCancellation:
         sim.schedule(1.0, later.cancel)
         sim.run()
         assert fired == []
+
+    def test_cancel_after_firing_is_not_counted(self):
+        # A handle cancelling itself from its own callback has already left
+        # the calendar, so nothing cancelled is pending afterwards.
+        sim = Simulator()
+        handle = sim.schedule(1.0, lambda: handle.cancel())
+        sim.run()
+        assert sim.pending == 0
+        assert sim.cancelled_pending == 0
+
+    def test_periodic_timer_stopping_itself_leaves_no_cancelled_entry(self):
+        sim = Simulator()
+        timer = PeriodicTimer(sim, 1.0, lambda: timer.stop())
+        timer.start()
+        sim.run()
+        assert timer.ticks == 1
+        assert (sim.pending, sim.cancelled_pending) == (0, 0)
+
+    def test_cancel_after_clear_is_not_counted(self):
+        sim = Simulator()
+        handle = sim.schedule(1.0, lambda: None)
+        sim.clear()
+        handle.cancel()
+        assert (sim.pending, sim.cancelled_pending) == (0, 0)
 
 
 class TestRunControl:

@@ -18,7 +18,10 @@ class TestEngineChurn:
 
         The op mix covers relative and absolute schedules over horizons
         from sub-millisecond to tens of seconds, cancels before the run,
-        and callbacks that schedule and cancel further work mid-run.
+        and callbacks that schedule and cancel further work mid-run,
+        including cancels of handles that already fired (no-ops).  The run
+        goes in slices of random length, and after each one no more
+        cancelled entries may be counted than the calendar holds.
         """
         rng = random.Random(seed)
         sim = Simulator()
@@ -50,6 +53,9 @@ class TestEngineChurn:
         def fire_and_cancel(tag):
             fire(tag)
             cancel_one()
+            # Cancelling a fired handle (this one, or an earlier one) must
+            # change nothing.
+            rng.choice(fired).cancel()
 
         for _ in range(operations):
             roll = rng.random()
@@ -67,7 +73,9 @@ class TestEngineChurn:
                 ))
             else:
                 add(sim.schedule(0.0, fire_and_cancel, len(handles)))
-        sim.run()
+        while sim.pending:
+            sim.run(max_events=rng.randint(1, 50))
+            assert sim.cancelled_pending <= sim.pending
         survivors = [handle for handle in handles if handle not in cancelled]
         assert fired == sorted(survivors, key=lambda h: (h.time, h.seq))
         assert sim.events_processed == len(fired)

@@ -50,7 +50,7 @@ class TestReadmePromises:
     def test_install_commands_present(self):
         assert "pip install -e ." in README
         assert "pytest tests/" in README
-        assert "pytest benchmarks/ --benchmark-only" in README
+        assert "pytest benchmarks -q --benchmark-disable" in README
 
 
 class TestPerformancePromises:
@@ -64,9 +64,9 @@ class TestPerformancePromises:
         import inspect
 
         from repro.scenarios.replication import run_replications
-        from repro.scenarios.sweep import sweep, sweep_algorithms
+        from repro.scenarios.sweep import run_grid, sweep, sweep_algorithms
 
-        for fn in (sweep, sweep_algorithms, run_replications):
+        for fn in (run_grid, sweep, sweep_algorithms, run_replications):
             assert "jobs" in inspect.signature(fn).parameters, fn.__name__
 
     def test_cli_jobs_flag_documented_and_real(self):

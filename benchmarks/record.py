@@ -292,8 +292,8 @@ def bench_faults_scenario(quick: bool) -> Optional[Dict[str, object]]:
 # Large-topology scenario (compact-state substrate)
 # ----------------------------------------------------------------------
 #: The scale probe: combined pull on a scale-free overlay with the
-#: aggregate workload model and the compact cache layout (auto-selected
-#: at this node count).  Parameters match docs/EXPERIMENTS.md's
+#: aggregate workload model and the compact-state representations
+#: (``SimulationConfig.compact_state``, on at this node count).  Parameters match docs/EXPERIMENTS.md's
 #: fig_scalability sweep.  The *system-wide* publish load is held at 200
 #: events/s regardless of N (the paper's scaling methodology): each event
 #: costs O(N) delivery work and O(subscribers) tracking state, so a fixed

@@ -72,8 +72,6 @@ class JournalEntry:
 
     digest: str
     result: RunResult
-    #: Caller-attached metadata (e.g. fig_scalability's wall/RSS readings).
-    extra: Optional[Dict[str, Any]] = None
     #: Unix timestamp the record was written (reporting only).
     recorded_at: float = 0.0
 
@@ -93,9 +91,7 @@ class CampaignJournal:
         self.failed_dir.mkdir(parents=True, exist_ok=True)
 
     # ------------------------------------------------------------- write
-    def record(
-        self, result: RunResult, extra: Optional[Dict[str, Any]] = None
-    ) -> str:
+    def record(self, result: RunResult) -> str:
         """Persist one completed cell; returns its config digest.
 
         Clears any earlier quarantine record for the cell: success on a
@@ -113,8 +109,6 @@ class CampaignJournal:
             "recorded_at": time.time(),
             "result": result_to_dict(result),
         }
-        if extra is not None:
-            record["extra"] = extra
         line = json.dumps(record, sort_keys=True, separators=(",", ":"))
         atomic_write_text(self.cells_dir / f"{digest}.ndjson", line + "\n")
         failed = self.failed_dir / f"{digest}.json"
@@ -172,7 +166,6 @@ class CampaignJournal:
         entries[record["digest"]] = JournalEntry(
             digest=record["digest"],
             result=result_from_dict(record["result"]),
-            extra=record.get("extra"),
             recorded_at=record.get("recorded_at", 0.0),
         )
 

@@ -158,8 +158,9 @@ class DeliveryTracker:
     ``compact=True`` switches the per-event records to node-id bitmaps
     (O(N/8) bytes per event instead of O(recipients) hash-set entries);
     behaviour is identical, only the representation -- and the
-    speed/memory trade -- changes.  The builder enables it together
-    with the columnar cache layout (``effective_cache_layout``).
+    speed/memory trade -- changes.  The builder enables it from
+    ``COMPACT_STATE_MIN_NODES`` dispatchers up
+    (``SimulationConfig.compact_state``), whatever the cache policy.
     """
 
     def __init__(self, compact: bool = False) -> None:

@@ -157,7 +157,7 @@ class EventCache:
             event = self._events.pop(event_id)
         else:
             # fifo and lru both evict the head; lru differs by refreshing
-            # positions on hits (see get/get_by_loss_key).
+            # positions on hits (see get/split_loss_keys).
             events = self._events
             event_id = next(iter(events))
             event = events.pop(event_id)
@@ -213,30 +213,13 @@ class EventCache:
                 events[event_id] = event
         return event
 
-    def get_by_loss_key(
-        self, source: int, pattern: int, pattern_seq: int
-    ) -> Optional[Event]:
-        """Lookup by loss-detection triple (pull-style digest entries)."""
-        if not self._loss_index_active:
-            self._activate_loss_index()
-        event_id = self._by_loss_key.get((source, pattern, pattern_seq))
-        if event_id is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        events = self._events
-        event = events[event_id]
-        if self._is_lru:
-            del events[event_id]
-            events[event_id] = event
-        return event
-
     def split_loss_keys(
         self, entries: Iterable[LossKey]
     ) -> Tuple[List[Event], Tuple[LossKey, ...]]:
-        """:meth:`get_by_loss_key` over a whole negative digest in one call:
-        the cached events in entry order (once per entry met) and the tuple
-        of unmet entries."""
+        """Look up a whole negative digest in one call: the cached events
+        in entry order (once per entry met) and the tuple of unmet
+        entries.  Each entry met is a hit (and refreshes it under LRU),
+        each unmet one a miss."""
         if not self._loss_index_active:
             self._activate_loss_index()
         by_loss_key = self._by_loss_key
@@ -259,18 +242,11 @@ class EventCache:
     def contains(self, event_id: EventId) -> bool:
         return event_id in self._events
 
-    def matching(self, pattern: int) -> List[Event]:
-        """All cached events matching ``pattern``, oldest first.
+    def matching_ids(self, pattern: int) -> List[EventId]:
+        """Ids of cached events matching ``pattern``, oldest first.
 
         Used by the push algorithm to build its positive digest.
         """
-        if not self._pattern_index_active:
-            self._activate_pattern_index()
-        bucket = self._by_pattern.get(pattern)
-        return list(bucket.values()) if bucket else []
-
-    def matching_ids(self, pattern: int) -> List[EventId]:
-        """Ids of cached events matching ``pattern``, oldest first."""
         if not self._pattern_index_active:
             self._activate_pattern_index()
         bucket = self._by_pattern.get(pattern)
@@ -299,11 +275,6 @@ class EventCache:
 
     def __iter__(self) -> Iterator[Event]:
         return iter(self._events.values())
-
-    def oldest(self) -> Optional[Event]:
-        if not self._events:
-            return None
-        return next(iter(self._events.values()))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

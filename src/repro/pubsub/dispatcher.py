@@ -28,7 +28,6 @@ from typing import (
 from repro.network.message import Message, MessageKind
 from repro.network.network import Network
 from repro.pubsub.cache import EventCache
-from repro.pubsub.compact import CompactEventCache
 from repro.pubsub.event import Event, EventId, EventIdRegistry, ReceivedLog
 from repro.pubsub.pattern import LOCAL, PatternSpace
 from repro.pubsub.subscription import SubscriptionTable
@@ -132,7 +131,6 @@ class Dispatcher:
         on_deliver: Optional[DeliveryCallback] = None,
         cache_policy: str = "fifo",
         cache_rng=None,
-        cache_layout: str = "classic",
         event_registry: Optional[EventIdRegistry] = None,
     ) -> None:
         self.node_id = node_id
@@ -143,12 +141,7 @@ class Dispatcher:
         # The table's match memo, probed inline on every hop (the table
         # clears it in place, so this reference never goes stale).
         self._match_memo = self.table._match_cache
-        if cache_layout == "compact":
-            self.cache = CompactEventCache(buffer_size, policy=cache_policy)
-        else:
-            self.cache = EventCache(
-                buffer_size, policy=cache_policy, rng=cache_rng
-            )
+        self.cache = EventCache(buffer_size, policy=cache_policy, rng=cache_rng)
         #: source -> forward route of its latest event (publisher first,
         #: previous hop last), wrapped by pull's ``RoutesBuffer``.  Routes
         #: are recorded iff it is not ``None`` (no flag slot: one more slot
@@ -181,7 +174,7 @@ class Dispatcher:
 
         #: ids of every event ever received (normally or via recovery);
         #: used for duplicate suppression and push-digest checks.  With a
-        #: shared dense registry (the compact layout) this is a bitmap
+        #: shared dense registry (compact systems) this is a bitmap
         #: over it -- a hash set here was the largest per-node structure
         #: at 10^5 nodes; without one it stays a plain set (C-speed
         #: membership on the paper-scale hot path).

@@ -45,6 +45,10 @@ class PubSubSystem:
         Enable route accumulation on event messages (publisher-based pull).
     on_deliver:
         Delivery callback propagated to every dispatcher.
+    compact:
+        Keep every dispatcher's received-id log as a bitmap over one
+        shared dense :class:`EventIdRegistry` (large systems) instead of
+        a hash set.
     """
 
     def __init__(
@@ -58,19 +62,17 @@ class PubSubSystem:
         on_deliver: Optional[DeliveryCallback] = None,
         cache_policy: str = "fifo",
         cache_rng_factory=None,
-        cache_layout: str = "classic",
+        compact: bool = False,
     ) -> None:
         self.sim = sim
         self.network = network
         self.pattern_space = pattern_space
         self.dispatchers: List[Dispatcher] = []
         #: One dense event-id index shared by every node's received log --
-        #: only materialized for the compact layout, where the per-node
-        #: logs become bitmaps over it.  Classic-layout nodes keep plain
-        #: hash sets (C-speed membership on the per-receipt hot path).
-        self.event_registry = (
-            EventIdRegistry() if cache_layout == "compact" else None
-        )
+        #: only materialized for compact systems, where the per-node logs
+        #: become bitmaps over it.  Otherwise nodes keep plain hash sets
+        #: (C-speed membership on the per-receipt hot path).
+        self.event_registry = EventIdRegistry() if compact else None
         for node_id in range(tree.node_count):
             dispatcher = Dispatcher(
                 node_id,
@@ -82,7 +84,6 @@ class PubSubSystem:
                 on_deliver=on_deliver,
                 cache_policy=cache_policy,
                 cache_rng=cache_rng_factory(node_id) if cache_rng_factory else None,
-                cache_layout=cache_layout,
                 event_registry=self.event_registry,
             )
             network.add_node(dispatcher)

@@ -97,12 +97,7 @@ class Simulation:
 
         # --- metrics ----------------------------------------------------
         self.counters = MessageCounters(config.n_dispatchers)
-        # The compact (bitmap) tracker records ride with the columnar
-        # cache layout: same scale threshold, same representation-only
-        # contract.
-        self.tracker = DeliveryTracker(
-            compact=config.effective_cache_layout == "compact"
-        )
+        self.tracker = DeliveryTracker(compact=config.compact_state)
 
         # --- network + dispatchers ---------------------------------------
         # Burst-loss models (when configured) replace the Bernoulli draws;
@@ -144,7 +139,7 @@ class Simulation:
                 if config.cache_policy == "random"
                 else None
             ),
-            cache_layout=config.effective_cache_layout,
+            compact=config.compact_state,
         )
 
         # --- subscriptions (stable regime: laid down via the oracle) -----
@@ -163,7 +158,7 @@ class Simulation:
         # draw sequences), 2-word splitmix64 state for the large sweeps.
         gossip_stream = (
             self.streams.compact_stream
-            if config.effective_gossip_rng == "compact"
+            if config.compact_state
             else self.streams.stream
         )
         self.recoveries: List[RecoveryAlgorithm] = [

@@ -30,14 +30,11 @@ from repro.network.network import NetworkConfig
 from repro.recovery.base import RecoveryConfig
 from repro.recovery.degrade import DegradationConfig
 
-__all__ = ["SimulationConfig", "COMPACT_CACHE_MIN_NODES", "COMPACT_RNG_MIN_NODES"]
+__all__ = ["SimulationConfig", "COMPACT_STATE_MIN_NODES"]
 
-#: System size from which FIFO runs use the columnar event cache and
-#: bitmap delivery records (:attr:`SimulationConfig.effective_cache_layout`).
-COMPACT_CACHE_MIN_NODES = 1000
-#: System size from which the per-node gossip streams are splitmix64
-#: generators (:attr:`SimulationConfig.effective_gossip_rng`).
-COMPACT_RNG_MIN_NODES = 1000
+#: System size from which a run keeps its per-node and per-event state
+#: compact (:attr:`SimulationConfig.compact_state`).
+COMPACT_STATE_MIN_NODES = 1000
 
 
 @dataclass(frozen=True)
@@ -221,32 +218,17 @@ class SimulationConfig:
         return max(self.measure_start + 1e-9, self.sim_time - 1.5)
 
     @property
-    def effective_cache_layout(self) -> str:
-        """The event-buffer layout this run uses.
+    def compact_state(self) -> bool:
+        """Whether this run uses the large-scale state representations.
 
-        "compact" (the columnar FIFO ring of repro.pubsub.compact) for
-        FIFO runs of at least :data:`COMPACT_CACHE_MIN_NODES` dispatchers,
-        "classic" (dict-indexed, every eviction policy) otherwise.  The
-        compact ring's O(β) scans make it several times slower at the
-        paper's β, so paper-scale runs keep the classic layout.
+        From :data:`COMPACT_STATE_MIN_NODES` dispatchers up, the per-node
+        gossip streams are 2-word splitmix64 generators (~50 B/node; see
+        repro.sim.rng.CompactRandom), received-id logs are bitmaps over
+        one shared event-id registry, and delivery records are node-id
+        bitmaps.  Below it every paper-scale run keeps one Mersenne
+        Twister per dispatcher (its frozen draw sequences) and hash sets.
         """
-        if (
-            self.cache_policy == "fifo"
-            and self.n_dispatchers >= COMPACT_CACHE_MIN_NODES
-        ):
-            return "compact"
-        return "classic"
-
-    @property
-    def effective_gossip_rng(self) -> str:
-        """The generator behind the per-node gossip streams.
-
-        "compact" (2-word splitmix64 state, ~50 B/node; see
-        repro.sim.rng.CompactRandom) from :data:`COMPACT_RNG_MIN_NODES`
-        dispatchers up, "mt" (one Mersenne Twister per dispatcher) below,
-        so every paper-scale run keeps its frozen draw sequences.
-        """
-        return "compact" if self.n_dispatchers >= COMPACT_RNG_MIN_NODES else "mt"
+        return self.n_dispatchers >= COMPACT_STATE_MIN_NODES
 
     @property
     def subscribers_per_pattern(self) -> float:

@@ -581,7 +581,8 @@ def fig_scalability(
 
     The paper stops at N = 200 (Figure 6); this extension rides the
     compact-state substrate -- scale-free overlay, aggregate workload
-    model, auto-selected columnar cache layout -- to three orders of
+    model, splitmix64 gossip streams and bitmap received-id logs and
+    delivery records from N = 1000 -- to three orders of
     magnitude beyond.  The *system-wide* publish load is held at 200
     events/s across all sizes (the paper scales N under a fixed event
     rate, and each event costs O(N) delivery work plus O(subscribers)

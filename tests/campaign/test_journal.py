@@ -39,10 +39,15 @@ class TestRecordAndLoad:
         assert entries[digest].result.signature() == tiny_result.signature()
         assert entries[digest].recorded_at > 0
 
-    def test_extra_metadata_round_trips(self, tmp_path, tiny_result):
+    def test_old_record_with_extra_key_loads(self, tmp_path, tiny_result):
+        # Records written while JournalEntry had an ``extra`` field may
+        # carry the key; it is ignored, not an error.
         journal = CampaignJournal(tmp_path)
-        digest = journal.record(tiny_result, extra={"peak_rss_mb": 41.5})
-        assert journal.load()[digest].extra == {"peak_rss_mb": 41.5}
+        digest = journal.record(tiny_result)
+        path = journal.cells_dir / f"{digest}.ndjson"
+        record = json.loads(path.read_text())
+        path.write_text(json.dumps({**record, "extra": {"peak_rss_mb": 41.5}}))
+        assert journal.load()[digest].result.signature() == tiny_result.signature()
 
     def test_rerecord_overwrites_single_record(self, tmp_path, tiny_result):
         journal = CampaignJournal(tmp_path)

@@ -109,7 +109,6 @@ class TestRep007Details:
         assert "Dispatcher._receive_plain" in config.hot_path.methods
         assert "PullRecoveryBase.on_event_received" in config.hot_path.methods
         assert "EventCache.split_loss_keys" in config.hot_path.methods
-        assert "CompactEventCache.split_loss_keys" in config.hot_path.methods
         methods = defined_methods(REPO / "src" / "repro")
         stale = [
             pattern

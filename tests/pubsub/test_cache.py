@@ -55,11 +55,11 @@ class TestBasics:
 
     def test_oldest(self):
         cache = EventCache(5)
-        assert cache.oldest() is None
+        assert next(iter(cache), None) is None
         e1, e2 = make_event(seq=1), make_event(seq=2)
         cache.insert(e1)
         cache.insert(e2)
-        assert cache.oldest() is e1
+        assert next(iter(cache)) is e1
 
 
 class TestIndexes:
@@ -67,10 +67,11 @@ class TestIndexes:
         cache = EventCache(10)
         event = make_event(source=2, seq=5, patterns=(3, 8), pattern_seqs={3: 11, 8: 4})
         cache.insert(event)
-        assert cache.get_by_loss_key(2, 3, 11) is event
-        assert cache.get_by_loss_key(2, 8, 4) is event
-        assert cache.get_by_loss_key(2, 3, 12) is None
-        assert cache.get_by_loss_key(9, 3, 11) is None
+        found, unmet = cache.split_loss_keys(
+            ((2, 3, 11), (2, 8, 4), (2, 3, 12), (9, 3, 11))
+        )
+        assert found == [event, event]
+        assert unmet == ((2, 3, 12), (9, 3, 11))
 
     def test_loss_key_removed_on_eviction(self):
         cache = EventCache(1)
@@ -78,8 +79,9 @@ class TestIndexes:
         e2 = make_event(source=0, seq=2, patterns=(4,), pattern_seqs={4: 1})
         cache.insert(e1)
         cache.insert(e2)
-        assert cache.get_by_loss_key(0, 3, 1) is None
-        assert cache.get_by_loss_key(0, 4, 1) is e2
+        assert cache.split_loss_keys(((0, 3, 1), (0, 4, 1))) == (
+            [e2], ((0, 3, 1),)
+        )
 
     def test_matching_returns_oldest_first(self):
         cache = EventCache(10)
@@ -87,10 +89,9 @@ class TestIndexes:
         other = make_event(seq=4, patterns=(9,))
         for event in events + [other]:
             cache.insert(event)
-        assert cache.matching(7) == events
         assert cache.matching_ids(7) == [e.event_id for e in events]
-        assert cache.matching(9) == [other]
-        assert cache.matching(1) == []
+        assert cache.matching_ids(9) == [other.event_id]
+        assert cache.matching_ids(1) == []
 
     def test_pattern_index_consistent_after_eviction(self):
         cache = EventCache(2)
@@ -133,8 +134,9 @@ class TestProperties:
             )
         for event in cache:
             for pattern, seq in event.pattern_seqs.items():
-                assert cache.get_by_loss_key(event.source, pattern, seq) is event
+                key = (event.source, pattern, seq)
+                assert cache.split_loss_keys((key,)) == ([event], ())
                 assert event.event_id in cache.matching_ids(pattern)
         for pattern in range(8):
-            for event in cache.matching(pattern):
-                assert cache.contains(event.event_id)
+            for event_id in cache.matching_ids(pattern):
+                assert cache.contains(event_id)

@@ -1,9 +1,9 @@
 """``split_loss_keys``: one call per negative digest, differentially
-equal to a per-entry ``get_by_loss_key`` loop.
+equal to a per-entry scan of the cache contents.
 
-Two caches of the same layout and policy see the same operation stream;
-one serves every digest through the batch lookup, the other through the
-per-entry loop.  After every step both must return the same events (by
+Two caches of the same policy see the same operation stream; one serves
+every digest through the batch lookup, the other through the per-entry
+reference.  After every step both must return the same events (by
 identity, in entry order) and unmet entries, keep the same hit/miss
 totals, and hold their contents in the same order (which is where a
 missed LRU refresh shows).
@@ -16,7 +16,6 @@ import random
 import pytest
 
 from repro.pubsub.cache import EventCache
-from repro.pubsub.compact import CompactEventCache
 from repro.pubsub.event import Event, EventId
 
 
@@ -25,20 +24,22 @@ def _event(source: int, seq: int, pattern_seqs: dict) -> Event:
 
 
 def _per_entry(cache, entries):
-    """The reference: one ``get_by_loss_key`` frame per digest entry."""
+    """The reference: per digest entry, scan the cached events for the
+    one carrying that loss key; a hit goes through ``get`` (hit count,
+    LRU refresh), a miss is counted by hand."""
     found, unmet = [], []
-    for entry in entries:
-        event = cache.get_by_loss_key(*entry)
-        if event is None:
-            unmet.append(entry)
+    for source, pattern, seq in entries:
+        for event in cache:
+            if event.source == source and event.pattern_seqs.get(pattern) == seq:
+                found.append(cache.get(event.event_id))
+                break
         else:
-            found.append(event)
+            unmet.append((source, pattern, seq))
+            cache.misses += 1
     return found, tuple(unmet)
 
 
-def _pair(layout: str, policy: str, capacity: int):
-    if layout == "compact":
-        return CompactEventCache(capacity), CompactEventCache(capacity)
+def _pair(policy: str, capacity: int):
     if policy == "random":
         return (
             EventCache(capacity, policy="random", rng=random.Random(7)),
@@ -55,14 +56,13 @@ def _stats(cache) -> tuple:
     return (cache.insertions, cache.evictions, cache.hits, cache.misses)
 
 
-CASES = [("classic", "fifo"), ("classic", "lru"), ("classic", "random"),
-         ("compact", "fifo")]
+POLICIES = ["fifo", "lru", "random"]
 
 
-@pytest.mark.parametrize("layout,policy", CASES)
-def test_random_stream_matches_per_entry_loop(layout, policy):
+@pytest.mark.parametrize("policy", POLICIES)
+def test_random_stream_matches_per_entry_loop(policy):
     rng = random.Random(2024)
-    batch, loop = _pair(layout, policy, capacity=12)
+    batch, loop = _pair(policy, capacity=12)
     next_seq = {}
     pattern_seq = {}
     for _step in range(1500):
@@ -91,9 +91,9 @@ def test_random_stream_matches_per_entry_loop(layout, policy):
     assert batch.hits > 0 and batch.misses > 0
 
 
-@pytest.mark.parametrize("layout,policy", CASES)
-def test_two_keys_of_one_event_return_it_twice(layout, policy):
-    batch, loop = _pair(layout, policy, capacity=4)
+@pytest.mark.parametrize("policy", POLICIES)
+def test_two_keys_of_one_event_return_it_twice(policy):
+    batch, loop = _pair(policy, capacity=4)
     both = _event(0, 1, {3: 1, 5: 1})
     other = _event(0, 2, {3: 2})
     for cache in (batch, loop):
@@ -135,7 +135,7 @@ def test_loss_index_activates_lazily():
 
 
 def test_empty_and_unmet_digests():
-    for cache in (EventCache(2), CompactEventCache(2)):
-        assert cache.split_loss_keys(()) == ([], ())
-        assert cache.split_loss_keys(((0, 1, 1),)) == ([], ((0, 1, 1),))
-        assert (cache.hits, cache.misses) == (0, 1)
+    cache = EventCache(2)
+    assert cache.split_loss_keys(()) == ([], ())
+    assert cache.split_loss_keys(((0, 1, 1),)) == ([], ((0, 1, 1),))
+    assert (cache.hits, cache.misses) == (0, 1)

@@ -42,7 +42,7 @@ class TestLru:
         e3 = make_event(source=0, seq=3, patterns=(5,), pattern_seqs={5: 1})
         cache.insert(e1)
         cache.insert(e2)
-        cache.get_by_loss_key(0, 3, 1)
+        cache.split_loss_keys(((0, 3, 1),))
         cache.insert(e3)
         assert cache.contains(e1.event_id)
         assert not cache.contains(e2.event_id)
@@ -93,7 +93,8 @@ class TestRandom:
         for event in cache:
             assert cache.get(event.event_id) is event
             for pattern, seq in event.pattern_seqs.items():
-                assert cache.get_by_loss_key(event.source, pattern, seq) is event
+                key = (event.source, pattern, seq)
+                assert cache.split_loss_keys((key,)) == ([event], ())
                 assert event.event_id in cache.matching_ids(pattern)
 
 

@@ -131,14 +131,14 @@ class TestRunInvariants:
     def test_determinism_with_compact_gossip_rng(self, monkeypatch):
         # The splitmix64 gossip streams must be as replayable as the
         # Mersenne Twister ones, and still recover losses.
-        monkeypatch.setattr(config_module, "COMPACT_RNG_MIN_NODES", 1)
+        monkeypatch.setattr(config_module, "COMPACT_STATE_MIN_NODES", 1)
         config = SimulationConfig(
             algorithm="combined-pull",
             error_rate=0.15,
             seed=11,
             **FAST,
         )
-        assert config.effective_gossip_rng == "compact"
+        assert config.compact_state
         a = run_scenario(config)
         b = run_scenario(config)
         assert a.signature()[1:] == b.signature()[1:]

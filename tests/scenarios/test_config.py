@@ -73,12 +73,12 @@ class TestValidation:
 
     def test_gossip_rng_resolved_from_system_size(self, monkeypatch):
         small = SimulationConfig(n_dispatchers=100)
-        assert small.effective_gossip_rng == "mt"
+        assert not small.compact_state
         large = small.replace(n_dispatchers=5000)
-        assert large.effective_gossip_rng == "compact"
-        monkeypatch.setattr(config_module, "COMPACT_RNG_MIN_NODES", 100)
-        assert small.effective_gossip_rng == "compact"
-        assert small.effective_cache_layout == "classic"
+        assert large.compact_state
+        assert large.replace(cache_policy="lru").compact_state
+        monkeypatch.setattr(config_module, "COMPACT_STATE_MIN_NODES", 100)
+        assert small.compact_state
 
 
 class TestDerivedQuantities:

@@ -1,17 +1,22 @@
 """Frozen-digest regression grid: the PR 7 byte-identity proof.
 
 The compact-state substrate (mask-based subscription tables, packed
-loss-detector keys, interned event contents, columnar caches/metrics) must
-not change *any* simulated behaviour at existing scales.  The digests in
-``pr7_baseline_signatures.json`` were recorded at the PR 6 baseline commit
-over a grid covering every recovery family, both non-FIFO cache policies,
-reconfiguration, and a non-default tree style; this test re-runs the grid
-and compares.
+loss-detector keys, interned event contents, bitmap received-id logs and
+delivery records) must not change *any* simulated behaviour at existing
+scales.  The digests in ``pr7_baseline_signatures.json`` were recorded at
+the PR 6 baseline commit over a grid covering every recovery family,
+both non-FIFO cache policies, reconfiguration, and a non-default tree
+style; this test re-runs the grid and compares.
 
 The digest hashes ``result.signature()[1:]`` -- everything *after* the
 config object -- so adding new ``SimulationConfig`` fields cannot
 invalidate the baselines, but any change to RNG draw order, routing,
 recovery behaviour, or metrics at these scales will.
+
+``SCALE_CELLS`` pins two runs on the large-system side of
+``COMPACT_STATE_MIN_NODES`` (the bench's ``scale_free_10k`` quick shape,
+N = 1000), where the gossip RNG, received-id logs and delivery records
+switch representation.
 
 If a cell diverges, the fix is to find the behavioural change, not to
 re-record: re-recording is only legitimate for a deliberate,
@@ -99,4 +104,40 @@ def test_signature_matches_pr6_baseline(cell):
     assert _digest(result) == BASELINES[cell], (
         f"cell {cell!r} diverged from the frozen PR 6 baseline: some change "
         "altered simulated behaviour at existing scale"
+    )
+
+
+#: ``bench/workloads.py::scale_free_10k`` at ``quick=True``, seed 1.
+SCALE_FREE_1K = dict(
+    n_dispatchers=1000,
+    n_patterns=70,
+    pi_max=2,
+    publish_rate=200.0 / 1000,
+    sim_time=0.6,
+    measure_start=0.1,
+    measure_end=0.4,
+    buffer_size=32,
+    gossip_interval=0.1,
+    error_rate=0.1,
+    tree_style="scale-free",
+    workload_model="aggregate",
+    seed=1,
+)
+
+#: Frozen digests of ``SCALE_FREE_1K`` per algorithm: push reads the
+#: cache through its per-pattern index, combined pull through loss keys.
+SCALE_CELLS = {
+    "combined-pull": (
+        "2d23b1dc46f529edfdfe52bdbcb853caac102c5f35387041b5ac3364d3b2826e"
+    ),
+    "push": "c1f8e50832aa17e9d3fe94e0ce34125d0c316e5b9a55d67863b0a2bd46315d88",
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(SCALE_CELLS))
+def test_scale_free_1k_signature_is_frozen(algorithm):
+    config = SimulationConfig(**SCALE_FREE_1K, algorithm=algorithm)
+    assert config.compact_state
+    assert _digest(run_scenario(config)) == SCALE_CELLS[algorithm], (
+        f"scale-free N=1000 {algorithm!r} run diverged from its frozen digest"
     )

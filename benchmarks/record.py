@@ -149,7 +149,7 @@ def bench_cache_churn(quick: bool) -> Dict[str, float]:
 
 def _populated_table(seed: int = 3) -> SubscriptionTable:
     rng = RandomStreams(seed).stream("bench-table")
-    table = SubscriptionTable()
+    table = SubscriptionTable(70)
     for pattern in range(70):
         for direction in rng.sample(range(4), rng.randint(1, 3)):
             table.add(pattern, direction)

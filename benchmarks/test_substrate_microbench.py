@@ -131,7 +131,7 @@ def test_matching_throughput(benchmark):
 
     rng = RandomStreams(3).stream("bench-match")
     space = PatternSpace(70)
-    table = SubscriptionTable()
+    table = SubscriptionTable(70)
     for pattern in range(70):
         for direction in rng.sample(range(4), rng.randint(1, 3)):
             table.add(pattern, direction)
@@ -159,7 +159,7 @@ def test_matching_memo_throughput(benchmark):
 
     rng = RandomStreams(3).stream("bench-memo")
     space = PatternSpace(70)
-    table = SubscriptionTable()
+    table = SubscriptionTable(70)
     for pattern in range(70):
         for direction in rng.sample(range(4), rng.randint(1, 3)):
             table.add(pattern, direction)

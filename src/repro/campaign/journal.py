@@ -46,9 +46,10 @@ __all__ = ["CampaignJournal", "JournalEntry", "atomic_write_text"]
 
 #: Bumped when the record layout changes incompatibly; loaders skip (and
 #: report) records from other schemas instead of mis-parsing them.
-#: Version 2 dropped four ``SimulationConfig`` fields: schema-1 configs
-#: no longer decode, and every cell digest changed.
-SCHEMA_VERSION = 2
+#: Version 2 dropped four ``SimulationConfig`` fields and version 3 two
+#: more (``subscriptions_exact``, ``push_skip_empty``): older configs no
+#: longer decode, and every cell digest changed.
+SCHEMA_VERSION = 3
 
 
 def atomic_write_text(path: Path, text: str) -> None:

@@ -15,21 +15,19 @@ Compact representation
 ----------------------
 Directions are stored as *bitmasks* over a small per-table direction
 registry (a node has at most ``max_degree`` neighbors plus LOCAL), not as
-one ``set`` object per pattern.  With the pattern universe size passed in
-(``n_patterns``), the per-pattern masks live in two flat ``array('Q')``
-columns indexed by the interned pattern id -- ~1 KB per node at Π = 70
-where the set-of-sets layout cost ~37 KB (see docs/PERFORMANCE.md,
-"Compact state & scaling").  Without the size hint the masks fall back to a
-dict keyed by pattern, preserving the open-universe API for tests and
-interactive use.  All query methods return the same deterministic (sorted)
-collections in either mode.
+one ``set`` object per pattern.  The masks live in two flat lists indexed
+by the interned pattern id, one int per pattern of the universe (Π).  On
+the paper's trees a mask is a small int; a scale-free hub with more
+directions simply gets wider ints, so there is one layout at every size
+(see docs/PERFORMANCE.md, "Compact state & scaling").  All query methods
+return deterministic (sorted) collections.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Set, Tuple
 
 from repro.pubsub.pattern import LOCAL
 
@@ -38,13 +36,6 @@ __all__ = ["SubscriptionTable"]
 #: Memo entries are dropped wholesale past this size -- a safety valve for
 #: adversarial workloads; realistic pattern universes stay far below it.
 _MATCH_CACHE_LIMIT = 1 << 16
-
-#: Dense masks are 64-bit array slots; a table referencing more than 64
-#: distinct directions over its lifetime first compacts the registry
-#: (dropping directions no mask still uses) before giving up.
-_DENSE_MASK_BITS = 64
-
-_Masks = Union[Dict[int, int], array]
 
 #: ``format(bits, "b")`` digits -> 0/1 bytes (see ``_transpose``).
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
@@ -61,10 +52,9 @@ class SubscriptionTable:
     Parameters
     ----------
     n_patterns:
-        Size of the pattern universe (Π).  When given, masks are stored in
-        flat ``array('Q')`` columns indexed by pattern id (the compact
-        per-node layout); when ``None`` they live in a dict keyed by
-        pattern (open universe, test-friendly).
+        Size of the pattern universe (Π).  Patterns are ids in
+        ``[0, n_patterns)``; ``_masks`` and ``_fwd_masks`` hold one int
+        mask per pattern.
 
     Matching memo
     -------------
@@ -78,27 +68,22 @@ class SubscriptionTable:
     invalidates the whole memo (see :meth:`_invalidate`).
     """
 
-    __slots__ = ("_size", "_dense", "_dir_ids", "_dir_bits", "_masks",
-                 "_fwd_masks", "_known", "_match_cache", "_mask_intern")
+    __slots__ = ("_size", "_dir_ids", "_dir_bits", "_masks", "_fwd_masks",
+                 "_known", "_match_cache", "_mask_intern")
 
-    def __init__(self, n_patterns: Optional[int] = None) -> None:
-        if n_patterns is not None and n_patterns < 0:
+    def __init__(self, n_patterns: int) -> None:
+        if n_patterns < 0:
             raise ValueError(f"n_patterns must be >= 0, got {n_patterns}")
         self._size = n_patterns
-        self._dense = n_patterns is not None
         #: direction registry: bit index -> direction id, and its inverse.
+        #: Only :meth:`load` rebuilds it; otherwise it only grows, so a
+        #: decoded mask never changes meaning.
         self._dir_ids: List[int] = []
         self._dir_bits: Dict[int, int] = {}
-        self._masks: _Masks
-        self._fwd_masks: _Masks
-        if self._dense:
-            self._masks = array("Q", bytes(8 * n_patterns))
-            self._fwd_masks = array("Q", bytes(8 * n_patterns))
-        else:
-            self._masks = {}
-            self._fwd_masks = {}
+        self._masks: List[int] = [0] * n_patterns
+        self._fwd_masks: List[int] = [0] * n_patterns
         #: number of patterns with a nonzero direction mask (kept
-        #: incrementally so ``len(table)`` stays O(1) in dense mode).
+        #: incrementally so ``len(table)`` stays O(1)).
         self._known = 0
         #: content key (pattern tuple or interned content id) -> sorted
         #: direction tuple (LOCAL first if present, since LOCAL is -1 and
@@ -116,96 +101,12 @@ class SubscriptionTable:
     # Direction registry
     # ------------------------------------------------------------------
     def _register_direction(self, direction: int) -> int:
-        """Bit value for ``direction``, registering it on first use.
-
-        Registration invalidates the matching memo (the registry is memo
-        backing state); repeated registrations are pure lookups and happen
-        on the callers' fast paths via ``_dir_bits.get``.
-        """
-        self._invalidate()
-        bits = self._dir_bits
-        bit = bits.get(direction)
+        """Bit value for ``direction``, registering it on first use."""
+        bit = self._dir_bits.get(direction)
         if bit is None:
-            if self._dense and len(self._dir_ids) >= _DENSE_MASK_BITS:
-                self._compact_registry()
-                bits = self._dir_bits  # compaction rebinds the registry
-                bit = bits.get(direction)
-                if bit is not None:
-                    return 1 << bit
-            bit = len(self._dir_ids)
-            if self._dense and bit >= _DENSE_MASK_BITS:
-                # A genuine hub: more than 64 live directions (scale-free
-                # overlays concentrate degree).  Migrate this one table to
-                # the sparse layout, whose Python-int masks are unbounded;
-                # the rest of the network stays dense.
-                self._go_sparse()
+            bit = self._dir_bits[direction] = len(self._dir_ids)
             self._dir_ids.append(direction)
-            bits[direction] = bit
         return 1 << bit
-
-    def _go_sparse(self) -> None:
-        """Switch from the dense array columns to dict masks.
-
-        Used when a table outgrows the 64 direction bits an ``array('Q')``
-        slot offers.  Registry, bit assignments, and mask *values* are
-        preserved -- only the storage changes -- so every query keeps
-        returning the same results.
-        """
-        self._invalidate()  # memo backing state changes representation
-        self._masks = {
-            pattern: mask for pattern, mask in enumerate(self._masks) if mask
-        }
-        self._fwd_masks = {
-            pattern: mask
-            for pattern, mask in enumerate(self._fwd_masks)
-            if mask
-        }
-        self._dense = False
-
-    def _compact_registry(self) -> None:
-        """Rebuild the registry keeping only directions some mask still
-        uses (reconfiguration churn retires old neighbors' bits)."""
-        used = 0
-        for mask in self._iter_masks():
-            used |= mask
-        for mask in self._iter_fwd_masks():
-            used |= mask
-        survivors = [
-            direction
-            for bit, direction in enumerate(self._dir_ids)
-            if used >> bit & 1
-        ]
-        remap = {
-            self._dir_bits[direction]: new_bit
-            for new_bit, direction in enumerate(survivors)
-        }
-        self._remap_masks(self._masks, remap)
-        self._remap_masks(self._fwd_masks, remap)
-        self._dir_ids = survivors
-        self._dir_bits = {d: i for i, d in enumerate(survivors)}
-
-    def _iter_masks(self) -> Iterable[int]:
-        return self._masks if self._dense else self._masks.values()
-
-    def _iter_fwd_masks(self) -> Iterable[int]:
-        return self._fwd_masks if self._dense else self._fwd_masks.values()
-
-    def _remap_masks(self, masks: _Masks, remap: Dict[int, int]) -> None:
-        items = (
-            enumerate(masks)
-            if self._dense
-            else list(masks.items())  # type: ignore[union-attr]
-        )
-        for key, mask in items:
-            new_mask = 0
-            while mask:
-                low = mask & -mask
-                bit = low.bit_length() - 1
-                new_bit = remap.get(bit)
-                if new_bit is not None:
-                    new_mask |= 1 << new_bit
-                mask ^= low
-            masks[key] = new_mask  # type: ignore[index]
 
     def _decode(self, mask: int) -> List[int]:
         """Sorted direction ids of one mask."""
@@ -219,24 +120,10 @@ class SubscriptionTable:
         return result
 
     def _mask_of(self, pattern: int) -> int:
-        if self._dense:
-            if 0 <= pattern < self._size:  # type: ignore[operator]
-                return self._masks[pattern]
-            return 0
-        return self._masks.get(pattern, 0)  # type: ignore[union-attr]
+        return self._masks[pattern] if 0 <= pattern < self._size else 0
 
     def _fwd_mask_of(self, pattern: int) -> int:
-        if self._dense:
-            if 0 <= pattern < self._size:  # type: ignore[operator]
-                return self._fwd_masks[pattern]
-            return 0
-        return self._fwd_masks.get(pattern, 0)  # type: ignore[union-attr]
-
-    def _known_patterns(self) -> List[int]:
-        if self._dense:
-            masks = self._masks
-            return [p for p in range(self._size) if masks[p]]  # type: ignore[arg-type]
-        return sorted(self._masks)  # type: ignore[arg-type]
+        return self._fwd_masks[pattern] if 0 <= pattern < self._size else 0
 
     # ------------------------------------------------------------------
     # Mutation
@@ -248,18 +135,17 @@ class SubscriptionTable:
         table (i.e. this is the first direction for it) -- the caller uses
         this to decide whether to propagate the subscription further.
         """
-        self._invalidate()
-        if self._dense and not 0 <= pattern < self._size:  # type: ignore[operator]
+        if not 0 <= pattern < self._size:
             raise ValueError(
-                f"pattern {pattern} outside dense universe [0, {self._size})"
+                f"pattern {pattern} outside the universe [0, {self._size})"
             )
+        self._invalidate()
         bit_value = self._register_direction(direction)
-        mask = self._mask_of(pattern)
+        mask = self._masks[pattern]
+        self._masks[pattern] = mask | bit_value
         if mask == 0:
             self._known += 1
-            self._masks[pattern] = bit_value  # type: ignore[index]
             return True
-        self._masks[pattern] = mask | bit_value  # type: ignore[index]
         return False
 
     def remove(self, pattern: int, direction: int) -> None:
@@ -278,14 +164,9 @@ class SubscriptionTable:
         if bit is None or not mask >> bit & 1:
             return
         mask &= ~(1 << bit)
+        self._masks[pattern] = mask
         if mask == 0:
             self._known -= 1
-            if self._dense:
-                self._masks[pattern] = 0
-            else:
-                del self._masks[pattern]  # type: ignore[union-attr]
-        else:
-            self._masks[pattern] = mask  # type: ignore[index]
 
     def clear(self) -> None:
         """Drop all routing state (used when routes are rebuilt)."""
@@ -297,9 +178,7 @@ class SubscriptionTable:
         ``routes`` and ``forwarded`` map a direction to a pattern *bitset*
         (bit ``p`` = pattern ``p``): the patterns routed toward it, and
         those whose subscription was forwarded to it.  The registry is
-        rebuilt from the directions with a nonempty set; more than 64 of
-        them give the sparse layout, the end state :meth:`_go_sparse`
-        reaches when the same entries are added one by one.
+        rebuilt from the directions with a nonempty set, in sorted order.
         """
         self._invalidate()
         used = {d for d, bits in routes.items() if bits}
@@ -310,83 +189,46 @@ class SubscriptionTable:
         for bits in forwarded.values():
             sent |= bits
         width = (known | sent).bit_length()
-        if self._size is not None:
-            if width > self._size:
-                raise ValueError(
-                    f"pattern {width - 1} outside dense universe [0, {self._size})"
-                )
-            width = self._size
+        if width > self._size:
+            raise ValueError(
+                f"pattern {width - 1} outside the universe [0, {self._size})"
+            )
         self._dir_ids = sorted(used)
         self._dir_bits = {d: i for i, d in enumerate(self._dir_ids)}
-        self._dense = self._size is not None and len(used) <= _DENSE_MASK_BITS
-        self._masks = self._transpose(routes, width)
-        self._fwd_masks = self._transpose(forwarded, width)
+        self._masks = self._transpose(routes)
+        self._fwd_masks = self._transpose(forwarded)
         self._known = known.bit_count()
 
-    def _transpose(self, sets: Mapping[int, int], width: int) -> _Masks:
+    def _transpose(self, sets: Mapping[int, int]) -> List[int]:
         """Pattern-indexed direction masks of a direction -> bitset map.
 
         Done a byte lane at a time with int and bytes operations, not a
         Python step per entry: each bitset is spelled as one 0/1 byte per
         pattern, shifted to its direction's bit in the lane and ORed in;
         lane ``j`` then fills byte ``j`` of every ``stride``-byte mask.
+        Masks of at most 64 directions are read back in one C call; wider
+        hubs take one ``int.from_bytes`` per pattern.
         """
-        stride = 8 if self._dense else (len(self._dir_ids) + 7) // 8
+        size = self._size
+        stride = max(8, (len(self._dir_ids) + 7) // 8)
         lanes = [0] * stride
-        spec = f"0{width}b"
+        spec = f"0{size}b"
         for direction, bits in sets.items():
             if bits:
                 bit = self._dir_bits[direction]
                 spelled = format(bits, spec).encode().translate(_BIT_BYTES)
                 lanes[bit >> 3] |= int.from_bytes(spelled, "big") << (bit & 7)
-        buf = bytearray(stride * width)
+        buf = bytearray(stride * size)
         for lane, value in enumerate(lanes):
             if value:
-                buf[lane::stride] = value.to_bytes(width, "little")
-        if self._dense:
-            column = array("Q")
-            column.frombytes(buf)
+                buf[lane::stride] = value.to_bytes(size, "little")
+        if stride == 8:
+            column = array("Q", buf)
             if sys.byteorder == "big":
                 column.byteswap()
-            return column
-        masks = (int.from_bytes(buf[p * stride:(p + 1) * stride], "little")
-                 for p in range(width))
-        return {pattern: mask for pattern, mask in enumerate(masks) if mask}
-
-    def drop_direction(self, direction: int) -> None:
-        """Remove a neighbor from every pattern (neighbor disappeared)."""
-        self._invalidate()
-        bit = self._dir_bits.get(direction)
-        if bit is None:
-            return
-        keep = ~(1 << bit)
-        if self._dense:
-            masks = self._masks
-            for pattern in range(self._size):  # type: ignore[arg-type]
-                mask = masks[pattern]
-                if mask:
-                    mask &= keep
-                    masks[pattern] = mask
-                    if mask == 0:
-                        self._known -= 1
-            fwd_masks = self._fwd_masks
-            for pattern in range(self._size):  # type: ignore[arg-type]
-                mask = fwd_masks[pattern]
-                if mask:
-                    fwd_masks[pattern] = mask & keep
-        else:
-            empty = []
-            for pattern, mask in self._masks.items():  # type: ignore[union-attr]
-                mask &= keep
-                if mask:
-                    self._masks[pattern] = mask  # type: ignore[index]
-                else:
-                    empty.append(pattern)
-            for pattern in empty:
-                del self._masks[pattern]  # type: ignore[union-attr]
-                self._known -= 1
-            for pattern, mask in self._fwd_masks.items():  # type: ignore[union-attr]
-                self._fwd_masks[pattern] = mask & keep  # type: ignore[index]
+            return column.tolist()
+        return [int.from_bytes(buf[p * stride:(p + 1) * stride], "little")
+                for p in range(size)]
 
     # ------------------------------------------------------------------
     # Forwarding dedup (the paper's optimization)
@@ -395,15 +237,11 @@ class SubscriptionTable:
         """Record that the subscription for ``pattern`` was propagated to
         ``direction``.  Returns ``False`` if it already had been (the caller
         must then *not* forward again)."""
-        bit = self._dir_bits.get(direction)
-        if bit is None:
-            bit_value = self._register_direction(direction)
-        else:
-            bit_value = 1 << bit
+        bit_value = self._register_direction(direction)
         mask = self._fwd_mask_of(pattern)
         if mask & bit_value:
             return False
-        self._fwd_masks[pattern] = mask | bit_value  # type: ignore[index]
+        self._fwd_masks[pattern] = mask | bit_value
         return True
 
     def unmark_forwarded(self, pattern: int, direction: int) -> None:
@@ -413,13 +251,8 @@ class SubscriptionTable:
         if bit is None:
             return
         mask = self._fwd_mask_of(pattern)
-        if not mask >> bit & 1:
-            return
-        mask &= ~(1 << bit)
-        if mask == 0 and not self._dense:
-            del self._fwd_masks[pattern]  # type: ignore[union-attr]
-        else:
-            self._fwd_masks[pattern] = mask  # type: ignore[index]
+        if mask >> bit & 1:
+            self._fwd_masks[pattern] = mask & ~(1 << bit)
 
     def was_forwarded(self, pattern: int, direction: int) -> bool:
         bit = self._dir_bits.get(direction)
@@ -456,7 +289,7 @@ class SubscriptionTable:
         This is the pool the *push* algorithm draws from ("p is selected by
         considering the whole subscription table").
         """
-        return self._known_patterns()
+        return [pattern for pattern, mask in enumerate(self._masks) if mask]
 
     def local_patterns(self) -> List[int]:
         """Patterns subscribed locally, sorted.
@@ -468,24 +301,17 @@ class SubscriptionTable:
         local_bit = self._dir_bits.get(LOCAL)
         if local_bit is None:
             return []
-        if self._dense:
-            masks = self._masks
-            return [
-                p
-                for p in range(self._size)  # type: ignore[arg-type]
-                if masks[p] >> local_bit & 1
-            ]
-        return sorted(
+        return [
             pattern
-            for pattern, mask in self._masks.items()  # type: ignore[union-attr]
+            for pattern, mask in enumerate(self._masks)
             if mask >> local_bit & 1
-        )
+        ]
 
     def _invalidate(self) -> None:
-        """Drop the matching memo; called on every table mutation.
+        """Drop the matching memo; called on every routing-mask mutation.
 
         The mask-intern pool goes with it: decoded tuples are a function
-        of the direction registry, which mutations may rewrite.
+        of the direction registry, which :meth:`load` rewrites.
         """
         if self._match_cache:
             self._match_cache.clear()
@@ -532,14 +358,10 @@ class SubscriptionTable:
             return cached
         mask = 0
         masks = self._masks
-        if self._dense:
-            size = self._size
-            for pattern in patterns:
-                if 0 <= pattern < size:  # type: ignore[operator]
-                    mask |= masks[pattern]
-        else:
-            for pattern in patterns:
-                mask |= masks.get(pattern, 0)  # type: ignore[union-attr]
+        size = self._size
+        for pattern in patterns:
+            if 0 <= pattern < size:
+                mask |= masks[pattern]
         value = self._mask_intern.get(mask)
         if value is None:
             value = self._mask_intern[mask] = tuple(self._decode(mask))
@@ -557,7 +379,7 @@ class SubscriptionTable:
         return self._known
 
     def __iter__(self) -> Iterator[Tuple[int, List[int]]]:
-        for pattern in self._known_patterns():
+        for pattern in self.patterns():
             yield pattern, self.directions(pattern)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -47,9 +47,6 @@ class RecoveryConfig:
     lost_capacity: Optional[int] = None
     #: Give up on losses older than this many seconds (None = never).
     give_up_age: Optional[float] = None
-    #: When true, push skips rounds whose digest would be empty (ablation
-    #: knob; the paper's push "must proactively push at each gossip round").
-    push_skip_empty: bool = False
     #: Adaptive push (extension): interval bounds and adaptation factor.
     adaptive_min_interval: float = 0.01
     adaptive_max_interval: float = 0.24

@@ -44,9 +44,6 @@ class PushRecovery(RecoveryAlgorithm):
             # Advertise the most recent events: older ones are both closer
             # to eviction and more likely to have been recovered already.
             event_ids = event_ids[-self.config.digest_limit :]
-        if not event_ids and self.config.push_skip_empty:
-            self.stats.rounds_skipped += 1
-            return
         payload = PushGossip(self.node_id, pattern, tuple(event_ids))
         self.forward_along_pattern(pattern, payload, exclude=None)
 

@@ -37,9 +37,6 @@ class RandomPushRecovery(RecoveryAlgorithm):
         event_ids = self.dispatcher.cache.matching_ids(pattern)
         if len(event_ids) > self.config.digest_limit:
             event_ids = event_ids[-self.config.digest_limit :]
-        if not event_ids and self.config.push_skip_empty:
-            self.stats.rounds_skipped += 1
-            return
         payload = RandomPushGossip(
             self.node_id, pattern, tuple(event_ids), self.config.random_hop_limit
         )

@@ -148,7 +148,6 @@ class Simulation:
             config.pi_max,
             self.pattern_space,
             self.streams.stream("subscriptions"),
-            exact=config.subscriptions_exact,
         )
         self.system.apply_subscriptions(self.subscription_assignment)
 

@@ -65,9 +65,6 @@ class SimulationConfig:
     #: must be even) and rewiring probability ``p``.
     graph_neighbors: int = 4
     graph_rewire: float = 0.1
-    #: Draw exactly πmax patterns per dispatcher (matches the paper's
-    #: Nπ = N·πmax/Π formula); ``False`` draws uniformly in [1, πmax].
-    subscriptions_exact: bool = True
 
     # ----------------------------------------------------------- workload
     #: Publish operations per second per dispatcher (50 high / 5 low load).
@@ -127,8 +124,6 @@ class SimulationConfig:
     #: Lost-buffer capacity (None = unbounded) and give-up age.
     lost_capacity: Optional[int] = None
     give_up_age: Optional[float] = None
-    #: Ablation knob: let push skip empty digests.
-    push_skip_empty: bool = False
 
     # ------------------------------------------------------------- faults
     #: Declarative fault-injection plan (crashes, churn, partitions, burst
@@ -260,7 +255,6 @@ class SimulationConfig:
             digest_limit=self.digest_limit,
             lost_capacity=self.lost_capacity,
             give_up_age=self.give_up_age,
-            push_skip_empty=self.push_skip_empty,
             degradation=self.degradation,
         )
 

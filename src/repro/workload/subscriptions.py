@@ -4,9 +4,8 @@ The paper: *"Each dispatcher can subscribe to a maximum number πmax of
 event patterns, drawn randomly from the overall number Π of patterns
 available in the system ... it is possible to calculate the number of
 subscribers per pattern as Nπ = (N πmax)/Π"* -- the formula implies each
-dispatcher holds exactly πmax distinct patterns, which is what the default
-(``exact=True``) produces; ``exact=False`` draws the subscription count
-uniformly in ``[1, πmax]`` instead.
+dispatcher holds exactly πmax distinct patterns, which is what
+:func:`assign_subscriptions` draws.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ def assign_subscriptions(
     pi_max: int,
     pattern_space: PatternSpace,
     rng: random.Random,
-    exact: bool = True,
 ) -> Dict[int, Tuple[int, ...]]:
     """Draw each dispatcher's subscription set.
 
@@ -38,8 +36,7 @@ def assign_subscriptions(
         )
     assignment: Dict[int, Tuple[int, ...]] = {}
     for node_id in range(node_count):
-        count = pi_max if exact else rng.randint(1, pi_max) if pi_max else 0
-        assignment[node_id] = pattern_space.sample_subscription(count, rng)
+        assignment[node_id] = pattern_space.sample_subscription(pi_max, rng)
     return assignment
 
 

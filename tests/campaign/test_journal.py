@@ -75,21 +75,26 @@ class TestRecordAndLoad:
         self, tmp_path, tiny_result
     ):
         # A schema-1 journal stored the four config fields schema 2
-        # dropped; decoding one would raise TypeError.  Even filed under
-        # the current digest of its cell it is skipped, and a resume runs
+        # dropped, a schema-2 one the two fields schema 3 dropped;
+        # decoding either would raise TypeError.  Even filed under the
+        # current digest of its cell each is skipped, and a resume runs
         # the cell again instead of crashing.
-        result = result_to_dict(tiny_result)
-        result["config"].update(
-            shards=1, loss_discipline="shared", cache_layout="auto",
-            gossip_rng="auto",
-        )
+        removed = {
+            1: dict(shards=1, loss_discipline="shared", cache_layout="auto",
+                    gossip_rng="auto"),
+            2: dict(subscriptions_exact=True, push_skip_empty=False),
+        }
         digest = config_digest(tiny_result.config)
         journal = CampaignJournal(tmp_path)
         journal.ensure()
-        legacy = {"schema": 1, "digest": digest, "result": result}
-        (journal.cells_dir / f"{digest}.ndjson").write_text(
-            json.dumps(legacy) + "\n"
-        )
+        # One legacy record in the cell file, one in the compacted journal.
+        paths = {1: journal.cells_dir / f"{digest}.ndjson",
+                 2: journal.journal_path}
+        for schema, fields in removed.items():
+            result = result_to_dict(tiny_result)
+            result["config"].update(fields)
+            legacy = {"schema": schema, "digest": digest, "result": result}
+            paths[schema].write_text(json.dumps(legacy) + "\n")
         assert journal.load() == {}
         outcome = run_campaign([tiny_config()], tmp_path)
         assert outcome.report.executed == 1 and outcome.report.skipped == 0

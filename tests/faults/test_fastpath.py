@@ -207,7 +207,7 @@ class TestFusedHopBinding:
         assert dispatcher._match_memo
         table.add(3, 99)
         assert not dispatcher._match_memo
-        table.drop_direction(99)
+        table.remove(3, 99)
         table.matching_directions_for(0, (0,))
         assert dispatcher._match_memo is table._match_cache
         assert dispatcher._match_memo

@@ -4,7 +4,7 @@
 Π-bit pattern sets; :func:`rebuild_routes_reference` is the per-pattern
 tree walk it replaced.  Both must leave every table in the same state --
 directions, forwarded marks, sizes and pattern pools -- on trees, on
-scale-free overlays, past the 64-direction dense/sparse switch, on
+scale-free overlays, on hubs past 64 directions (one machine word), on
 overlays split into components, and again after a link change (the
 reconfiguration-repair path).
 """
@@ -94,6 +94,6 @@ def test_scale_free_overlays_match_reference(n, seed, cuts):
 @given(leaves=st.integers(min_value=60, max_value=90), seed=st.integers(),
        cuts=st.integers(min_value=0, max_value=8))
 def test_star_hub_past_dense_switch_matches_reference(leaves, seed, cuts):
-    # The hub has up to 90 directions: more than 64 sends its table
-    # to the sparse layout, fewer keeps it dense.
+    # The hub has up to 90 directions: more than 64 take masks wider
+    # than one machine word, and ``load`` reads them back per pattern.
     check_against_reference(star_tree(leaves + 1), seed, cuts)

@@ -19,14 +19,14 @@ def _warm(table: SubscriptionTable, patterns=(1, 2)):
 
 class TestMemoInvalidation:
     def test_add_invalidates(self):
-        table = SubscriptionTable()
+        table = SubscriptionTable(16)
         table.add(1, 3)
         assert _warm(table) == (3,)
         table.add(2, 5)
         assert _warm(table) == (3, 5)
 
     def test_remove_invalidates(self):
-        table = SubscriptionTable()
+        table = SubscriptionTable(16)
         table.add(1, 3)
         table.add(2, 5)
         assert _warm(table) == (3, 5)
@@ -34,23 +34,14 @@ class TestMemoInvalidation:
         assert _warm(table) == (3,)
 
     def test_clear_invalidates(self):
-        table = SubscriptionTable()
+        table = SubscriptionTable(16)
         table.add(1, 3)
         assert _warm(table) == (3,)
         table.clear()
         assert _warm(table) == ()
 
-    def test_drop_direction_invalidates(self):
-        table = SubscriptionTable()
-        table.add(1, 3)
-        table.add(2, 3)
-        table.add(2, 5)
-        assert _warm(table) == (3, 5)
-        table.drop_direction(3)
-        assert _warm(table) == (5,)
-
     def test_matches_locally_tracks_mutations(self):
-        table = SubscriptionTable()
+        table = SubscriptionTable(16)
         table.add(1, 4)
         assert table.matches_locally((1, 2)) is False
         table.add(2, LOCAL)
@@ -61,20 +52,20 @@ class TestMemoInvalidation:
 
 class TestMemoSemantics:
     def test_local_sorts_first(self):
-        table = SubscriptionTable()
+        table = SubscriptionTable(16)
         table.add(1, 7)
         table.add(1, LOCAL)
         table.add(1, 0)
         assert table.matching_directions_sorted((1,)) == (LOCAL, 0, 7)
 
     def test_list_and_tuple_contents_share_results(self):
-        table = SubscriptionTable()
+        table = SubscriptionTable(16)
         table.add(1, 3)
         assert table.matching_directions_sorted([1, 2]) == (3,)
         assert table.matching_directions_sorted((1, 2)) == (3,)
 
     def test_memoized_result_matches_uncached(self):
-        table = SubscriptionTable()
+        table = SubscriptionTable(16)
         for pattern in range(10):
             table.add(pattern, pattern % 3)
         contents = (0, 4, 9)
@@ -85,7 +76,7 @@ class TestMemoSemantics:
     def test_cache_limit_is_a_reset_not_an_error(self):
         from repro.pubsub import subscription
 
-        table = SubscriptionTable()
+        table = SubscriptionTable(16)
         table.add(1, 3)
         original = subscription._MATCH_CACHE_LIMIT
         subscription._MATCH_CACHE_LIMIT = 4

@@ -67,15 +67,6 @@ class TestPush:
         total = sum(r.stats.gossip_sent for r in harness.recoveries)
         assert total > 0
 
-    def test_push_skip_empty_ablation(self):
-        config = RecoveryConfig(gossip_interval=0.05, p_forward=1.0, push_skip_empty=True)
-        harness = RecoveryHarness(
-            path_tree(2), "push", {0: (1,), 1: (1,)}, config=config
-        )
-        harness.run_for(1.0)
-        assert sum(r.stats.gossip_sent for r in harness.recoveries) == 0
-        assert sum(r.stats.rounds_skipped for r in harness.recoveries) > 0
-
     def test_recovered_event_not_reforwarded_on_tree(self):
         harness = RecoveryHarness(
             path_tree(4), "push", {0: (1,), 1: (), 2: (1,), 3: ()}, config=CONFIG

@@ -16,7 +16,8 @@ recovery behaviour, or metrics at these scales will.
 ``SCALE_CELLS`` pins two runs on the large-system side of
 ``COMPACT_STATE_MIN_NODES`` (the bench's ``scale_free_10k`` quick shape,
 N = 1000), where the gossip RNG, received-id logs and delivery records
-switch representation.
+switch representation.  ``STAR_CELLS`` pins a hub whose subscription
+table holds more than 64 directions.
 
 If a cell diverges, the fix is to find the behavioural change, not to
 re-record: re-recording is only legitimate for a deliberate,
@@ -140,4 +141,35 @@ def test_scale_free_1k_signature_is_frozen(algorithm):
     assert config.compact_state
     assert _digest(run_scenario(config)) == SCALE_CELLS[algorithm], (
         f"scale-free N=1000 {algorithm!r} run diverged from its frozen digest"
+    )
+
+
+#: A star: the hub's table holds all 80 directions (79 leaves plus
+#: LOCAL), more than one 64-bit word.  The only pinned table that wide.
+STAR_80 = dict(
+    n_dispatchers=80,
+    n_patterns=24,
+    pi_max=2,
+    publish_rate=10.0,
+    sim_time=2.0,
+    measure_start=0.5,
+    measure_end=1.5,
+    buffer_size=200,
+    tree_style="star",
+    seed=3,
+)
+
+STAR_CELLS = {
+    "combined-pull": (
+        "cf405bf1bf6599f7b5e878470dafef2fb94d21e4af740bff5dcd8b6f895d00e7"
+    ),
+    "push": "cac0b446fbb373a67793bb980f71caab9d22ffc16f297dc1b0865a5f52520b59",
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(STAR_CELLS))
+def test_star_hub_signature_is_frozen(algorithm):
+    config = SimulationConfig(**STAR_80, algorithm=algorithm)
+    assert _digest(run_scenario(config)) == STAR_CELLS[algorithm], (
+        f"80-node star {algorithm!r} run diverged from its frozen digest"
     )

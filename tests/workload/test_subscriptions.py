@@ -19,15 +19,6 @@ class TestAssignment:
             assert len(patterns) == 2
             assert len(set(patterns)) == 2
 
-    def test_inexact_draws_between_one_and_pi_max(self):
-        space = PatternSpace(70)
-        assignment = assign_subscriptions(
-            200, 5, space, random.Random(2), exact=False
-        )
-        sizes = {len(patterns) for patterns in assignment.values()}
-        assert sizes <= {1, 2, 3, 4, 5}
-        assert len(sizes) > 1
-
     def test_zero_pi_max(self):
         space = PatternSpace(70)
         assignment = assign_subscriptions(10, 0, space, random.Random(0))

@@ -14,8 +14,10 @@
 ``run`` executes one scenario and prints its summary; ``compare`` runs all
 six paper algorithms on the same scenario; ``figure`` regenerates one of
 the paper's figures (table + ASCII chart); ``faults`` runs one scenario
-under a preset fault-injection plan and prints the fault counters next to
-the delivery summary.  ``REPRO_PAPER_SCALE=1`` in the environment switches
+under a preset fault-injection plan, prints the fault counters next to
+the delivery summary, and exits 1 on a sanity violation: an unexpected or
+duplicate delivery, or a message kind whose deliveries plus drops exceed
+its sends.  ``REPRO_PAPER_SCALE=1`` in the environment switches
 the figures to the paper's full scale.
 
 ``figure --campaign-dir DIR`` journals every cell under DIR (atomic
@@ -41,6 +43,7 @@ from repro.faults import (
     PartitionProcess,
     scripted_crashes,
 )
+from repro.metrics import conservation_violations
 from repro.parallel import map_scenarios
 from repro.recovery.degrade import DegradationConfig
 from repro.scenarios import experiments
@@ -383,15 +386,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         _print_result(result)
         print()
         _print_fault_stats(result)
+        violations = conservation_violations(result.messages)
         if result.unexpected_deliveries or result.duplicate_deliveries:
-            print(
-                "SANITY VIOLATION: "
+            violations.insert(
+                0,
                 f"unexpected={result.unexpected_deliveries} "
                 f"duplicates={result.duplicate_deliveries}",
-                file=sys.stderr,
             )
-            return 1
-        return 0
+        for violation in violations:
+            print(f"SANITY VIOLATION: {violation}", file=sys.stderr)
+        return 1 if violations else 0
     if args.command == "compare":
         configs = [
             _config_from_args(args, algorithm=algorithm)

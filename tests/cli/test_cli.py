@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+import repro.cli
 from repro.cli import build_parser, main
 
 FAST_ARGS = [
@@ -65,3 +68,27 @@ class TestCommands:
         out = capsys.readouterr().out
         for name in ("none", "push", "combined-pull", "publisher-pull"):
             assert name in out
+
+    def test_faults_passes_sanity_check(self, capsys):
+        code = main(["faults", "--injector", "burst-loss"] + FAST_ARGS)
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "burst transitions / drops" in captured.out
+        assert "SANITY VIOLATION" not in captured.err
+
+    def test_faults_exits_1_on_unconserved_kind(self, capsys, monkeypatch):
+        """A kind with more deliveries plus drops than sends fails the
+        command, even with no unexpected or duplicate delivery."""
+        run_scenario = repro.cli.run_scenario
+
+        def doctored(config):
+            result = run_scenario(config)
+            messages = dict(result.messages)
+            messages["delivered_gossip"] = messages["sent_gossip"] + 1
+            return dataclasses.replace(result, messages=messages)
+
+        monkeypatch.setattr(repro.cli, "run_scenario", doctored)
+        code = main(["faults", "--injector", "burst-loss"] + FAST_ARGS)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "SANITY VIOLATION: gossip: delivered + dropped" in err

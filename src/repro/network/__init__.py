@@ -9,7 +9,8 @@ not-necessarily-reliable unicast channel (e.g. UDP).
   serialization, propagation delay, and i.i.d. Bernoulli message loss with
   probability ``error_rate`` (the paper's ε).
 * :class:`~repro.network.network.Network` -- the set of nodes plus the live
-  links between them, and the out-of-band channel.
+  links between them, the out-of-band channel, and the run's traffic
+  tallies (per message kind, and gossip and out-of-band sends per node).
 * :class:`~repro.network.message.Message` -- the unit of transmission, with
   a small taxonomy of kinds used for overhead accounting.
 """
@@ -19,7 +20,7 @@ from repro.network.message import (
     MessageKind,
     DEFAULT_MESSAGE_SIZE_BITS,
 )
-from repro.network.link import Link, LinkStats
+from repro.network.link import Link
 from repro.network.node import Node
 from repro.network.network import Network, NetworkConfig
 
@@ -28,7 +29,6 @@ __all__ = [
     "MessageKind",
     "DEFAULT_MESSAGE_SIZE_BITS",
     "Link",
-    "LinkStats",
     "Node",
     "Network",
     "NetworkConfig",

@@ -35,39 +35,16 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.network.message import Message
+from repro.network.message import Message, MessageKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.faults.loss import LossModel
     from repro.network.network import Network
 
-__all__ = ["Link", "LinkStats"]
+__all__ = ["Link"]
 
-
-class LinkStats:
-    """Per-link transmission counters (both directions pooled)."""
-
-    __slots__ = ("sent", "delivered", "lost", "dropped_down", "busy_time")
-
-    def __init__(self) -> None:
-        self.sent = 0
-        self.delivered = 0
-        self.lost = 0
-        self.dropped_down = 0
-        self.busy_time = 0.0
-
-    def utilization(self, elapsed: float) -> float:
-        """Fraction of ``elapsed`` the link spent transmitting (one direction
-        at full duty counts as 0.5 because the link is duplex)."""
-        if elapsed <= 0.0:
-            return 0.0
-        return min(1.0, self.busy_time / (2.0 * elapsed))
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<LinkStats sent={self.sent} delivered={self.delivered} "
-            f"lost={self.lost} down-drops={self.dropped_down}>"
-        )
+# Module global: one dict lookup on the per-message path.
+_GOSSIP = MessageKind.GOSSIP
 
 
 class Link:
@@ -105,7 +82,6 @@ class Link:
         "rng",
         "loss_model",
         "up",
-        "stats",
         "_busy_until",
         "_peer",
         # Setup-time-bound hot-path callables (instance attributes so the
@@ -140,7 +116,6 @@ class Link:
         self.rng = rng
         self.loss_model = loss_model
         self.up = True
-        self.stats = LinkStats()
         # Per-direction transmitter availability, keyed by sender id.
         self._busy_until = {node_a: 0.0, node_b: 0.0}
         # Sender id -> opposite endpoint, precomputed for the hot path.
@@ -188,17 +163,12 @@ class Link:
         the link state before trying.
         """
         network = self.network
-        stats = self.stats
         kind = message.kind
-        stats.sent += 1
-        # Count as data: index the observer's tallies (bound on the
-        # network), no observer call per message.
+        # Count as data: index the network's tallies, no call per message.
         network.sent_tally[kind] += 1
-        node_column = network.node_sent_tally[kind]
-        if node_column is not None:
-            node_column[from_node] += 1
+        if kind is _GOSSIP:
+            network.gossip_by_node[from_node] += 1
         if not self.up:
-            stats.dropped_down += 1
             network.dropped_tally[kind] += 1
             return False
         sim = network.sim
@@ -210,9 +180,7 @@ class Link:
             start = now
         done = start + serialization
         busy_until[from_node] = done
-        stats.busy_time += serialization
         if self._drop():
-            stats.lost += 1
             network.dropped_tally[kind] += 1
             return True
         # Deliveries are never cancelled, so the handle-free fast path
@@ -252,10 +220,8 @@ class Link:
         # stays even on the fast path.
         network = self.network
         if not self.up:
-            self.stats.dropped_down += 1
             network.dropped_tally[message.kind] += 1
             return
-        self.stats.delivered += 1
         network.delivered_tally[message.kind] += 1
         network._nodes[to_node].receive(message, from_node)
 
@@ -265,7 +231,6 @@ class Link:
         """Delivery with crashed-destination accounting (fault hooks on)."""
         network = self.network
         if not self.up:
-            self.stats.dropped_down += 1
             network.dropped_tally[message.kind] += 1
             return
         node = network._receivers.get(to_node)
@@ -275,7 +240,6 @@ class Link:
             network.dropped_tally[message.kind] += 1
             network.down_drops += 1
             return
-        self.stats.delivered += 1
         network.delivered_tally[message.kind] += 1
         node.receive(message, from_node)
 

@@ -5,11 +5,26 @@ The :class:`Network` is the glue between the topology layer (which decides
 also hosts the out-of-band unicast channel used by the recovery algorithms
 for requests and retransmissions: a direct, connectionless path between any
 two dispatchers, independent of the tree, with its own latency and loss.
+
+It is also the run's one traffic account.  Every counting path -- the
+links' transmit and delivery variants, the out-of-band send and delivery
+variants, and a send onto a missing link -- indexes the network's tallies
+in place, with no call per message:
+
+* ``sent_tally``, ``dropped_tally``, ``delivered_tally``: per
+  :class:`~repro.network.message.MessageKind`;
+* ``gossip_by_node``: gossip sends on the tree, per sending node;
+* ``oob_by_node``: out-of-band sends (requests and retransmissions), per
+  sending node.
+
+:class:`~repro.metrics.counters.MessageCounters` reads them and applies
+the paper's overhead definitions (Section IV-E).
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
@@ -17,10 +32,7 @@ from typing import (
     Dict,
     Iterable,
     Iterator,
-    List,
-    MutableSequence,
     Optional,
-    Protocol,
     Set,
     Tuple,
 )
@@ -33,51 +45,11 @@ from repro.sim.engine import Simulator
 if TYPE_CHECKING:  # pragma: no cover - typing-only import, avoids a cycle
     from repro.faults.loss import LossModel
 
-__all__ = ["Network", "NetworkConfig", "TrafficObserver"]
-
-
-class TrafficObserver(Protocol):
-    """Message accounting (implemented by metrics).  Links index the
-    tallies directly, with no call per message; the other paths call the
-    ``count_*`` methods, which update the same tallies."""
-
-    #: per-kind send, drop and delivery tallies, indexed by ``MessageKind``.
-    sent_tally: List[int]
-    dropped_tally: List[int]
-    delivered_tally: List[int]
-    #: per-kind send tallies per node, indexed ``[kind][node_id]``;
-    #: ``None`` for kinds not tallied per node.
-    node_sent_tally: List[Optional[MutableSequence[int]]]
-
-    def count_send(self, kind: MessageKind, node_id: int) -> None: ...
-
-    def count_drop(self, kind: MessageKind) -> None: ...
-
-    def count_deliver(self, kind: MessageKind) -> None: ...
-
+__all__ = ["Network", "NetworkConfig"]
 
 _KIND_COUNT = max(MessageKind) + 1
-
-
-class _NullObserver:
-    """Default observer: per-kind tallies that nothing reads."""
-
-    def __init__(self) -> None:
-        self.sent_tally = [0] * _KIND_COUNT
-        self.dropped_tally = [0] * _KIND_COUNT
-        self.delivered_tally = [0] * _KIND_COUNT
-        self.node_sent_tally: List[Optional[MutableSequence[int]]] = (
-            [None] * _KIND_COUNT
-        )
-
-    def count_send(self, kind: MessageKind, node_id: int) -> None:
-        pass
-
-    def count_drop(self, kind: MessageKind) -> None:
-        pass
-
-    def count_deliver(self, kind: MessageKind) -> None:
-        pass
+# Module global: one dict lookup on the per-message paths.
+_GOSSIP = MessageKind.GOSSIP
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,8 +80,6 @@ class Network:
         Physical parameters (bandwidth, delays, error rates).
     loss_rng:
         Random stream for link-loss and out-of-band-loss draws.
-    observer:
-        Optional traffic observer for overhead accounting.
     loss_model_factory:
         Optional ``(node_a, node_b) -> LossModel`` called once per link;
         installs a stateful loss model (e.g. Gilbert--Elliott) in place of
@@ -132,7 +102,6 @@ class Network:
         sim: Simulator,
         config: NetworkConfig,
         loss_rng: random.Random,
-        observer: Optional[TrafficObserver] = None,
         loss_model_factory: Optional[Callable[[int, int], "LossModel"]] = None,
         oob_loss_model: Optional["LossModel"] = None,
         fault_hooks: bool = False,
@@ -140,13 +109,18 @@ class Network:
         self.sim = sim
         self.config = config
         self._loss_rng = loss_rng
-        self.observer: TrafficObserver = observer or _NullObserver()
-        # The observer's tallies, bound once for the links' per-message
-        # counting.
-        self.sent_tally = self.observer.sent_tally
-        self.dropped_tally = self.observer.dropped_tally
-        self.delivered_tally = self.observer.delivered_tally
-        self.node_sent_tally = self.observer.node_sent_tally
+        #: per-kind send, drop and delivery tallies, indexed by
+        #: ``MessageKind`` (an IntEnum).
+        self.sent_tally = [0] * _KIND_COUNT
+        self.dropped_tally = [0] * _KIND_COUNT
+        self.delivered_tally = [0] * _KIND_COUNT
+        #: per-node send columns indexed by node id: gossip on the tree,
+        #: and out-of-band requests plus retransmissions.  ``add_node``
+        #: grows them by doubling, so entries past the highest node id are
+        #: zero.  Flat ``array('q')``: 8 bytes per node, no per-count
+        #: objects.
+        self.gossip_by_node = array("q")
+        self.oob_by_node = array("q")
         self._loss_model_factory = loss_model_factory
         self._oob_loss_model = oob_loss_model
         self.fault_hooks = fault_hooks
@@ -186,6 +160,11 @@ class Network:
         self._nodes[node.node_id] = node
         self._receivers[node.node_id] = node
         self._adjacency[node.node_id] = {}
+        size = len(self.gossip_by_node)
+        if node.node_id >= size:
+            zeros = bytes(8 * (2 * node.node_id + 2 - size))
+            self.gossip_by_node.frombytes(zeros)
+            self.oob_by_node.frombytes(zeros)
 
     def node(self, node_id: int) -> Node:
         return self._nodes[node_id]
@@ -308,8 +287,11 @@ class Network:
         """
         link = self._adjacency[from_node].get(to_node)
         if link is None:
-            self.observer.count_send(message.kind, from_node)
-            self.observer.count_drop(message.kind)
+            kind = message.kind
+            self.sent_tally[kind] += 1
+            if kind is _GOSSIP:
+                self.gossip_by_node[from_node] += 1
+            self.dropped_tally[kind] += 1
             return False
         return link.transmit(from_node, message)
 
@@ -345,23 +327,24 @@ class Network:
         Bernoulli loss, no queueing (recovery traffic is small compared to
         the 10 Mbit/s links, and the paper treats this path as out of band).
         """
-        self.observer.count_send(message.kind, from_node)
+        self.sent_tally[message.kind] += 1
+        self.oob_by_node[from_node] += 1
         if to_node not in self._nodes:
             # Unknown destination (e.g. stale peer knowledge): counted drop,
             # never an exception -- UDP to a vanished host just disappears.
-            self.observer.count_drop(message.kind)
+            self.dropped_tally[message.kind] += 1
             self.down_drops += 1
             return False
         oob_model = self._oob_loss_model
         if oob_model is not None:
             if oob_model.should_drop(self._loss_rng):
-                self.observer.count_drop(message.kind)
+                self.dropped_tally[message.kind] += 1
                 return True
         elif (
             self.config.oob_error_rate > 0.0
             and self._loss_rng.random() < self.config.oob_error_rate
         ):
-            self.observer.count_drop(message.kind)
+            self.dropped_tally[message.kind] += 1
             return True
         self.sim.schedule_call(
             self.config.oob_latency, self._deliver_oob, message, from_node, to_node
@@ -377,9 +360,10 @@ class Network:
         peers are drawn from the membership, so the unknown-destination
         check is dead code here.
         """
-        self.observer.count_send(message.kind, from_node)
+        self.sent_tally[message.kind] += 1
+        self.oob_by_node[from_node] += 1
         if self._loss_rng.random() < self.config.oob_error_rate:
-            self.observer.count_drop(message.kind)
+            self.dropped_tally[message.kind] += 1
             return True
         self.sim.schedule_call(
             self.config.oob_latency, self._deliver_oob, message, from_node, to_node
@@ -390,7 +374,8 @@ class Network:
         self, from_node: int, to_node: int, message: Message
     ) -> bool:
         """Out-of-band send, fault-free network, lossless oob channel."""
-        self.observer.count_send(message.kind, from_node)
+        self.sent_tally[message.kind] += 1
+        self.oob_by_node[from_node] += 1
         self.sim.schedule_call(
             self.config.oob_latency, self._deliver_oob, message, from_node, to_node
         )
@@ -404,16 +389,16 @@ class Network:
     ) -> None:
         node = self._receivers.get(to_node)
         if node is None:
-            self.observer.count_drop(message.kind)
+            self.dropped_tally[message.kind] += 1
             self.down_drops += 1
             return
-        self.observer.count_deliver(message.kind)
+        self.delivered_tally[message.kind] += 1
         node.receive_oob(message, from_node)
 
     def _deliver_oob_fast(
         self, message: Message, from_node: int, to_node: int
     ) -> None:
-        self.observer.count_deliver(message.kind)
+        self.delivered_tally[message.kind] += 1
         self._nodes[to_node].receive_oob(message, from_node)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -117,8 +117,7 @@ class Dispatcher:
                  "tree_routing_enabled", "recovery", "receive",
                  "receive_oob", "send_gossip", "send_oob_request",
                  "observe_event", "received_ids", "_match_memo",
-                 "_next_event_seq", "_pattern_counters", "match_operations",
-                 "published_count", "delivered_count", "recovered_count")
+                 "_next_event_seq", "_pattern_counters")
 
     def __init__(
         self,
@@ -185,13 +184,6 @@ class Dispatcher:
         self._next_event_seq = 1
         #: per-pattern sequence counters for loss-detection tags.
         self._pattern_counters: Dict[int, int] = {}
-        #: number of subscription-table match operations (Section IV-E's
-        #: computational-overhead discussion; bookkeeping only).
-        self.match_operations = 0
-        #: events published / delivered here.
-        self.published_count = 0
-        self.delivered_count = 0
-        self.recovered_count = 0
 
     # ------------------------------------------------------------------
     # Wiring
@@ -292,8 +284,6 @@ class Dispatcher:
             seq = self._pattern_counters.get(pattern, 0) + 1
             self._pattern_counters[pattern] = seq
             pattern_seqs[pattern] = seq
-        # Publisher-side full match (Section IV-E computational overhead).
-        self.match_operations += len(self.table)
         # Intern the content once at the source: every copy of the event
         # shares one canonical pattern tuple, and downstream hot paths key
         # their match memos on the small ``content_id`` int.
@@ -308,7 +298,6 @@ class Dispatcher:
             content_id,
         )
         self._next_event_seq += 1
-        self.published_count += 1
 
         if self.on_publish is not None:
             self.on_publish(event)
@@ -317,7 +306,6 @@ class Dispatcher:
         self.received_ids.add(event.event_id)
         directions = self.table.matching_directions_for(content_id, canonical)
         if directions and directions[0] == LOCAL:
-            self.delivered_count += 1
             if self.on_deliver is not None:
                 self.on_deliver(self.node_id, event, False, self.sim._now)
         # "Each dispatcher caches only events for which it is either the
@@ -336,10 +324,7 @@ class Dispatcher:
     ) -> None:
         """Forward ``event`` to every matching direction but ``exclude``;
         ``directions`` is the caller's (memoized) sorted direction tuple."""
-        if not self.tree_routing_enabled:
-            return
-        self.match_operations += len(event.patterns)
-        if not directions:
+        if not directions or not self.tree_routing_enabled:
             return
         node_id = self.node_id
         # Straight to the link layer: ``Network.send`` is two dict lookups
@@ -349,7 +334,8 @@ class Dispatcher:
         # mutated in place by reconfiguration, so reading it here always
         # sees the live topology; a missing link reproduces Network.send's
         # counted-loss semantics.
-        links = self.network._adjacency[node_id]
+        network = self.network
+        links = network._adjacency[node_id]
         # One immutable envelope shared by every direction: the network layer
         # never mutates messages, so per-direction copies are pure overhead.
         message = None
@@ -366,9 +352,8 @@ class Dispatcher:
             else:
                 # Routing table points at a broken link: the frame is lost
                 # on the dead wire (send + drop, exactly like Network.send).
-                observer = self.network.observer
-                observer.count_send(_EVENT, node_id)
-                observer.count_drop(_EVENT)
+                network.sent_tally[_EVENT] += 1
+                network.dropped_tally[_EVENT] += 1
 
     def receive_recovered_event(self, event: Event) -> bool:
         """Process an event obtained through the recovery machinery.
@@ -385,8 +370,6 @@ class Dispatcher:
             event.content_id, event.patterns
         )
         if directions and directions[0] == LOCAL:
-            self.recovered_count += 1
-            self.delivered_count += 1
             if self.on_deliver is not None:
                 self.on_deliver(self.node_id, event, True, self.sim._now)
             if self.observe_event is not None:
@@ -476,7 +459,6 @@ class Dispatcher:
                     event.content_id, event.patterns
                 )
             if directions and directions[0] == LOCAL:
-                self.delivered_count += 1
                 on_deliver = self.on_deliver
                 if on_deliver is not None:
                     on_deliver(self.node_id, event, False, self.sim._now)

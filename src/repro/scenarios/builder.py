@@ -96,7 +96,6 @@ class Simulation:
             )
 
         # --- metrics ----------------------------------------------------
-        self.counters = MessageCounters(config.n_dispatchers)
         self.tracker = DeliveryTracker(compact=config.compact_state)
 
         # --- network + dispatchers ---------------------------------------
@@ -115,7 +114,6 @@ class Simulation:
             self.sim,
             config.network_config(),
             self.streams.stream("loss"),
-            observer=self.counters,
             loss_model_factory=self._link_loss_factory,
             oob_loss_model=self._oob_loss_model,
             # Crash-aware delivery variants are only bound when a fault plan
@@ -290,6 +288,7 @@ class Simulation:
                 losses_recovered += detector.recovered
                 losses_abandoned += detector.abandoned
         fault_stats = self._collect_fault_stats()
+        counters = MessageCounters(self.network)
         events_published = sum(p.published for p in self.publishers)
         receivers_per_event = (
             self._receiver_pair_total / self.tracker.event_count()
@@ -308,11 +307,11 @@ class Simulation:
             series_baseline=self.tracker.time_series(
                 config.bin_width, 0.0, config.sim_time, include_recovery=False
             ),
-            messages=self.counters.snapshot(),
-            gossip_per_dispatcher=self.counters.gossip_per_dispatcher(),
-            gossip_event_ratio=self.counters.gossip_event_ratio(),
-            oob_messages=self.counters.oob_messages,
-            recovery_load_skew=self.counters.recovery_load_skew(),
+            messages=counters.snapshot(),
+            gossip_per_dispatcher=counters.gossip_per_dispatcher(),
+            gossip_event_ratio=counters.gossip_event_ratio(),
+            oob_messages=counters.oob_messages,
+            recovery_load_skew=counters.recovery_load_skew(),
             gossip_stats=gossip_stats,
             losses_detected=losses_detected,
             losses_recovered=losses_recovered,

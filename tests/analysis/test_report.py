@@ -1,8 +1,7 @@
-"""Tests for the Markdown report assembler."""
+"""Tests for the experiment result helpers that reports are built from."""
 
 from __future__ import annotations
 
-from repro.analysis.report import ExperimentReport
 from repro.scenarios.experiments import ExperimentResult
 
 
@@ -17,26 +16,6 @@ def sample_result():
 
 
 class TestExperimentReport:
-    def test_markdown_structure(self):
-        report = ExperimentReport("Repro Report", preamble="intro text")
-        report.add_experiment(
-            sample_result(), paper_says="goes up", verdict="it went up"
-        )
-        text = report.to_markdown()
-        assert text.startswith("# Repro Report")
-        assert "intro text" in text
-        assert "## FigX — demo experiment" in text
-        assert "**Paper:** goes up" in text
-        assert "**Measured:** it went up" in text
-        assert "0.500" in text
-
-    def test_write_to_file(self, tmp_path):
-        report = ExperimentReport("R")
-        report.add_text("free text")
-        path = tmp_path / "report.md"
-        report.write(str(path))
-        assert "free text" in path.read_text()
-
     def test_experiment_result_helpers(self):
         result = sample_result()
         assert result.curve("line") == [0.5, 0.6]

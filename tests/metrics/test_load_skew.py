@@ -6,42 +6,43 @@ import pytest
 
 from repro.metrics.counters import MessageCounters
 from repro.network.message import MessageKind
+from tests.metrics.test_counters import make_network, send
 
 
 class TestOobByNode:
     def test_requests_and_retransmissions_tallied(self):
-        counters = MessageCounters(node_count=3)
-        counters.count_send(MessageKind.OOB_REQUEST, 0)
-        counters.count_send(MessageKind.OOB_EVENT, 0)
-        counters.count_send(MessageKind.OOB_EVENT, 2)
-        assert counters.oob_by_node() == [2, 0, 1]
+        sim, network = make_network(3)
+        send(network, MessageKind.OOB_REQUEST, 0)
+        send(network, MessageKind.OOB_EVENT, 0)
+        send(network, MessageKind.OOB_EVENT, 2)
+        assert list(network.oob_by_node[:3]) == [2, 0, 1]
 
     def test_event_and_gossip_not_in_oob_tally(self):
-        counters = MessageCounters(node_count=2)
-        counters.count_send(MessageKind.EVENT, 0)
-        counters.count_send(MessageKind.GOSSIP, 0)
-        assert counters.oob_by_node() == [0, 0]
+        sim, network = make_network(2)
+        send(network, MessageKind.EVENT, 0)
+        send(network, MessageKind.GOSSIP, 0)
+        assert list(network.oob_by_node[:2]) == [0, 0]
 
 
 class TestLoadSkew:
     def test_no_traffic_is_zero(self):
-        assert MessageCounters(node_count=4).recovery_load_skew() == 0.0
+        sim, network = make_network(4)
+        assert MessageCounters(network).recovery_load_skew() == 0.0
 
     def test_flat_profile_is_one(self):
-        counters = MessageCounters(node_count=4)
+        sim, network = make_network(4)
         for node in range(4):
-            counters.count_send(MessageKind.GOSSIP, node)
-        assert counters.recovery_load_skew() == pytest.approx(1.0)
+            send(network, MessageKind.GOSSIP, node)
+        assert MessageCounters(network).recovery_load_skew() == pytest.approx(1.0)
 
     def test_concentrated_profile(self):
-        counters = MessageCounters(node_count=4)
-        for _ in range(8):
-            counters.count_send(MessageKind.OOB_EVENT, 0)
+        sim, network = make_network(4)
+        send(network, MessageKind.OOB_EVENT, 0, times=8)
         # mean = 2, max = 8 -> skew 4.
-        assert counters.recovery_load_skew() == pytest.approx(4.0)
+        assert MessageCounters(network).recovery_load_skew() == pytest.approx(4.0)
 
     def test_mixed_gossip_and_oob(self):
-        counters = MessageCounters(node_count=2)
-        counters.count_send(MessageKind.GOSSIP, 0)
-        counters.count_send(MessageKind.OOB_REQUEST, 1)
-        assert counters.recovery_load_skew() == pytest.approx(1.0)
+        sim, network = make_network(2)
+        send(network, MessageKind.GOSSIP, 0)
+        send(network, MessageKind.OOB_REQUEST, 1)
+        assert MessageCounters(network).recovery_load_skew() == pytest.approx(1.0)

@@ -94,6 +94,8 @@ class TestTransmission:
         assert network.send(0, 1, event_message()) is False
         sim.run()
         assert b.received == []
+        assert network.sent_tally[MessageKind.EVENT] == 1
+        assert network.dropped_tally[MessageKind.EVENT] == 1
 
 
 class TestLoss:
@@ -112,8 +114,8 @@ class TestLoss:
             network.send(0, 1, event_message())
         sim.run()
         assert b.received == []
-        link = network.link(0, 1)
-        assert link.stats.lost == 50
+        assert network.sent_tally[MessageKind.EVENT] == 50
+        assert network.dropped_tally[MessageKind.EVENT] == 50
 
     def test_loss_rate_approximates_epsilon(self):
         sim = Simulator()
@@ -148,7 +150,7 @@ class TestOutage:
         assert network.send(0, 1, event_message()) is False
         sim.run()
         assert b.received == []
-        assert network.link(0, 1).stats.dropped_down == 1
+        assert network.dropped_tally[MessageKind.EVENT] == 1
 
     def test_in_flight_messages_lost_when_link_removed(self):
         sim = Simulator()
@@ -194,16 +196,3 @@ class TestLinkValidation:
         network.add_node(Recorder(1, sim))
         with pytest.raises(KeyError):
             network.remove_link(0, 1)
-
-    def test_utilization_accounting(self):
-        sim = Simulator()
-        config = NetworkConfig(
-            bandwidth_bps=1_000_000.0, propagation_delay=0.0, error_rate=0.0
-        )
-        network, a, b = make_pair(sim, config)
-        for _ in range(10):
-            network.send(0, 1, event_message(size_bits=10_000))
-        sim.run()
-        link = network.link(0, 1)
-        # 10 x 10ms busy over 0.1 s elapsed: one direction fully busy.
-        assert link.stats.utilization(0.1) == pytest.approx(0.5)

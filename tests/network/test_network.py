@@ -6,19 +6,17 @@ import random
 
 import pytest
 
-from repro.metrics.counters import MessageCounters
 from repro.network.message import Message, MessageKind
 from repro.network.network import Network, NetworkConfig
 from repro.sim.engine import Simulator
 from tests.network.test_link import Recorder, event_message
 
 
-def make_network(sim, n=3, config=None, seed=0, observer=None, fault_hooks=False):
+def make_network(sim, n=3, config=None, seed=0, fault_hooks=False):
     network = Network(
         sim,
         config or NetworkConfig(error_rate=0.0),
         random.Random(seed),
-        observer,
         fault_hooks=fault_hooks,
     )
     nodes = [Recorder(i, sim) for i in range(n)]
@@ -83,12 +81,12 @@ class TestOutOfBand:
         """UDP to a vanished host just disappears: counted drop (send +
         drop + down_drops), never a KeyError."""
         sim = Simulator()
-        counters = MessageCounters(node_count=3)
-        network, nodes = make_network(sim, observer=counters, fault_hooks=True)
+        network, nodes = make_network(sim, fault_hooks=True)
         assert network.send_oob(0, 99, Message(MessageKind.OOB_EVENT, "e", 0)) is False
         sim.run()
-        assert counters.sent(MessageKind.OOB_EVENT) == 1
-        assert counters.dropped(MessageKind.OOB_EVENT) == 1
+        assert network.sent_tally[MessageKind.OOB_EVENT] == 1
+        assert network.dropped_tally[MessageKind.OOB_EVENT] == 1
+        assert network.oob_by_node[0] == 1
         assert network.down_drops == 1
 
     def test_oob_statistical_loss(self):
@@ -108,26 +106,24 @@ class TestCrashedNodeDelivery:
 
     def test_link_message_in_flight_when_node_crashes(self):
         sim = Simulator()
-        counters = MessageCounters(node_count=3)
-        network, nodes = make_network(sim, observer=counters, fault_hooks=True)
+        network, nodes = make_network(sim, fault_hooks=True)
         network.add_link(0, 1)
         assert network.send(0, 1, event_message()) is True
         network.set_node_down(1, True)  # crash while the frame is on the wire
         sim.run()
         assert nodes[1].received == []
-        assert counters.dropped(MessageKind.EVENT) == 1
-        assert counters.delivered(MessageKind.EVENT) == 0
+        assert network.dropped_tally[MessageKind.EVENT] == 1
+        assert network.delivered_tally[MessageKind.EVENT] == 0
         assert network.down_drops == 1
 
     def test_oob_message_in_flight_when_node_crashes(self):
         sim = Simulator()
-        counters = MessageCounters(node_count=3)
-        network, nodes = make_network(sim, observer=counters, fault_hooks=True)
+        network, nodes = make_network(sim, fault_hooks=True)
         assert network.send_oob(0, 2, Message(MessageKind.OOB_EVENT, "e", 0)) is True
         network.set_node_down(2, True)
         sim.run()
         assert nodes[2].received_oob == []
-        assert counters.dropped(MessageKind.OOB_EVENT) == 1
+        assert network.dropped_tally[MessageKind.OOB_EVENT] == 1
         assert network.down_drops == 1
 
     def test_restart_reenables_delivery(self):
@@ -152,40 +148,62 @@ class TestCrashedNodeDelivery:
 
 
 class TestTrafficObserver:
+    """The network's own traffic account: per-kind tallies, and gossip and
+    out-of-band sends per node."""
+
     def test_counters_observe_sends_drops_deliveries(self):
         sim = Simulator()
-        counters = MessageCounters(node_count=3)
-        network, nodes = make_network(sim, observer=counters)
+        network, nodes = make_network(sim)
         network.add_link(0, 1)
         network.send(0, 1, event_message())
         network.send(0, 1, Message(MessageKind.GOSSIP, "g", 0))
         network.send_oob(0, 2, Message(MessageKind.OOB_EVENT, "e", 0))
         sim.run()
-        assert counters.sent(MessageKind.EVENT) == 1
-        assert counters.sent(MessageKind.GOSSIP) == 1
-        assert counters.sent(MessageKind.OOB_EVENT) == 1
-        assert counters.delivered(MessageKind.EVENT) == 1
-        assert counters.gossip_by_node()[0] == 1
-        assert counters.events_by_node()[0] == 1
+        assert network.sent_tally[MessageKind.EVENT] == 1
+        assert network.sent_tally[MessageKind.GOSSIP] == 1
+        assert network.sent_tally[MessageKind.OOB_EVENT] == 1
+        assert network.delivered_tally[MessageKind.EVENT] == 1
+        assert network.delivered_tally[MessageKind.GOSSIP] == 1
+        assert network.delivered_tally[MessageKind.OOB_EVENT] == 1
+        assert network.gossip_by_node[0] == 1
+        assert network.oob_by_node[0] == 1
 
     def test_counters_observe_drops(self):
         sim = Simulator()
-        counters = MessageCounters(node_count=2)
         config = NetworkConfig(error_rate=1.0)
-        network = Network(sim, config, random.Random(0), counters)
+        network = Network(sim, config, random.Random(0))
         network.add_node(Recorder(0, sim))
         network.add_node(Recorder(1, sim))
         network.add_link(0, 1)
         for _ in range(10):
             network.send(0, 1, event_message())
         sim.run()
-        assert counters.dropped(MessageKind.EVENT) == 10
-        assert counters.loss_rate(MessageKind.EVENT) == 1.0
+        assert network.sent_tally[MessageKind.EVENT] == 10
+        assert network.dropped_tally[MessageKind.EVENT] == 10
+        assert network.delivered_tally[MessageKind.EVENT] == 0
 
     def test_null_observer_by_default(self):
+        """Nothing needs to be attached for the network to count."""
         sim = Simulator()
         network, nodes = make_network(sim)
         network.add_link(0, 1)
         network.send(0, 1, event_message())
-        sim.run()  # no crash: null observer swallows everything
+        sim.run()
         assert len(nodes[1].received) == 1
+        assert network.sent_tally[MessageKind.EVENT] == 1
+        assert network.delivered_tally[MessageKind.EVENT] == 1
+
+    def test_node_columns_grow_with_sparse_ids(self):
+        """Node ids need not be dense or added in order: the per-node
+        columns grow to cover the largest id."""
+        sim = Simulator()
+        network = Network(sim, NetworkConfig(error_rate=0.0), random.Random(0))
+        network.add_node(Recorder(7, sim))
+        network.add_node(Recorder(2, sim))
+        network.add_node(Recorder(40, sim))
+        network.add_link(40, 7)
+        network.send(40, 7, Message(MessageKind.GOSSIP, "g", 40))
+        network.send_oob(2, 40, Message(MessageKind.OOB_REQUEST, "r", 2))
+        assert network.gossip_by_node[40] == 1
+        assert network.oob_by_node[2] == 1
+        assert sum(network.gossip_by_node) + sum(network.oob_by_node) == 2

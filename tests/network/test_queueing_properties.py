@@ -62,6 +62,6 @@ def test_loss_never_reorders_survivors(count, eps, seed):
     payloads = [m.payload for _, m, _ in b.received]
     assert payloads == sorted(payloads)
     # Accounting closes: sent == delivered + lost.
-    link = network.link(0, 1)
-    assert link.stats.sent == count
-    assert link.stats.delivered + link.stats.lost == count
+    kind = MessageKind.EVENT
+    assert network.sent_tally[kind] == count
+    assert network.delivered_tally[kind] + network.dropped_tally[kind] == count

@@ -40,18 +40,21 @@ class TestRecoveredEventHandling:
         )
         event = make_event(source=0, seq=1, patterns=(3,))
         dispatcher = system.dispatchers[1]
-        dispatcher.receive_recovered_event(event)
-        dispatcher.receive_recovered_event(event)
+        assert dispatcher.receive_recovered_event(event) is True
+        assert dispatcher.receive_recovered_event(event) is False
         assert deliveries == [(1, True)]
-        assert dispatcher.recovered_count == 1
 
     def test_recovered_event_not_counted_when_not_subscribed(self):
         sim, system = make_two_node_system()
         system.apply_subscriptions({0: (), 1: (3,)})
+        deliveries = []
+        system.set_delivery_callback(
+            lambda node, event, recovered, now: deliveries.append(node)
+        )
         dispatcher = system.dispatchers[1]
         event = make_event(source=0, seq=1, patterns=(5,))  # not subscribed
         dispatcher.receive_recovered_event(event)
-        assert dispatcher.recovered_count == 0
+        assert deliveries == []
         assert not dispatcher.cache.contains(event.event_id)
         # But the event is remembered, so a later tree copy is deduped.
         assert event.event_id in dispatcher.received_ids
@@ -82,22 +85,21 @@ class TestDuplicateTreeCopies:
 
 
 class TestMatchCounters:
-    def test_publish_counts_table_match(self):
-        sim, system = make_two_node_system()
-        system.apply_subscriptions({0: (1,), 1: (2,)})
-        dispatcher = system.dispatchers[0]
-        before = dispatcher.match_operations
-        system.publish(0, (1, 2))
-        assert dispatcher.match_operations > before
-
     def test_published_and_delivered_counters(self):
+        """One publish takes the publisher's first sequence number and is
+        delivered once at each subscriber, the publisher included."""
         sim, system = make_two_node_system()
         system.apply_subscriptions({0: (1,), 1: (1,)})
-        system.publish(0, (1,))
+        deliveries = []
+        system.set_delivery_callback(
+            lambda node, event, recovered, now: deliveries.append(
+                (node, event.event_id.seq, recovered)
+            )
+        )
+        event = system.publish(0, (1,))
         sim.run()
-        assert system.dispatchers[0].published_count == 1
-        assert system.dispatchers[0].delivered_count == 1
-        assert system.dispatchers[1].delivered_count == 1
+        assert event.event_id.seq == 1
+        assert deliveries == [(0, 1, False), (1, 1, False)]
 
 
 class TestForwardedCaching:

@@ -60,7 +60,9 @@ def test_all_detected_losses_recovered(n, seed, publishes):
         )
     # Every subscriber holds the full stream it subscribes to.
     source = harness.system.dispatchers[publisher]
-    published = source.published_count
+    published = sum(
+        1 for event_id in source.received_ids if event_id.source == publisher
+    )
     for node in range(n):
         if node == publisher:
             continue

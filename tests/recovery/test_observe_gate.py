@@ -40,7 +40,6 @@ class UngatedDispatcher(Dispatcher):
         )
         is_subscriber = bool(directions) and directions[0] == LOCAL
         if is_subscriber:
-            self.delivered_count += 1
             self.on_deliver(self.node_id, event, False, self.sim._now)
         if self.observe_event is not None:
             self.observe_event(event, route)
@@ -60,8 +59,6 @@ class UngatedDispatcher(Dispatcher):
         )
         is_subscriber = bool(directions) and directions[0] == LOCAL
         if is_subscriber:
-            self.recovered_count += 1
-            self.delivered_count += 1
             self.on_deliver(self.node_id, event, True, self.sim._now)
         if self.observe_event is not None:
             self.observe_event(event, None)

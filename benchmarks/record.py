@@ -289,11 +289,12 @@ def bench_faults_scenario(quick: bool) -> Optional[Dict[str, object]]:
 
 
 # ----------------------------------------------------------------------
-# Large-topology scenario (compact-state substrate)
+# Large-topology scenario
 # ----------------------------------------------------------------------
 #: The scale probe: combined pull on a scale-free overlay with the
-#: aggregate workload model and the compact-state representations
-#: (``SimulationConfig.compact_state``, on at this node count).  Parameters match docs/EXPERIMENTS.md's
+#: aggregate workload model and splitmix64 gossip streams
+#: (``SimulationConfig.compact_state``, on at this node count; nothing
+#: else switches with N).  Parameters match docs/EXPERIMENTS.md's
 #: fig_scalability sweep.  The *system-wide* publish load is held at 200
 #: events/s regardless of N (the paper's scaling methodology): each event
 #: costs O(N) delivery work and O(subscribers) tracking state, so a fixed

@@ -2,9 +2,9 @@
 
 Beyond the paper: Figure 6 stops at N = 200, where every algorithm's
 scaling question is still about protocol dynamics, not substrate cost.
-This experiment rides the compact-state substrate (scale-free overlay,
-aggregate workload, bitmap received-id logs) far enough that memory and
-wall time become the interesting curves.  The benchmark runs reduced
+This experiment takes the substrate (scale-free overlay, aggregate
+workload, splitmix64 gossip streams from N = 1000) far enough that memory
+and wall time become the interesting curves.  The benchmark runs reduced
 sizes to stay inside the suite's time budget; docs/EXPERIMENTS.md records
 the full sweep to N = 10⁵.
 """
@@ -15,8 +15,8 @@ from benchmarks._helpers import run_once
 from repro.scenarios.experiments import fig_scalability
 
 #: Small enough for the bench suite, large enough that the scale-free
-#: overlay has real hubs and ``compact_state`` switches on at the top
-#: size.
+#: overlay has real hubs and the splitmix64 gossip RNG
+#: (``compact_state``) switches on at the top size.
 BENCH_SIZES = (200, 500, 1_000)
 
 

@@ -13,9 +13,9 @@ on arrival as a counted drop -- ``Network.set_node_down``.  Its gossip
 timer and publisher are stopped.  On restart, volatile state is wiped
 (event cache, loss-detector streams, learned routes, peer tracker) via
 ``EventCache.clear`` and ``RecoveryAlgorithm.on_restart``; durable
-identity (node id, subscriptions, ``received_ids`` -- the delivery log
-lives with the application, not the dispatcher's buffers) survives, and
-the timer/publisher resume.
+identity (node id, subscriptions, its column of the received-id matrix
+-- the delivery log lives with the application, not the dispatcher's
+buffers) survives, and the timer/publisher resume.
 
 Partition semantics
 -------------------

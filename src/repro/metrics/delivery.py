@@ -15,7 +15,7 @@ window, so warm-up and the un-recoverable tail can be excluded).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.pubsub.event import Event, EventId
 from repro.metrics.timeseries import TimeSeries
@@ -23,58 +23,19 @@ from repro.metrics.timeseries import TimeSeries
 __all__ = ["DeliveryTracker", "DeliveryStats"]
 
 
-class _EventRecord:
-    """Classic record: recipient hash sets (the paper-scale layout).
+class _DeliveryRecord:
+    """Expected and delivered recipients of one event, as node-id masks.
 
-    C-speed membership and insertion on the per-delivery hot path; kept
-    as the default because the bitmap layout below trades exactly that
-    speed for memory.
+    Bit ``node_id`` of ``expected``/``delivered`` is one recipient; the
+    counts are kept alongside so reports never popcount.  A mask costs
+    ~N/8 bytes per event, a hash set ~60 bytes per recipient.
     """
 
     __slots__ = (
         "publish_time",
         "expected",
-        "delivered",
-        "recovered",
-        "latency_sum",
-        "recovered_latency_sum",
-    )
-
-    def __init__(self, publish_time: float, expected: Iterable[int]) -> None:
-        self.publish_time = publish_time
-        self.expected = frozenset(expected)
-        self.delivered: Set[int] = set()
-        self.recovered = 0
-        self.latency_sum = 0.0
-        self.recovered_latency_sum = 0.0
-
-    @property
-    def expected_count(self) -> int:
-        return len(self.expected)
-
-    @property
-    def delivered_count(self) -> int:
-        return len(self.delivered)
-
-
-class _CompactEventRecord:
-    """Expected/delivered recipients of one event, as node-id bitmaps.
-
-    Recipient populations scale with N (a pattern's subscribers are a
-    fixed *fraction* of the network), so at 10^5 nodes the hash sets of
-    :class:`_EventRecord` dominate the tracker's footprint -- ~N/8 bytes
-    per event in bitmap form versus ~60 bytes per recipient as a set.
-    Only membership, insertion and counting are ever needed.  Selected
-    by ``DeliveryTracker(compact=True)`` (the large-scale runs); the
-    per-delivery bit arithmetic is Python-level, so paper-scale runs
-    keep the classic record.
-    """
-
-    __slots__ = (
-        "publish_time",
-        "expected_bits",
         "expected_count",
-        "delivered_bits",
+        "delivered",
         "delivered_count",
         "recovered",
         "latency_sum",
@@ -83,19 +44,12 @@ class _CompactEventRecord:
 
     def __init__(self, publish_time: float, expected: Iterable[int]) -> None:
         self.publish_time = publish_time
-        bits = bytearray()
-        count = 0
+        mask = 0
         for node_id in expected:
-            byte = node_id >> 3
-            if byte >= len(bits):
-                bits.extend(bytes(byte + 1 - len(bits)))
-            mask = 1 << (node_id & 7)
-            if not bits[byte] & mask:
-                bits[byte] |= mask
-                count += 1
-        self.expected_bits = bytes(bits)
-        self.expected_count = count
-        self.delivered_bits = bytearray(len(bits))
+            mask |= 1 << node_id
+        self.expected = mask
+        self.expected_count = mask.bit_count()
+        self.delivered = 0
         self.delivered_count = 0
         self.recovered = 0
         self.latency_sum = 0.0
@@ -153,20 +107,10 @@ class DeliveryStats:
 
 
 class DeliveryTracker:
-    """Track expected vs. actual deliveries for every published event.
+    """Track expected vs. actual deliveries for every published event."""
 
-    ``compact=True`` switches the per-event records to node-id bitmaps
-    (O(N/8) bytes per event instead of O(recipients) hash-set entries);
-    behaviour is identical, only the representation -- and the
-    speed/memory trade -- changes.  The builder enables it from
-    ``COMPACT_STATE_MIN_NODES`` dispatchers up
-    (``SimulationConfig.compact_state``), whatever the cache policy.
-    """
-
-    def __init__(self, compact: bool = False) -> None:
-        self._compact = compact
-        self._record_cls = _CompactEventRecord if compact else _EventRecord
-        self._records: Dict[EventId, Any] = {}
+    def __init__(self) -> None:
+        self._records: Dict[EventId, _DeliveryRecord] = {}
         self.untracked_deliveries = 0
         self.unexpected_deliveries = 0
         self.duplicate_deliveries = 0
@@ -176,7 +120,7 @@ class DeliveryTracker:
     # ------------------------------------------------------------------
     def on_publish(self, event: Event, expected: Iterable[int]) -> None:
         """Register a published event with its ground-truth recipients."""
-        self._records[event.event_id] = self._record_cls(
+        self._records[event.event_id] = _DeliveryRecord(
             event.publish_time, expected
         )
 
@@ -191,27 +135,15 @@ class DeliveryTracker:
         if record is None:
             self.untracked_deliveries += 1
             return
-        if self._compact:
-            byte = node_id >> 3
-            mask = 1 << (node_id & 7)
-            expected_bits = record.expected_bits
-            if byte >= len(expected_bits) or not expected_bits[byte] & mask:
-                self.unexpected_deliveries += 1
-                return
-            if record.delivered_bits[byte] & mask:
-                self.duplicate_deliveries += 1
-                return
-            record.delivered_bits[byte] |= mask
-            record.delivered_count += 1
-        else:
-            if node_id not in record.expected:
-                self.unexpected_deliveries += 1
-                return
-            delivered = record.delivered
-            if node_id in delivered:
-                self.duplicate_deliveries += 1
-                return
-            delivered.add(node_id)
+        mask = 1 << node_id
+        if not record.expected & mask:
+            self.unexpected_deliveries += 1
+            return
+        if record.delivered & mask:
+            self.duplicate_deliveries += 1
+            return
+        record.delivered |= mask
+        record.delivered_count += 1
         latency = now - record.publish_time
         record.latency_sum += latency
         if recovered:
@@ -265,16 +197,21 @@ class DeliveryTracker:
         Each bin aggregates the events published inside it; its value is
         the fraction of their expected deliveries eventually fulfilled
         (optionally counting only normal routing, for baseline curves).
-        Empty bins yield ``None`` values.
+        Empty bins yield ``None`` values.  Without ``end`` the bins run
+        up to and including the one holding the latest publish time.
         """
         if bin_width <= 0:
             raise ValueError(f"bin_width must be positive, got {bin_width}")
         if end is None:
-            end = max(
+            last = max(
                 (record.publish_time for record in self._records.values()),
                 default=start,
             )
-        bin_count = max(1, int((end - start) / bin_width + 1e-9))
+            # The binning loop's own index formula, so ``last`` lands in
+            # the final bin.
+            bin_count = max(1, int((last - start) / bin_width) + 1)
+        else:
+            bin_count = max(1, int((end - start) / bin_width + 1e-9))
         expected_by_bin = [0] * bin_count
         delivered_by_bin = [0] * bin_count
         for record in self._records.values():

@@ -21,14 +21,12 @@ dispatcher, and so do we).
 
 from __future__ import annotations
 
-from typing import (
-    Any, Callable, Dict, Iterable, Optional, Protocol, Set, Tuple, Union,
-)
+from typing import Any, Callable, Dict, Optional, Protocol, Tuple
 
 from repro.network.message import Message, MessageKind
 from repro.network.network import Network
 from repro.pubsub.cache import EventCache
-from repro.pubsub.event import Event, EventId, EventIdRegistry, ReceivedLog
+from repro.pubsub.event import Event, EventId, EventIdRegistry
 from repro.pubsub.pattern import LOCAL, PatternSpace
 from repro.pubsub.subscription import SubscriptionTable
 from repro.sim.engine import Simulator
@@ -102,6 +100,9 @@ class Dispatcher:
         The universe of patterns (Π).
     buffer_size:
         β, the FIFO event-cache capacity.
+    event_registry:
+        The system's received-id store (one per :class:`~repro.pubsub.
+        system.PubSubSystem`); this node owns one bit column of it.
     record_routes:
         When true, event messages accumulate the dispatcher ids they
         traverse, and ``routes`` keeps the forward route of the latest
@@ -116,8 +117,9 @@ class Dispatcher:
                  "cache", "routes", "on_deliver", "on_publish",
                  "tree_routing_enabled", "recovery", "receive",
                  "receive_oob", "send_gossip", "send_oob_request",
-                 "observe_event", "received_ids", "_match_memo",
-                 "_next_event_seq", "_pattern_counters")
+                 "observe_event", "event_registry", "seen", "seen_col",
+                 "seen_bit", "_match_memo", "_next_event_seq",
+                 "_pattern_counters")
 
     def __init__(
         self,
@@ -126,11 +128,11 @@ class Dispatcher:
         network: Network,
         pattern_space: PatternSpace,
         buffer_size: int,
+        event_registry: EventIdRegistry,
         record_routes: bool = False,
         on_deliver: Optional[DeliveryCallback] = None,
         cache_policy: str = "fifo",
         cache_rng=None,
-        event_registry: Optional[EventIdRegistry] = None,
     ) -> None:
         self.node_id = node_id
         self.sim = sim
@@ -171,15 +173,14 @@ class Dispatcher:
         self.send_gossip: Callable[..., None] = self._send_gossip
         self.send_oob_request: Callable[[int, Any], None] = self._send_oob_request
 
-        #: ids of every event ever received (normally or via recovery);
-        #: used for duplicate suppression and push-digest checks.  With a
-        #: shared dense registry (compact systems) this is a bitmap
-        #: over it -- a hash set here was the largest per-node structure
-        #: at 10^5 nodes; without one it stays a plain set (C-speed
-        #: membership on the paper-scale hot path).
-        self.received_ids: Union[ReceivedLog, Set[EventId]] = (
-            ReceivedLog(event_registry) if event_registry is not None else set()
-        )
+        #: Every event ever received here (normally or via recovery), for
+        #: duplicate suppression and push-digest checks: bit ``seen_bit``
+        #: of byte ``event.row + seen_col`` of the system-wide matrix.
+        #: ``seen`` is the registry's bytearray itself, grown in place.
+        self.event_registry = event_registry
+        self.seen = event_registry.seen
+        self.seen_col = node_id >> 3
+        self.seen_bit = 1 << (node_id & 7)
         #: next event-id sequence number for events published here.
         self._next_event_seq = 1
         #: per-pattern sequence counters for loss-detection tags.
@@ -290,12 +291,14 @@ class Dispatcher:
         canonical, content_id = self.pattern_space.intern_content(
             tuple(sorted(patterns))
         )
+        event_id = EventId(self.node_id, self._next_event_seq)
         event = Event(
-            EventId(self.node_id, self._next_event_seq),
+            event_id,
             canonical,
             pattern_seqs,
             self.sim.now,
             content_id,
+            self.event_registry.intern(event_id),
         )
         self._next_event_seq += 1
 
@@ -303,7 +306,7 @@ class Dispatcher:
             self.on_publish(event)
         if self.recovery is not None:
             self.recovery.on_event_published(event)
-        self.received_ids.add(event.event_id)
+        self.seen[event.row + self.seen_col] |= self.seen_bit
         directions = self.table.matching_directions_for(content_id, canonical)
         if directions and directions[0] == LOCAL:
             if self.on_deliver is not None:
@@ -363,9 +366,10 @@ class Dispatcher:
         dispatcher recovers on its own behalf.  Returns ``True`` if the
         event was new.
         """
-        if event.event_id in self.received_ids:
+        offset = event.row + self.seen_col
+        if self.seen[offset] & self.seen_bit:
             return False
-        self.received_ids.add(event.event_id)
+        self.seen[offset] |= self.seen_bit
         directions = self.table.matching_directions_for(
             event.content_id, event.patterns
         )
@@ -393,6 +397,18 @@ class Dispatcher:
     # ------------------------------------------------------------------
     # Primitives offered to the recovery algorithms
     # ------------------------------------------------------------------
+    def unreceived(self, event_ids: Tuple[EventId, ...]) -> Tuple[EventId, ...]:
+        """The ids in ``event_ids`` never received here (push's digest
+        check).  Each advertised id was interned at its publish, so the
+        registry maps it to its row of the received-id matrix."""
+        rows = self.event_registry.rows
+        seen = self.seen
+        col = self.seen_col
+        bit = self.seen_bit
+        return tuple([
+            event_id for event_id in event_ids if not seen[rows[event_id] + col] & bit
+        ])
+
     def gossip_targets(self, pattern: int, exclude: Optional[int]) -> list[int]:
         """Neighbors subscribed to ``pattern`` (candidates for gossip
         forwarding), excluding the previous hop."""
@@ -445,11 +461,11 @@ class Dispatcher:
             # The per-hop event path in one frame: dedup, match, delivery,
             # recovery observation, cache insert, route learning, forward.
             event, route = message.payload
-            event_id = event.event_id
-            received_ids = self.received_ids
-            if event_id in received_ids:
+            seen = self.seen
+            offset = event.row + self.seen_col
+            if seen[offset] & self.seen_bit:
                 return  # duplicate (possible across reconfigurations)
-            received_ids.add(event_id)
+            seen[offset] |= self.seen_bit
             # One memoized table query serves the local-match test and the
             # forwarding decision (LOCAL sorts first: it is -1, node ids
             # >= 0).  A memo miss costs the table one frame.
@@ -470,7 +486,7 @@ class Dispatcher:
                 self.cache.insert(event)
             if route is not None:
                 # Routes are learned on every hop, subscriber or not.
-                self.routes[event_id.source] = route
+                self.routes[event.event_id.source] = route
                 route = route + (self.node_id,)
             self._forward_event(event, route, from_node, directions)
         elif kind is _GOSSIP:

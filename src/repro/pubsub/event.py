@@ -22,9 +22,9 @@ publisher-based pull travels in the event *message*, not in the event
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-__all__ = ["EventId", "Event", "EventIdRegistry", "ReceivedLog"]
+__all__ = ["EventId", "Event", "EventIdRegistry"]
 
 
 class EventId(namedtuple("EventId", "source seq")):
@@ -77,10 +77,16 @@ class Event:
         time, or ``-1`` for events constructed outside a pattern space
         (tests, ad-hoc tooling).  When present, matching paths memoize on
         this int instead of the pattern tuple.
+    row:
+        Byte offset of the event's row in the system's received-id
+        matrix (:class:`EventIdRegistry`), assigned at publish time, or
+        ``None`` for events constructed outside a system.  Receiving
+        such an event raises ``TypeError``: it must never read another
+        event's row.
     """
 
     __slots__ = ("event_id", "patterns", "pattern_seqs", "publish_time",
-                 "content_id")
+                 "content_id", "row")
 
     def __init__(
         self,
@@ -89,6 +95,7 @@ class Event:
         pattern_seqs: Dict[int, int],
         publish_time: float,
         content_id: int = -1,
+        row: Optional[int] = None,
     ) -> None:
         if not patterns:
             raise ValueError("an event must contain at least one pattern")
@@ -102,6 +109,7 @@ class Event:
         self.pattern_seqs = pattern_seqs
         self.publish_time = publish_time
         self.content_id = content_id
+        self.row = row
 
     @property
     def source(self) -> int:
@@ -132,105 +140,34 @@ class Event:
 
 
 class EventIdRegistry:
-    """Run-global dense index over :class:`EventId`\\ s.
+    """The system's received-id store: one bit per (event, node).
 
-    One registry per simulation (owned by :class:`~repro.pubsub.system.
-    PubSubSystem`), interning each event identity to the next integer the
-    first time any node logs it.  The dense index is what lets the
-    per-node :class:`ReceivedLog`\\ s store membership as bitmaps instead
-    of hash sets: at 10^5 nodes the received-id sets were the single
-    largest per-node structure (~2.5 KB/node for a few hundred events),
-    where a shared registry plus per-node bitmaps cost one dict for the
-    whole process and ~events/8 bytes per node.
+    Every dispatcher drops the events it has already received, and push
+    recovery checks each advertised id against "the events it has ever
+    received".  Both read one ``bytearray`` matrix, :attr:`seen`, owned
+    by the :class:`~repro.pubsub.system.PubSubSystem`: one row of
+    ``stride = ceil(N/8)`` bytes per published event, appended (zeroed)
+    by :meth:`intern` at publish time.  Node ``i`` owns byte column
+    ``i >> 3`` and bit ``1 << (i & 7)`` of every row, so a node's dedup
+    test is ``seen[event.row + column] & bit`` -- no hash probe and no
+    method call -- and the whole system pays N/8 bytes per event, where
+    a hash set per node pays ~60 bytes per received id.  :attr:`rows`
+    maps each id to its row offset for the one reader that holds bare
+    ids, push's digest check.
     """
 
-    __slots__ = ("_index", "_ids")
+    __slots__ = ("stride", "rows", "seen")
 
-    def __init__(self) -> None:
-        self._index: Dict[EventId, int] = {}
-        self._ids: List[EventId] = []
+    def __init__(self, node_count: int) -> None:
+        self.stride = (node_count + 7) >> 3
+        #: event id -> byte offset of its row in :attr:`seen`.
+        self.rows: Dict[EventId, int] = {}
+        self.seen = bytearray()
 
     def intern(self, event_id: EventId) -> int:
-        """Dense index of ``event_id``, assigning one on first sight."""
-        idx = self._index.get(event_id)
-        if idx is None:
-            idx = len(self._ids)
-            self._index[event_id] = idx
-            self._ids.append(event_id)
-        return idx
-
-    def index_of(self, event_id: EventId) -> Optional[int]:
-        """Dense index of ``event_id``, or ``None`` if never interned."""
-        return self._index.get(event_id)
-
-    def event_id(self, index: int) -> EventId:
-        return self._ids[index]
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-
-class ReceivedLog:
-    """Set-like per-node log of every event id ever received.
-
-    Drop-in replacement for the ``Set[EventId]`` the dispatchers used for
-    duplicate suppression and push-digest checks: supports ``in``,
-    ``add``, ``discard``, iteration and ``len``, but stores membership as
-    a bitmap over the shared :class:`EventIdRegistry`'s dense index.
-    Iteration yields ids in dense-index (global first-receipt) order --
-    deterministic, unlike a hash set, and nothing in the simulation
-    iterates a received log anyway (membership and insertion only).
-    """
-
-    __slots__ = ("_registry", "_bits")
-
-    def __init__(self, registry: Optional[EventIdRegistry] = None) -> None:
-        # Standalone construction (unit tests, ad-hoc tooling) gets a
-        # private registry; simulations share one per pub-sub system.
-        self._registry = registry if registry is not None else EventIdRegistry()
-        self._bits = bytearray()
-
-    def add(self, event_id: EventId) -> None:
-        idx = self._registry.intern(event_id)
-        byte = idx >> 3
-        bits = self._bits
-        if byte >= len(bits):
-            bits.extend(bytes(byte + 1 - len(bits)))
-        bits[byte] |= 1 << (idx & 7)
-
-    def discard(self, event_id: EventId) -> None:
-        idx = self._registry.index_of(event_id)
-        if idx is None:
-            return
-        byte = idx >> 3
-        if byte < len(self._bits):
-            self._bits[byte] &= 0xFF ^ (1 << (idx & 7))
-
-    def __contains__(self, event_id: object) -> bool:
-        if not isinstance(event_id, EventId):
-            return False
-        idx = self._registry.index_of(event_id)
-        if idx is None:
-            return False
-        byte = idx >> 3
-        bits = self._bits
-        return byte < len(bits) and bits[byte] >> (idx & 7) & 1 == 1
-
-    def __iter__(self) -> Iterator[EventId]:
-        ids = self._registry._ids
-        for byte, value in enumerate(self._bits):
-            if not value:
-                continue
-            base = byte << 3
-            for bit in range(8):
-                if value >> bit & 1:
-                    yield ids[base + bit]
-
-    def __len__(self) -> int:
-        return sum(value.bit_count() for value in self._bits)
-
-    def __bool__(self) -> bool:
-        return any(self._bits)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<ReceivedLog {len(self)} ids>"
+        """Append a zeroed row for the newly published ``event_id`` and
+        return its offset."""
+        row = len(self.seen)
+        self.rows[event_id] = row
+        self.seen += bytes(self.stride)
+        return row

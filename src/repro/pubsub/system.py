@@ -3,6 +3,9 @@
 :class:`PubSubSystem` owns the whole dispatching network and provides:
 
 * construction from a :class:`~repro.topology.tree.Tree`;
+* the received-id store every dispatcher deduplicates against (one
+  :class:`~repro.pubsub.event.EventIdRegistry` bit matrix for the whole
+  system);
 * the user-facing subscribe / publish API;
 * the *route oracle*: direct computation of every subscription table from
   the global subscription assignment and the current live overlay.  The
@@ -45,10 +48,6 @@ class PubSubSystem:
         Enable route accumulation on event messages (publisher-based pull).
     on_deliver:
         Delivery callback propagated to every dispatcher.
-    compact:
-        Keep every dispatcher's received-id log as a bitmap over one
-        shared dense :class:`EventIdRegistry` (large systems) instead of
-        a hash set.
     """
 
     def __init__(
@@ -62,17 +61,14 @@ class PubSubSystem:
         on_deliver: Optional[DeliveryCallback] = None,
         cache_policy: str = "fifo",
         cache_rng_factory=None,
-        compact: bool = False,
     ) -> None:
         self.sim = sim
         self.network = network
         self.pattern_space = pattern_space
         self.dispatchers: List[Dispatcher] = []
-        #: One dense event-id index shared by every node's received log --
-        #: only materialized for compact systems, where the per-node logs
-        #: become bitmaps over it.  Otherwise nodes keep plain hash sets
-        #: (C-speed membership on the per-receipt hot path).
-        self.event_registry = EventIdRegistry() if compact else None
+        #: The received-id matrix: one row per published event, one bit
+        #: column per node.
+        self.event_registry = EventIdRegistry(tree.node_count)
         for node_id in range(tree.node_count):
             dispatcher = Dispatcher(
                 node_id,
@@ -80,11 +76,11 @@ class PubSubSystem:
                 network,
                 pattern_space,
                 buffer_size,
+                self.event_registry,
                 record_routes=record_routes,
                 on_deliver=on_deliver,
                 cache_policy=cache_policy,
                 cache_rng=cache_rng_factory(node_id) if cache_rng_factory else None,
-                event_registry=self.event_registry,
             )
             network.add_node(dispatcher)
             self.dispatchers.append(dispatcher)

@@ -52,10 +52,7 @@ class PushRecovery(RecoveryAlgorithm):
             return
         self.stats.gossip_handled += 1
         if self.dispatcher.table.is_local(payload.pattern):
-            received = self.dispatcher.received_ids
-            missing = tuple(
-                event_id for event_id in payload.event_ids if event_id not in received
-            )
+            missing = self.dispatcher.unreceived(payload.event_ids)
             if missing:
                 self.dispatcher.send_oob_request(payload.gossiper, missing)
                 self.stats.requests_sent += 1

@@ -96,7 +96,7 @@ class Simulation:
             )
 
         # --- metrics ----------------------------------------------------
-        self.tracker = DeliveryTracker(compact=config.compact_state)
+        self.tracker = DeliveryTracker()
 
         # --- network + dispatchers ---------------------------------------
         # Burst-loss models (when configured) replace the Bernoulli draws;
@@ -137,7 +137,6 @@ class Simulation:
                 if config.cache_policy == "random"
                 else None
             ),
-            compact=config.compact_state,
         )
 
         # --- subscriptions (stable regime: laid down via the oracle) -----

@@ -32,8 +32,9 @@ from repro.recovery.degrade import DegradationConfig
 
 __all__ = ["SimulationConfig", "COMPACT_STATE_MIN_NODES"]
 
-#: System size from which a run keeps its per-node and per-event state
-#: compact (:attr:`SimulationConfig.compact_state`).
+#: System size from which each node's gossip RNG is a 2-word splitmix64
+#: generator instead of a Mersenne Twister
+#: (:attr:`SimulationConfig.compact_state`).
 COMPACT_STATE_MIN_NODES = 1000
 
 
@@ -214,14 +215,15 @@ class SimulationConfig:
 
     @property
     def compact_state(self) -> bool:
-        """Whether this run uses the large-scale state representations.
+        """Whether the per-node gossip RNG state is the compact one.
 
         From :data:`COMPACT_STATE_MIN_NODES` dispatchers up, the per-node
         gossip streams are 2-word splitmix64 generators (~50 B/node; see
-        repro.sim.rng.CompactRandom), received-id logs are bitmaps over
-        one shared event-id registry, and delivery records are node-id
-        bitmaps.  Below it every paper-scale run keeps one Mersenne
-        Twister per dispatcher (its frozen draw sequences) and hash sets.
+        repro.sim.rng.CompactRandom).  Below it every paper-scale run
+        keeps one Mersenne Twister per dispatcher (~2.5 KB/node), whose
+        draw sequences the frozen signatures pin.  This is the only
+        thing N switches: the received-id store and the delivery records
+        have one form at every N.
         """
         return self.n_dispatchers >= COMPACT_STATE_MIN_NODES
 

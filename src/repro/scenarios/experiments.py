@@ -570,7 +570,7 @@ def fig10_overhead_error_rate(
 
 
 # ----------------------------------------------------------------------
-# Scalability extension: 10^3..10^5 dispatchers on the compact substrate
+# Scalability extension: 10^3..10^5 dispatchers
 # ----------------------------------------------------------------------
 def fig_scalability(
     sizes: Optional[Sequence[int]] = None,
@@ -579,11 +579,10 @@ def fig_scalability(
 ) -> ExperimentResult:
     """Delivery, overhead, wall time and peak RSS as N grows to 10⁵.
 
-    The paper stops at N = 200 (Figure 6); this extension rides the
-    compact-state substrate -- scale-free overlay, aggregate workload
-    model, splitmix64 gossip streams and bitmap received-id logs and
-    delivery records from N = 1000 -- to three orders of
-    magnitude beyond.  The *system-wide* publish load is held at 200
+    The paper stops at N = 200 (Figure 6); this extension takes a
+    scale-free overlay with the aggregate workload model (and, from
+    N = 1000, splitmix64 gossip streams) to three orders of magnitude
+    beyond.  The *system-wide* publish load is held at 200
     events/s across all sizes (the paper scales N under a fixed event
     rate, and each event costs O(N) delivery work plus O(subscribers)
     tracking state, so a fixed per-node rate would grow the sweep

@@ -44,6 +44,23 @@ def make_event(
     return Event(EventId(source, seq), patterns, pattern_seqs, publish_time)
 
 
+def make_system_event(system: PubSubSystem, **kwargs) -> Event:
+    """``make_event`` interned in ``system``'s received-id store, as
+    ``Dispatcher.publish`` interns the events it creates; a bare
+    ``make_event`` has no row and cannot be received."""
+    event = make_event(**kwargs)
+    event.row = system.event_registry.intern(event.event_id)
+    return event
+
+
+def has_received(dispatcher, event_id: EventId) -> bool:
+    """Whether ``dispatcher`` has ever received ``event_id``."""
+    row = dispatcher.event_registry.rows.get(event_id)
+    return row is not None and bool(
+        dispatcher.seen[row + dispatcher.seen_col] & dispatcher.seen_bit
+    )
+
+
 def build_system(
     sim: Simulator,
     tree: Tree,

@@ -107,3 +107,13 @@ class TestTimeSeries:
         tracker = DeliveryTracker()
         with pytest.raises(ValueError):
             tracker.time_series(bin_width=0.0)
+
+    def test_default_end_covers_the_latest_publish(self):
+        tracker = DeliveryTracker()
+        for seq, t in enumerate((0.2, 0.7, 1.0), start=1):
+            event = make_event(seq=seq, publish_time=t)
+            tracker.on_publish(event, {1})
+            tracker.on_deliver(1, event, False, t + 0.1)
+        series = tracker.time_series(0.5)
+        assert series.times == [0.25, 0.75, 1.25]
+        assert series.values == [1.0, 1.0, 1.0]

@@ -8,7 +8,9 @@ from repro.network.message import Message, MessageKind
 from repro.pubsub.pattern import PatternSpace
 from repro.sim.engine import Simulator
 from repro.topology.generator import path_tree
-from tests.conftest import build_system, make_event
+from tests.conftest import (
+    build_system, has_received, make_event, make_system_event,
+)
 
 
 def make_two_node_system():
@@ -38,7 +40,7 @@ class TestRecoveredEventHandling:
         system.set_delivery_callback(
             lambda node, event, recovered, now: deliveries.append((node, recovered))
         )
-        event = make_event(source=0, seq=1, patterns=(3,))
+        event = make_system_event(system, source=0, seq=1, patterns=(3,))
         dispatcher = system.dispatchers[1]
         assert dispatcher.receive_recovered_event(event) is True
         assert dispatcher.receive_recovered_event(event) is False
@@ -52,18 +54,18 @@ class TestRecoveredEventHandling:
             lambda node, event, recovered, now: deliveries.append(node)
         )
         dispatcher = system.dispatchers[1]
-        event = make_event(source=0, seq=1, patterns=(5,))  # not subscribed
+        event = make_system_event(system, source=0, seq=1, patterns=(5,))
         dispatcher.receive_recovered_event(event)
         assert deliveries == []
         assert not dispatcher.cache.contains(event.event_id)
         # But the event is remembered, so a later tree copy is deduped.
-        assert event.event_id in dispatcher.received_ids
+        assert has_received(dispatcher, event.event_id)
 
     def test_recovered_event_cached_for_subscriber(self):
         sim, system = make_two_node_system()
         system.apply_subscriptions({0: (), 1: (3,)})
         dispatcher = system.dispatchers[1]
-        event = make_event(source=0, seq=1, patterns=(3,))
+        event = make_system_event(system, source=0, seq=1, patterns=(3,))
         dispatcher.receive_recovered_event(event)
         assert dispatcher.cache.contains(event.event_id)
 
@@ -76,12 +78,36 @@ class TestDuplicateTreeCopies:
         system.set_delivery_callback(
             lambda node, event, recovered, now: deliveries.append(node)
         )
-        event = make_event(source=0, seq=1, patterns=(3,))
+        event = make_system_event(system, source=0, seq=1, patterns=(3,))
         message = Message(MessageKind.EVENT, (event, None), 0)
         dispatcher = system.dispatchers[1]
         dispatcher.receive(message, 0)
         dispatcher.receive(message, 0)
         assert deliveries == [1]
+
+
+class TestEventWithoutRow:
+    """An event built outside a system has no row in the received-id
+    matrix: receiving it must raise, never read another event's row."""
+
+    def test_tree_copy_raises(self):
+        sim, system = make_two_node_system()
+        system.apply_subscriptions({0: (), 1: (3,)})
+        system.publish(0, (3,))  # row 0 exists and belongs to this event
+        stray = make_event(source=0, seq=9, patterns=(3,))
+        assert stray.row is None
+        with pytest.raises(TypeError):
+            system.dispatchers[1].receive(
+                Message(MessageKind.EVENT, (stray, None), 0), 0
+            )
+
+    def test_recovered_copy_raises(self):
+        sim, system = make_two_node_system()
+        system.apply_subscriptions({0: (), 1: (3,)})
+        with pytest.raises(TypeError):
+            system.dispatchers[1].receive_recovered_event(
+                make_event(source=0, seq=1, patterns=(3,))
+            )
 
 
 class TestMatchCounters:

@@ -76,7 +76,8 @@ class TestOobServing:
         event = harness.publish(0, (1,))
         harness.run_for(0.05)
         # Node 1 already received it; pretend it lost it and asks node 0.
-        harness.system.dispatchers[1].received_ids.discard(event.event_id)
+        dispatcher = harness.system.dispatchers[1]
+        dispatcher.seen[event.row + dispatcher.seen_col] &= ~dispatcher.seen_bit
         harness.deliveries.clear()
         harness.recovery(1).dispatcher.send_oob_request(0, (event.event_id,))
         harness.run_for(0.05)

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.recovery.base import RecoveryConfig
 from repro.topology.generator import random_tree
+from tests.conftest import has_received
 from tests.recovery.harness import RecoveryHarness
 
 CONFIG = RecoveryConfig(gossip_interval=0.05, p_forward=1.0)
@@ -60,26 +61,22 @@ def test_all_detected_losses_recovered(n, seed, publishes):
         )
     # Every subscriber holds the full stream it subscribes to.
     source = harness.system.dispatchers[publisher]
-    published = sum(
-        1 for event_id in source.received_ids if event_id.source == publisher
-    )
+    # Every published event has a row in the system's received-id store.
+    expected = [
+        event_id
+        for event_id in harness.system.event_registry.rows
+        if event_id.source == publisher
+    ]
+    published = len(expected)
     for node in range(n):
         if node == publisher:
             continue
         dispatcher = harness.system.dispatchers[node]
         pattern = node % 2
-        expected = [
-            event_id
-            for event_id in source.received_ids
-            if event_id.source == publisher
-        ]
-        received = {
-            event_id for event_id in dispatcher.received_ids
-        }
         missing = [
             event_id
             for event_id in expected
-            if event_id not in received
+            if not has_received(dispatcher, event_id)
         ]
         # Only events matching the node's pattern are expected; filter via
         # the publisher's cache (which, with beta=500, still has them all).

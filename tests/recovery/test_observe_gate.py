@@ -32,9 +32,10 @@ class UngatedDispatcher(Dispatcher):
             Dispatcher._receive_plain(self, message, from_node)
             return
         event, route = message.payload
-        if event.event_id in self.received_ids:
+        offset = event.row + self.seen_col
+        if self.seen[offset] & self.seen_bit:
             return
-        self.received_ids.add(event.event_id)
+        self.seen[offset] |= self.seen_bit
         directions = self.table.matching_directions_for(
             event.content_id, event.patterns
         )
@@ -51,9 +52,10 @@ class UngatedDispatcher(Dispatcher):
         self._forward_event(event, route, from_node, directions)
 
     def receive_recovered_event(self, event):
-        if event.event_id in self.received_ids:
+        offset = event.row + self.seen_col
+        if self.seen[offset] & self.seen_bit:
             return False
-        self.received_ids.add(event.event_id)
+        self.seen[offset] |= self.seen_bit
         directions = self.table.matching_directions_for(
             event.content_id, event.patterns
         )

@@ -43,7 +43,7 @@ from repro.recovery.digest import (
     RandomPushGossip,
     SubscriberPullGossip,
 )
-from repro.recovery.loss_detector import LossDetector, LostEntry
+from repro.recovery.loss_detector import LossDetector, LostKey
 from repro.recovery.routes import RoutesBuffer
 from repro.recovery.none import NoRecovery
 from repro.recovery.push import PushRecovery
@@ -104,7 +104,7 @@ __all__ = [
     "RecoveryConfig",
     "GossipStats",
     "LossDetector",
-    "LostEntry",
+    "LostKey",
     "RoutesBuffer",
     "PushGossip",
     "SubscriberPullGossip",

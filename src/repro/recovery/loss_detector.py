@@ -6,65 +6,42 @@ is greater than the one expected for that pattern and source, it can detect
 the loss of an event"*.
 
 :class:`LossDetector` tracks, per ``(source, pattern)`` stream the
-dispatcher locally subscribes to, the highest sequence number seen and the
-set of missing ones.  Detected losses live in the ``Lost`` buffer until
-the event is recovered (any arrival -- normal or out-of-band -- satisfies
-them), the buffer overflows (oldest entries are abandoned), or they exceed
-an optional age limit.
+dispatcher locally subscribes to, the highest sequence number seen.
+Detected losses live in the ``Lost`` buffer until the event is recovered
+(any arrival -- normal or out-of-band -- satisfies them), the buffer
+overflows (oldest entries are abandoned), or they exceed an optional age
+limit.  A sequence number at or below its stream's highest is missing
+exactly while it is in the buffer, so the buffer is the only record of
+pending losses.
+
+The gossip rounds read the buffer one pattern (subscriber-based pull) or
+one source (publisher-based pull) at a time, so it is held as two
+indexes of the same entries: one insertion-ordered bucket per pattern and
+one per source, each deleted when it empties.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, List, Optional, Set, Tuple
+from itertools import islice
+from typing import Dict, List, Optional, Tuple
 
 from repro.pubsub.event import Event
 
-__all__ = ["LostEntry", "LossDetector"]
+__all__ = ["LostKey", "LossDetector"]
 
 LostKey = Tuple[int, int, int]  # (source, pattern, pattern_seq)
 
 # Interned integer keys: the tracking dicts key on packed ints instead of
 # tuples, so the per-arrival hot path hashes one machine int rather than
-# allocating and hashing a tuple.  Streams pack as (source << 20) | pattern
-# and lost entries additionally shift the per-pattern sequence number in;
-# the bounds (pattern < 2^20, seq < 2^32) hold for any simulated workload
-# by orders of magnitude (Π is in the hundreds, sequence numbers are
-# publishes per (source, pattern) within one run).
+# allocating and hashing a tuple.  Streams pack as (source << 20) | pattern;
+# a pattern bucket keys its entries as (source << 32) | seq and a source
+# bucket as (pattern << 32) | seq.  The bounds (pattern < 2^20,
+# seq < 2^32) hold for any simulated workload by orders of magnitude (Π is
+# in the hundreds, sequence numbers are publishes per (source, pattern)
+# within one run).
 _PATTERN_BITS = 20
 _SEQ_BITS = 32
-
-
-class LostEntry:
-    """One detected loss, with its detection time (for ageing policies)."""
-
-    __slots__ = ("source", "pattern", "seq", "detected_at")
-
-    def __init__(self, source: int, pattern: int, seq: int, detected_at: float) -> None:
-        self.source = source
-        self.pattern = pattern
-        self.seq = seq
-        self.detected_at = detected_at
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"LostEntry(src={self.source}, p={self.pattern}, seq={self.seq})"
-
-
-class _StreamState:
-    """Per-(source, pattern) tracking state.
-
-    ``missing`` is lazily allocated (and freed again when it empties):
-    streams with no pending gap are by far the common case -- at scale
-    every received event creates a stream, so an eagerly-allocated empty
-    set (216 B) per stream would dominate the loss detector's footprint
-    (measured ~117 MB of empty sets in a 30k-node probe).
-    """
-
-    __slots__ = ("max_seen", "missing")
-
-    def __init__(self) -> None:
-        self.max_seen = 0
-        self.missing: Optional[Set[int]] = None
+_SEQ_MASK = (1 << _SEQ_BITS) - 1
 
 
 class LossDetector:
@@ -80,9 +57,8 @@ class LossDetector:
         query time.  ``None`` = never.
     """
 
-    __slots__ = ("capacity", "give_up_age", "_streams", "_lost",
-                 "_pattern_counts", "_source_counts", "_resync",
-                 "detected", "recovered", "abandoned")
+    __slots__ = ("capacity", "give_up_age", "_streams", "_by_pattern",
+                 "_by_source", "_resync", "detected", "recovered", "abandoned")
 
     def __init__(
         self,
@@ -93,13 +69,14 @@ class LossDetector:
             raise ValueError(f"Lost capacity must be positive, got {capacity}")
         self.capacity = capacity
         self.give_up_age = give_up_age
-        self._streams: Dict[int, _StreamState] = {}
-        self._lost: "OrderedDict[int, LostEntry]" = OrderedDict()
-        # Incremental per-pattern / per-source pending counts, so the gossip
-        # rounds' ``patterns_with_losses`` / ``sources_with_losses`` queries
-        # do not rescan the whole Lost buffer every round.
-        self._pattern_counts: Dict[int, int] = {}
-        self._source_counts: Dict[int, int] = {}
+        # Stream key -> highest sequence number seen.
+        self._streams: Dict[int, int] = {}
+        # The Lost buffer.  A pattern bucket maps (source, seq) to the
+        # entry's detection ordinal -- the global FIFO position that
+        # ``capacity`` evicts by -- and a source bucket maps (pattern, seq)
+        # to its detection time, which ``give_up_age`` prunes by.
+        self._by_pattern: Dict[int, Dict[int, int]] = {}
+        self._by_source: Dict[int, Dict[int, float]] = {}
         # After ``reset(resync=True)`` the first arrival of each stream
         # rebaselines it instead of declaring every earlier sequence lost.
         self._resync = False
@@ -119,13 +96,12 @@ class LossDetector:
         flood the Lost buffer with the entire history of every stream.
         """
         self._streams.clear()
-        self._lost.clear()
-        self._pattern_counts.clear()
-        self._source_counts.clear()
+        self._by_pattern.clear()
+        self._by_source.clear()
         self._resync = resync
 
     # ------------------------------------------------------------------
-    def observe(self, event: Event, local_patterns, now: float) -> List[LostEntry]:
+    def observe(self, event: Event, local_patterns, now: float) -> List[LostKey]:
         """Process one received event (normal or recovered).
 
         ``local_patterns`` is a container supporting ``in`` with the
@@ -133,151 +109,131 @@ class LossDetector:
         detectable (and only relevant) on locally subscribed streams.
         Returns the newly detected losses.
         """
-        new_losses: List[LostEntry] = []
+        new_losses: List[LostKey] = []
         source = event.event_id.source
         source_key = source << _PATTERN_BITS
         streams = self._streams
-        lost = self._lost
         for pattern, seq in event.pattern_seqs.items():
             if pattern not in local_patterns:
                 continue
             stream_key = source_key | pattern
-            state = streams.get(stream_key)
-            if state is None:
-                state = _StreamState()
-                if self._resync:
-                    # Rebaseline: accept this arrival as in-order and only
-                    # detect gaps from here on.
-                    state.max_seen = seq - 1
-                streams[stream_key] = state
-            missing = state.missing
-            max_seen = state.max_seen
+            max_seen = streams.get(stream_key)
+            if max_seen is None:
+                # A resynced stream accepts its first arrival as in-order
+                # and only detects gaps from there on.
+                max_seen = seq - 1 if self._resync else 0
             if seq == max_seen + 1:
                 # Fast path: the in-order arrival every reliable hop takes.
-                state.max_seen = seq
-            elif missing is not None and seq in missing:
-                missing.discard(seq)
-                if not missing:
-                    state.missing = None
-                entry = lost.pop(stream_key << _SEQ_BITS | seq, None)
-                if entry is not None:
-                    self.recovered += 1
-                    self._deindex(entry)
+                streams[stream_key] = seq
             elif seq > max_seen:
-                if missing is None:
-                    missing = state.missing = set()
-                pattern_counts = self._pattern_counts
-                source_counts = self._source_counts
-                lost_key_base = stream_key << _SEQ_BITS
-                for missing_seq in range(max_seen + 1, seq):
-                    missing.add(missing_seq)
-                    entry = LostEntry(source, pattern, missing_seq, now)
-                    lost[lost_key_base | missing_seq] = entry
-                    new_losses.append(entry)
-                    self.detected += 1
-                    pattern_counts[pattern] = pattern_counts.get(pattern, 0) + 1
-                    source_counts[source] = source_counts.get(source, 0) + 1
-                state.max_seen = seq
+                streams[stream_key] = seq
+                by_pattern = self._by_pattern
+                pattern_bucket = by_pattern.get(pattern)
+                if pattern_bucket is None:
+                    pattern_bucket = by_pattern[pattern] = {}
+                by_source = self._by_source
+                source_bucket = by_source.get(source)
+                if source_bucket is None:
+                    source_bucket = by_source[source] = {}
+                in_pattern = source << _SEQ_BITS
+                in_source = pattern << _SEQ_BITS
+                detected = self.detected
+                for missing in range(max_seen + 1, seq):
+                    detected += 1
+                    pattern_bucket[in_pattern | missing] = detected
+                    source_bucket[in_source | missing] = now
+                    new_losses.append((source, pattern, missing))
+                self.detected = detected
                 self._enforce_capacity()
-            # else: duplicate or already-accounted arrival -- nothing to do.
+            elif (source << _SEQ_BITS | seq) in self._by_pattern.get(pattern, ()):
+                self._drop(source, pattern, seq)
+                self.recovered += 1
+            # else: duplicate or abandoned arrival -- nothing to do.
         return new_losses
+
+    def _drop(self, source: int, pattern: int, seq: int) -> None:
+        """Remove one entry from both indexes, and any bucket it empties."""
+        pattern_bucket = self._by_pattern[pattern]
+        del pattern_bucket[source << _SEQ_BITS | seq]
+        if not pattern_bucket:
+            del self._by_pattern[pattern]
+        source_bucket = self._by_source[source]
+        del source_bucket[pattern << _SEQ_BITS | seq]
+        if not source_bucket:
+            del self._by_source[source]
 
     def _enforce_capacity(self) -> None:
         if self.capacity is None:
             return
-        while len(self._lost) > self.capacity:
-            _key, entry = self._lost.popitem(last=False)
-            self._forget(entry)
+        by_pattern = self._by_pattern
+        for _ in range(self.pending() - self.capacity):
+            # The oldest entry heads the bucket whose head ordinal is least.
+            pattern = min(
+                by_pattern, key=lambda p: next(iter(by_pattern[p].values()))
+            )
+            key = next(iter(by_pattern[pattern]))
+            self._drop(key >> _SEQ_BITS, pattern, key & _SEQ_MASK)
             self.abandoned += 1
-
-    def _forget(self, entry: LostEntry) -> None:
-        state = self._streams.get(entry.source << _PATTERN_BITS | entry.pattern)
-        if state is not None and state.missing is not None:
-            state.missing.discard(entry.seq)
-            if not state.missing:
-                state.missing = None
-        self._deindex(entry)
-
-    def _deindex(self, entry: LostEntry) -> None:
-        """Drop one entry's contribution to the per-pattern/source counts."""
-        pattern_counts = self._pattern_counts
-        remaining = pattern_counts[entry.pattern] - 1
-        if remaining:
-            pattern_counts[entry.pattern] = remaining
-        else:
-            del pattern_counts[entry.pattern]
-        source_counts = self._source_counts
-        remaining = source_counts[entry.source] - 1
-        if remaining:
-            source_counts[entry.source] = remaining
-        else:
-            del source_counts[entry.source]
 
     def _prune_aged(self, now: float) -> None:
         if self.give_up_age is None:
             return
         cutoff = now - self.give_up_age
-        lost = self._lost
         # Entries are inserted at detection time and the clock never goes
-        # backwards, so ``_lost`` is ordered by ``detected_at``: pruning
-        # stops at the first fresh entry instead of scanning the buffer.
-        while lost:
-            entry = next(iter(lost.values()))
-            if entry.detected_at >= cutoff:
-                break
-            del lost[
-                (entry.source << _PATTERN_BITS | entry.pattern) << _SEQ_BITS
-                | entry.seq
-            ]
-            self._forget(entry)
-            self.abandoned += 1
+        # backwards, so each source bucket is ordered by detection time:
+        # its expired entries are a prefix.
+        for source, bucket in list(self._by_source.items()):
+            expired = []
+            for key, detected_at in bucket.items():
+                if detected_at >= cutoff:
+                    break
+                expired.append(key)
+            for key in expired:
+                self._drop(source, key >> _SEQ_BITS, key & _SEQ_MASK)
+            self.abandoned += len(expired)
 
     # ------------------------------------------------------------------
     # Queries used by the gossip rounds
     # ------------------------------------------------------------------
     def has_losses(self, now: float = float("inf")) -> bool:
         self._prune_aged(now)
-        return bool(self._lost)
+        return bool(self._by_pattern)
 
     def pending(self) -> int:
-        return len(self._lost)
+        return sum(map(len, self._by_pattern.values()))
 
     def patterns_with_losses(self, now: float = float("inf")) -> List[int]:
         """Sorted patterns with at least one pending loss."""
         self._prune_aged(now)
-        return sorted(self._pattern_counts)
+        return sorted(self._by_pattern)
 
     def sources_with_losses(self, now: float = float("inf")) -> List[int]:
         """Sorted sources with at least one pending loss."""
         self._prune_aged(now)
-        return sorted(self._source_counts)
+        return sorted(self._by_source)
 
     def entries_for_pattern(self, pattern: int, limit: Optional[int] = None) -> List[LostKey]:
         """Oldest-first loss keys for ``pattern`` (subscriber-based pull)."""
-        keys = [
-            (entry.source, pattern, entry.seq)
-            for entry in self._lost.values() if entry.pattern == pattern
+        return [
+            (key >> _SEQ_BITS, pattern, key & _SEQ_MASK)
+            for key in islice(self._by_pattern.get(pattern, ()), limit)
         ]
-        return keys if limit is None else keys[:limit]
 
     def entries_for_source(self, source: int, limit: Optional[int] = None) -> List[LostKey]:
         """Oldest-first loss keys for ``source`` (publisher-based pull)."""
-        keys = [
-            (source, entry.pattern, entry.seq)
-            for entry in self._lost.values() if entry.source == source
+        return [
+            (source, key >> _SEQ_BITS, key & _SEQ_MASK)
+            for key in islice(self._by_source.get(source, ()), limit)
         ]
-        return keys if limit is None else keys[:limit]
 
     def is_pending(self, source: int, pattern: int, seq: int) -> bool:
-        return (
-            (source << _PATTERN_BITS | pattern) << _SEQ_BITS | seq
-        ) in self._lost
+        return (source << _SEQ_BITS | seq) in self._by_pattern.get(pattern, ())
 
     def __len__(self) -> int:
-        return len(self._lost)
+        return self.pending()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"<LossDetector pending={len(self._lost)} detected={self.detected} "
+            f"<LossDetector pending={self.pending()} detected={self.detected} "
             f"recovered={self.recovered} abandoned={self.abandoned}>"
         )

@@ -164,16 +164,16 @@ SEEDS = (
         "if self._jitter_fn is not None:",
     ),
     # Per-node slots (suite green): a per-event class without __slots__.
-    # Results are identical; every detected loss just carries a
+    # Results are identical; every message sent just carries a
     # __dict__, which is what dominates memory at 10^5 nodes.
     Seed(
         "REP203",
-        "src/repro/recovery/loss_detector.py",
+        "src/repro/network/message.py",
         ((
-            '    __slots__ = ("source", "pattern", "seq", "detected_at")\n\n',
+            '    __slots__ = ("kind", "payload", "size_bits", "sender")\n\n',
             "",
         ),),
-        "class LostEntry:",
+        "class Message:",
     ),
     # Stream discipline (suite green): the fault injector handed the
     # reconfiguration stream.  RandomStreams returns one generator per

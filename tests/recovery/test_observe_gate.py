@@ -92,7 +92,10 @@ def _detector_state(simulation: Simulation) -> list:
             recovery.detector.detected,
             recovery.detector.recovered,
             recovery.detector.abandoned,
-            list(recovery.detector._lost),
+            [
+                (pattern, recovery.detector.entries_for_pattern(pattern))
+                for pattern in recovery.detector.patterns_with_losses()
+            ],
         )
         for recovery in simulation.recoveries
     ]

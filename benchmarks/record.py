@@ -417,7 +417,7 @@ def _sweep_config(quick: bool) -> SimulationConfig:
 
 def bench_lint_analysis(quick: bool) -> Optional[Dict[str, object]]:
     """Full-tree lint with the whole-program pass on: exactly the
-    ``python -m repro.lint --analysis src benchmarks examples`` gate.
+    ``python -m repro.lint src benchmarks examples`` gate.
 
     The analyzer is part of every push (CI's ``static`` job and the
     tree-clean test gates), so its wall time is a developer-facing hot
@@ -435,7 +435,7 @@ def bench_lint_analysis(quick: bool) -> Optional[Dict[str, object]]:
              REPO_ROOT / "examples"]
 
     def run() -> int:
-        result = lint_paths(paths, config, analysis=True)
+        result = lint_paths(paths, config)
         if result.errors:
             raise RuntimeError(
                 "lint errors during bench: "

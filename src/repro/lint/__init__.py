@@ -3,19 +3,21 @@
 The paper's evaluation stands on bit-identical seeded re-runs: every curve
 in Figs. 3–10 must replay exactly from a master seed.  The test suite's
 frozen signatures catch most ways of breaking that; this package checks,
-statically, the hazards that leave today's results unchanged:
+statically, the hazards that leave today's results unchanged.  Every run
+judges each file on its own with the per-file rules:
 
 ========  =======================================================
-REP002    wall-clock reads (``time.time``, ``datetime.now``, ...)
-REP003    iteration over unordered sets / bare ``dict.popitem()``
+REP003    iteration over a set, or a name bound to one / bare
+          ``dict.popitem()``
 REP004    ``id()``/``hash()``-derived ordering or hashing
 REP007    per-event branches on setup-time config in hot paths
 ========  =======================================================
 
-On top of the per-file rules, ``--analysis`` runs a whole-program pass
-(:mod:`repro.lint.analysis`):
+and the whole program with the rules of :mod:`repro.lint.analysis`:
 
 ========  =======================================================
+REP002    wall-clock reads; host clock/host I/O reachable from
+          confined-layer code through a call chain
 REP101    shared forward ``Message`` mutated after send/schedule
 REP104    non-picklable callable submitted to an executor
 REP200    import from a higher layer of the declared layer map
@@ -24,9 +26,8 @@ REP204    RNG stream off the consuming subsystem's declared names
 REP306    durable write without write-then-rename
 ========  =======================================================
 
-plus the interprocedural halves of REP002 and REP003.  Each rule is kept
-for a seeded regression the rest of the test suite misses
-(``tests/lint/test_seeded_regressions.py``).
+Each code has one implementation, kept for a seeded regression the rest
+of the test suite misses (``tests/lint/test_seeded_regressions.py``).
 
 Run it with ``python -m repro.lint <paths>`` or the ``repro-lint`` console
 script; see ``docs/LINTING.md`` for the full rule rationale and the

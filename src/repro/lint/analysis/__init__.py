@@ -1,5 +1,5 @@
-"""Whole-program analysis: REP101, REP104, REP200, REP203, REP204,
-REP306, and the whole-program halves of REP002/REP003.
+"""Whole-program analysis: REP002, REP101, REP104, REP200, REP203,
+REP204 and REP306.
 
 Layered below :mod:`repro.lint.cli`:
 
@@ -9,13 +9,12 @@ Layered below :mod:`repro.lint.cli`:
 * :mod:`~repro.lint.analysis.layers` — the declared layer map resolved
   over the analyzed modules, with import edges (REP200).
 * :mod:`~repro.lint.analysis.effects` — interprocedural effect inference
-  over the resolvable call graph (REP204, the REP002 and REP003 halves)
-  and the per-node class closure (REP203).
+  over the resolvable call graph (REP204, REP002's call chains) and the
+  per-node class closure (REP203).
 * :mod:`~repro.lint.analysis.rules` — the two cross-module protocol
   rules (REP101, REP104).
-* :mod:`~repro.lint.analysis.arch_rules` — the architecture rules
-  (REP200, REP203, REP204) and the REP002/REP003 halves over the shared
-  :class:`ArchContext`.
+* :mod:`~repro.lint.analysis.arch_rules` — REP002 and the architecture
+  rules (REP200, REP203, REP204) over the shared :class:`ArchContext`.
 * :mod:`~repro.lint.analysis.durable` — REP306, write-then-rename in
   declared durable modules.
 * :mod:`~repro.lint.analysis.engine` — orchestration + suppression/config
@@ -26,12 +25,12 @@ from .arch_rules import ARCH_RULES, ArchContext
 from .engine import ALL_ANALYSIS_RULES, run_analysis
 from .model import Project, build_project
 
-#: Every whole-program rule with a code of its own — the public catalogue.
+#: Every whole-program rule — the public catalogue.
 ANALYSIS_RULES = ALL_ANALYSIS_RULES
 
 
 def analysis_codes():
-    """Codes whose selection implies the whole-program analysis."""
+    """Codes of the whole-program rules."""
     return [rule.code for rule in ANALYSIS_RULES]
 
 

@@ -1,55 +1,49 @@
-"""The architecture rules, REP200, REP203 and REP204, and the
-whole-program halves of REP002 and REP003.
+"""The architecture rules, REP200, REP203 and REP204, and REP002.
 
 Where REP101 and REP104 police cross-module *protocol* contracts, these
 rules police the declared architecture itself:
 
 ========  ==============================================================
+REP002    wall-clock read anywhere; host clock or host I/O reachable
+          from a confined layer through a call chain (reproducibility)
 REP200    import from a higher layer (engine must not know the protocol)
 REP203    per-node/per-event class without ``__slots__`` (memory lean)
 REP204    RNG stream requested off the consuming subsystem's declared
           named streams, or with a dynamic name (reproducibility)
 ========  ==============================================================
 
-:data:`DEEP_RULES` holds the interprocedural halves of two per-file
-rules: REP002 follows the host clock and host I/O through call chains
-into confined-layer code, and REP003 follows set-typed bindings into
-send/schedule, directly or through a callee.
-
 All of them share one :class:`ArchContext` — the resolved layer map, the
 interprocedural effect sets, and the per-node class closure — built once
-per analysis run.  The layer map comes from ``[tool.repro-lint.layers]``;
-with no declared layers, REP200, REP203 and REP002's half are inert and
-REP204/REP003 fall back to their config-independent checks (dynamic
-stream names, escaping set iteration).
+per run.  The layer map comes from ``[tool.repro-lint.layers]``; with no
+declared layers, REP200, REP203 and REP002's call-chain part are inert,
+and REP204 and REP002 fall back to their config-independent checks
+(dynamic stream names, direct clock reads).
 """
 
 from __future__ import annotations
 
 import ast
 import fnmatch
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..config import LintConfig
 from .effects import (
     EffectMap,
     FunctionEffects,
     HOST_IO,
-    NET_SEND,
-    SIM_SCHEDULE,
     STREAM_PREFIX,
     WALL_CLOCK,
+    WALL_CLOCK_CALLS,
     StreamRequest,
     infer_effects,
     per_node_classes,
-    resolve_call_target,
     stream_name,
 )
 from .layers import LayerMap, build_layer_map
-from .model import ClassInfo, FunctionInfo, ModuleInfo, Project, dotted_parts
-from .rules import AddFn, AnalysisRule, _SCHEDULE_ATTRS, _SEND_ATTRS
+from .model import ClassInfo, Project, dotted_parts
+from .rules import AddFn, AnalysisRule
 
-__all__ = ["ArchContext", "ArchRule", "ARCH_RULES", "DEEP_RULES"]
+__all__ = ["ArchContext", "ArchRule", "ARCH_RULES"]
 
 #: Base-class names (suffix match) whose subclasses need no ``__slots__``
 #: audit: enum members are singletons, protocols/ABCs are never
@@ -58,9 +52,6 @@ _SLOTS_EXEMPT_BASES = (
     "Enum", "IntEnum", "StrEnum", "IntFlag", "Flag", "Protocol",
     "NamedTuple", "TypedDict", "ABC", "Exception", "Error", "Warning",
 )
-
-_SET_FACTORIES = frozenset({"set", "frozenset"})
-_SET_OPS = (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
 
 
 class ArchContext:
@@ -429,207 +420,46 @@ class RngStreamRule(ArchRule):
                 )
 
 
-class SetOrderEmissionRule(ArchRule):
-    """REP003, whole-program half: set order must not reach send/schedule.
+class WallClockRule(ArchRule):
+    """REP002: no wall-clock reads, and no host input reachable from
+    confined-layer code.
 
-    The per-file half (:class:`repro.lint.rules.UnorderedIterationRule`)
-    flags iteration over a syntactic set.  This half follows set-typed
-    locals and ``self`` attributes: a loop over one whose body sends or
-    schedules -- directly, or through any resolvable callee with
-    ``net-send``/``sim-schedule`` effects -- and a set-order
-    comprehension handed straight to a send/schedule call.
-    """
-
-    code = "REP003"
-
-    def run_arch(self, ctx: ArchContext, add: AddFn) -> None:
-        class_sets: Dict[str, Set[str]] = {}
-        for module in ctx.project.modules.values():
-            for function in self._functions(module):
-                owner = function.cls
-                if owner is not None and owner.qualname not in class_sets:
-                    class_sets[owner.qualname] = self._self_set_attrs(owner)
-                attrs = class_sets.get(owner.qualname, set()) if owner else set()
-                self._check_function(ctx, module, function, attrs, add)
-
-    @staticmethod
-    def _functions(module: ModuleInfo) -> Iterable[FunctionInfo]:
-        yield from module.functions.values()
-        for cls in module.classes.values():
-            yield from cls.methods.values()
-
-    # -- set-typed bindings --------------------------------------------
-    def _self_set_attrs(self, cls: ClassInfo) -> Set[str]:
-        attrs: Set[str] = set()
-        for method in cls.methods.values():
-            for node in ast.walk(method.node):
-                if not isinstance(node, ast.Assign):
-                    continue
-                if not self._is_set_value(node.value):
-                    continue
-                for target in node.targets:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                    ):
-                        attrs.add(target.attr)
-        return attrs
-
-    @staticmethod
-    def _is_set_value(value: ast.expr) -> bool:
-        if isinstance(value, (ast.Set, ast.SetComp)):
-            return True
-        if isinstance(value, ast.Call):
-            parts = dotted_parts(value.func)
-            return bool(parts) and parts[-1] in _SET_FACTORIES
-        return False
-
-    def _local_sets(self, func: ast.AST) -> Set[str]:
-        names: Set[str] = set()
-        for node in ast.walk(func):
-            if isinstance(node, ast.Assign) and self._is_set_value(node.value):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        names.add(target.id)
-        return names
-
-    def _is_set_expr(
-        self, expr: ast.expr, local_sets: Set[str], self_sets: Set[str]
-    ) -> bool:
-        """A set-typed binding (or set algebra over one); syntactic set
-        literals are the per-file half's finding."""
-        if isinstance(expr, ast.Name):
-            return expr.id in local_sets
-        if (
-            isinstance(expr, ast.Attribute)
-            and isinstance(expr.value, ast.Name)
-            and expr.value.id == "self"
-        ):
-            return expr.attr in self_sets
-        if isinstance(expr, ast.BinOp) and isinstance(expr.op, _SET_OPS):
-            return self._is_set_expr(
-                expr.left, local_sets, self_sets
-            ) or self._is_set_expr(expr.right, local_sets, self_sets)
-        return False
-
-    # -- escape detection ----------------------------------------------
-    @staticmethod
-    def _emits(module: ModuleInfo, body: Iterable[ast.stmt]) -> bool:
-        for stmt in body:
-            for node in ast.walk(stmt):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                if isinstance(func, ast.Attribute) and func.attr in (
-                    _SEND_ATTRS | _SCHEDULE_ATTRS
-                ):
-                    return True
-                resolved = module.resolve_call(node)
-                if resolved and resolved.split(".")[-1] == "Message":
-                    return True
-        return False
-
-    @staticmethod
-    def _emitting_callee(
-        ctx: ArchContext, function: FunctionInfo, body: Iterable[ast.stmt]
-    ) -> Optional[Tuple[str, str]]:
-        """``(callee qualname, effect)`` of the first call in ``body``
-        whose target sends or schedules somewhere down its call chain."""
-        for stmt in body:
-            for node in ast.walk(stmt):
-                if not isinstance(node, ast.Call):
-                    continue
-                resolved = resolve_call_target(
-                    ctx.project, function.module, function.cls, node
-                )
-                if isinstance(resolved, ClassInfo):
-                    resolved = resolved.mro_method("__init__")
-                if not isinstance(resolved, FunctionInfo):
-                    continue
-                record = ctx.effects.of(resolved.qualname)
-                if record is None:
-                    continue
-                for effect in (NET_SEND, SIM_SCHEDULE):
-                    if effect in record.effects:
-                        return resolved.qualname, effect
-        return None
-
-    def _check_function(
-        self,
-        ctx: ArchContext,
-        module: ModuleInfo,
-        function: FunctionInfo,
-        self_sets: Set[str],
-        add: AddFn,
-    ) -> None:
-        local_sets = self._local_sets(function.node)
-        if not local_sets and not self_sets:
-            return
-        for node in ast.walk(function.node):
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                if not self._is_set_expr(node.iter, local_sets, self_sets):
-                    continue
-                if self._emits(module, node.body):
-                    how = "sends/schedules inside the loop"
-                else:
-                    emitter = self._emitting_callee(ctx, function, node.body)
-                    if emitter is None:
-                        continue
-                    how = (
-                        f"calls {emitter[0]}() inside the loop, which has "
-                        f"{emitter[1]} effects"
-                    )
-                add(
-                    module,
-                    node,
-                    self.code,
-                    f"{function.qualname} iterates a set and {how}; set "
-                    "order is hash-dependent, so the emission order changes "
-                    "between runs -- iterate sorted(...)",
-                )
-            elif isinstance(node, ast.Call):
-                func = node.func
-                if not (
-                    isinstance(func, ast.Attribute)
-                    and func.attr in (_SEND_ATTRS | _SCHEDULE_ATTRS)
-                ):
-                    continue
-                for arg in node.args:
-                    for sub in ast.walk(arg):
-                        if isinstance(
-                            sub, (ast.ListComp, ast.GeneratorExp)
-                        ) and any(
-                            self._is_set_expr(g.iter, local_sets, self_sets)
-                            for g in sub.generators
-                        ):
-                            add(
-                                module,
-                                sub,
-                                self.code,
-                                f"{function.qualname} hands a "
-                                "set-order-dependent comprehension to a "
-                                "send/schedule call; wrap the set in "
-                                "sorted(...) first",
-                            )
-
-
-class HostInputReachRule(ArchRule):
-    """REP002, whole-program half: confined-layer code never reaches the
-    host clock or host I/O through a call chain.
-
-    The per-file half flags the direct clock reads, but a per-path or
-    inline exemption there -- harness timing, campaign journaling --
-    stops at the site, not at the caller.  This half flags a
-    confined-layer function that inherits a ``wall-clock`` or
-    ``host-io`` effect from a callee, and a direct ``host-io`` call
-    (file, socket, subprocess) no per-file rule sees.  Inert without
+    Every direct read (``time.time()``, ``datetime.now()``, ...) is flagged
+    at its call, in any module and at any nesting, module level included.
+    A per-path or inline exemption -- harness timing, campaign journaling
+    -- stops at the site, not at the caller, so a function in a
+    ``confined`` layer is also flagged when it inherits a ``wall-clock``
+    or ``host-io`` effect from a callee, and at a direct ``host-io`` call
+    (file, socket, subprocess).  That second part is inert without
     ``confined`` layers.
     """
 
     code = "REP002"
+    name = "wall-clock"
+    summary = (
+        "wall-clock read, or host clock/host I/O reachable from "
+        "confined-layer code through a call chain; simulation time must "
+        "come from Simulator.now so runs replay bit-identically"
+    )
 
     def run_arch(self, ctx: ArchContext, add: AddFn) -> None:
+        for module in ctx.project.modules.values():
+            for node in ast.walk(module.tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                target = module.resolve_call(node)
+                if target in WALL_CLOCK_CALLS:
+                    add(
+                        module,
+                        node,
+                        self.code,
+                        f"{target}() reads the wall clock; use Simulator.now "
+                        "(or suppress if this only times the run for "
+                        "reporting)",
+                    )
+        self._check_confined(ctx, add)
+
+    def _check_confined(self, ctx: ArchContext, add: AddFn) -> None:
         for qualname in sorted(ctx.effects.functions):
             record = ctx.effects.functions[qualname]
             function = record.function
@@ -662,11 +492,8 @@ class HostInputReachRule(ArchRule):
 
 
 ARCH_RULES: List[ArchRule] = [
+    WallClockRule(),
     LayerImportRule(),
     SlotsRule(),
     RngStreamRule(),
 ]
-
-#: Whole-program halves of per-file rules: they run in the analysis pass
-#: but report under (and are catalogued as) their per-file code.
-DEEP_RULES: List[ArchRule] = [HostInputReachRule(), SetOrderEmissionRule()]

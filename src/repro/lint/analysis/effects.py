@@ -5,14 +5,11 @@ beyond its arguments, propagated transitively through the call graph the
 import/MRO machinery of :mod:`.model` can resolve:
 
 ========================  ==============================================
-``sim-schedule``          schedules on the calendar (``<sim>.schedule*``)
 ``rng-stream:<name>``     requests a named ``RandomStreams`` stream
                           (``?`` when the name is not a literal)
 ``wall-clock``            reads or waits on host time (``time.time`` &
                           friends, ``time.sleep``)
 ``host-io``               calls sync file/socket/subprocess I/O
-``net-send``              emits a message (``.send``/``.send_oob``/
-                          ``.transmit``/``.send_gossip``)
 ========================  ==============================================
 
 Resolvable call edges are ``self.method()`` (through the MRO),
@@ -27,9 +24,8 @@ Propagation is a plain fixpoint union over the resolved call edges.
 
 The same pass records where classes are constructed (and whether inside a
 loop), which seeds the per-node/per-event class set REP203 reasons
-about.  The effects feed REP204 (stream requests), REP002's
-whole-program half (``wall-clock``, ``host-io``) and REP003's
-(``net-send``, ``sim-schedule``).
+about.  The effects feed REP204 (stream requests) and REP002's call
+chains (``wall-clock``, ``host-io``).
 """
 
 from __future__ import annotations
@@ -48,10 +44,9 @@ from .model import (
 )
 
 __all__ = [
-    "SIM_SCHEDULE",
     "WALL_CLOCK",
+    "WALL_CLOCK_CALLS",
     "HOST_IO",
-    "NET_SEND",
     "STREAM_PREFIX",
     "Construction",
     "StreamRequest",
@@ -62,31 +57,30 @@ __all__ = [
     "stream_name",
 ]
 
-SIM_SCHEDULE = "sim-schedule"
 WALL_CLOCK = "wall-clock"
 HOST_IO = "host-io"
-NET_SEND = "net-send"
 #: parameterized effect: ``rng-stream:<name>@<requesting module>``.
 STREAM_PREFIX = "rng-stream:"
 
-#: Receiver path segments that mark an expression as "the simulator".
-_SIMISH = frozenset({"sim", "_sim", "simulator", "_simulator"})
-_SCHEDULE_ATTRS = frozenset(
-    {"schedule", "schedule_at", "schedule_call", "schedule_call_at"}
-)
 _STREAM_METHODS = frozenset({"stream", "substreams", "compact_stream"})
-#: Host-clock reads and waits (``time.sleep`` waits on the wall clock).
-_WALL_CLOCK_CALLS = frozenset(
+#: Wall-clock reads, by canonical call name.  Any of these leaking into
+#: simulation logic makes a run depend on the host machine instead of the
+#: master seed.  ``time.sleep`` is no read, but it waits on the same clock:
+#: it gives its caller the ``wall-clock`` effect too.
+WALL_CLOCK_CALLS = frozenset(
     {
-        "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
-        "time.perf_counter", "time.perf_counter_ns", "time.process_time",
-        "datetime.datetime.now", "datetime.datetime.utcnow", "time.sleep",
+        "time.time", "time.time_ns",
+        "time.monotonic", "time.monotonic_ns",
+        "time.perf_counter", "time.perf_counter_ns",
+        "time.process_time", "time.process_time_ns",
+        "datetime.datetime.now", "datetime.datetime.utcnow",
+        "datetime.datetime.today", "datetime.date.today",
     }
 )
 #: Host I/O: synchronous file/socket/process access and console input.
 #: Resolved against the canonical dotted call name (``open`` is the bare
 #: builtin).  What these return is not fixed by the master seed, so
-#: confined-layer code reaching one is REP002's whole-program half.
+#: confined-layer code reaching one is REP002's call-chain part.
 _HOST_IO_CALLS = frozenset(
     {
         "open", "input",
@@ -98,9 +92,6 @@ _HOST_IO_CALLS = frozenset(
         "requests.get", "requests.post", "requests.request",
     }
 )
-#: Attribute calls that emit a message into the transport (the same
-#: boundary set REP101/REP003 use); seeds the ``net-send`` effect.
-_NET_SEND_ATTRS = frozenset({"send", "send_oob", "transmit", "send_gossip"})
 
 
 def stream_name(effect: str) -> Tuple[str, str]:
@@ -181,9 +172,6 @@ class EffectMap:
         self.project = project
         self.functions: Dict[str, FunctionEffects] = {}
 
-    def of(self, qualname: str) -> Optional[FunctionEffects]:
-        return self.functions.get(qualname)
-
     def all_constructions(self) -> Iterable[Construction]:
         for record in self.functions.values():
             yield from record.constructions
@@ -255,10 +243,6 @@ def _receiver_parts(call_func: ast.expr) -> Optional[List[str]]:
     return dotted_parts(call_func.value)
 
 
-def _is_simish(parts: Optional[Sequence[str]]) -> bool:
-    return bool(parts) and bool(_SIMISH.intersection(parts))
-
-
 def _is_streamsish(parts: Optional[Sequence[str]]) -> bool:
     if not parts:
         return False
@@ -288,11 +272,10 @@ def resolve_call_target(
 ) -> Union[ClassInfo, FunctionInfo, None]:
     """Resolve one call site to the project symbol it invokes.
 
-    Shared by the effect extractor and REP003's chain check.  Handles
-    ``self.method()`` (through the MRO), ``super().method()``, dotted
-    module-level names, constructors, and ``functools.partial(target,
-    ...)`` (resolved to ``target`` — a callback's effects belong to
-    whoever builds it).
+    Handles ``self.method()`` (through the MRO), ``super().method()``,
+    dotted module-level names, constructors, and ``functools.partial(
+    target, ...)`` (resolved to ``target`` — a callback's effects belong
+    to whoever builds it).
     """
     func = node.func
     parts = dotted_parts(func)
@@ -484,10 +467,6 @@ class _Extractor:
         receiver = _receiver_parts(func)
         attr = func.attr if isinstance(func, ast.Attribute) else None
 
-        if attr in _SCHEDULE_ATTRS and _is_simish(receiver):
-            self._add(SIM_SCHEDULE, node)
-        if attr in _NET_SEND_ATTRS:
-            self._add(NET_SEND, node)
         if (
             attr in _STREAM_METHODS
             and _is_streamsish(receiver)
@@ -521,7 +500,7 @@ class _Extractor:
                     self._construct(cls, node, in_loop)
             else:
                 dotted = self.module.resolve_call(node)
-                if dotted in _WALL_CLOCK_CALLS:
+                if dotted in WALL_CLOCK_CALLS or dotted == "time.sleep":
                     self._add(WALL_CLOCK, node)
                 elif dotted in _HOST_IO_CALLS:
                     self._add(HOST_IO, node)
@@ -613,9 +592,6 @@ def infer_effects(project: Project) -> EffectMap:
         for request in record.stream_requests:
             name = request.name if request.name is not None else "?"
             record.direct.add(f"{STREAM_PREFIX}{name}@{module.name}")
-            record.sites.setdefault(
-                f"{STREAM_PREFIX}{name}@{module.name}", request.node
-            )
         record.effects = set(record.direct)
         effect_map.functions[function.qualname] = record
 

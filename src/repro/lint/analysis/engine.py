@@ -2,10 +2,10 @@
 
 :func:`run_analysis` takes the same ``(path, rel_path)`` pairs the per-file
 walker lints, builds one :class:`~repro.lint.analysis.model.Project` over all
-of them, runs every whole-program rule (and the whole-program halves of
-REP002/REP003), and filters the raw findings through the same per-path
-configuration and inline-suppression machinery as the per-file rules — a
-``# repro-lint: disable=REP101`` comment works identically for both.
+of them, runs every whole-program rule, and filters the raw findings
+through the same per-path configuration and inline-suppression machinery
+as the per-file rules — a ``# repro-lint: disable=REP101`` comment works
+identically for both.
 """
 
 from __future__ import annotations
@@ -17,14 +17,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from ..config import LintConfig
 from ..findings import Finding
 from ..suppress import SuppressionMap, parse_suppressions
-from .arch_rules import ARCH_RULES, DEEP_RULES, ArchContext
+from .arch_rules import ARCH_RULES, ArchContext
 from .durable import DURABLE_RULES
 from .model import ModuleInfo, build_project
 from .rules import ANALYSIS_RULES as CORE_ANALYSIS_RULES
 
 __all__ = ["run_analysis", "ALL_ANALYSIS_RULES"]
 
-#: Every whole-program rule with a code of its own, in catalogue order.
+#: Every whole-program rule, in catalogue order.
 ALL_ANALYSIS_RULES = [*CORE_ANALYSIS_RULES, *ARCH_RULES, *DURABLE_RULES]
 
 #: rel-path → enabled rule codes for that file (the CLI passes a closure
@@ -37,9 +37,9 @@ def run_analysis(
     enabled_for: EnabledFn,
     config: Optional[LintConfig] = None,
 ) -> List[Finding]:
-    """Run REP101, REP104, REP200, REP203, REP204, REP306 and the whole-program
-    halves of REP002/REP003 over ``files`` and return suppression-filtered
-    findings sorted in the standard order."""
+    """Run REP002, REP101, REP104, REP200, REP203, REP204 and REP306 over
+    ``files`` and return suppression-filtered findings sorted in the
+    standard order."""
     if config is None:
         config = LintConfig()
     project = build_project(files)
@@ -51,7 +51,7 @@ def run_analysis(
     for rule in CORE_ANALYSIS_RULES:
         rule.run(project, add)
     context = ArchContext(project, config)
-    for arch_rule in (*ARCH_RULES, *DEEP_RULES, *DURABLE_RULES):
+    for arch_rule in (*ARCH_RULES, *DURABLE_RULES):
         arch_rule.run_arch(context, add)
 
     suppression_cache: Dict[str, SuppressionMap] = {}

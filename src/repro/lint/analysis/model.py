@@ -223,7 +223,6 @@ class Project:
 
     def __init__(self) -> None:
         self.modules: Dict[str, ModuleInfo] = {}
-        self.modules_by_rel: Dict[str, ModuleInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
         self.functions: Dict[str, FunctionInfo] = {}
 
@@ -258,13 +257,6 @@ class Project:
                 return self.lookup(target, _depth + 1)
             return None
         return None
-
-    def canonical(self, qualname: str, _depth: int = 0) -> str:
-        """Follow re-export aliases to the defining module's dotted name."""
-        hit = self.lookup(qualname)
-        if hit is not None:
-            return hit.qualname
-        return qualname
 
     def resolve_name(
         self, module: ModuleInfo, parts: Sequence[str]
@@ -322,7 +314,6 @@ def build_project(files: Sequence[Tuple[Path, str]]) -> Project:
         module = ModuleInfo(path, rel, _module_name_for(rel), tree, source)
         _collect_module(module)
         project.modules[module.name] = module
-        project.modules_by_rel[rel] = module
     for module in project.modules.values():
         project.classes.update(
             {cls.qualname: cls for cls in module.classes.values()}

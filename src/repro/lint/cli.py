@@ -2,20 +2,18 @@
 
 ::
 
-    python -m repro.lint src benchmarks
+    python -m repro.lint src benchmarks examples
     repro-lint --format=json src
     repro-lint --select REP002,REP003 --isolated tests/lint/fixtures
-    repro-lint --analysis src benchmarks examples   # + whole-program rules
-    repro-lint --analysis --format=sarif src > lint.sarif
+    repro-lint --format=sarif src > lint.sarif
 
 Exit status: **0** clean, **1** findings, **2** errors (unreadable or
 syntactically-invalid files, bad arguments).
 
-The whole-program analysis (REP101, REP104, REP200, REP203, REP204,
-REP306, and the interprocedural halves of REP002/REP003) runs when
-``--analysis`` is given, when ``analysis = true`` is set in
-``[tool.repro-lint]``, or when one of its own codes is explicitly
-selected; ``--no-analysis`` always wins.
+Every run is the whole-program run: the per-file rules (REP003, REP004,
+REP007) judge each file on its own, and the whole-program rules (REP002,
+REP101, REP104, REP200, REP203, REP204, REP306) judge one project model
+built over all the files given.
 """
 
 from __future__ import annotations
@@ -89,23 +87,15 @@ def lint_paths(
     isolated: bool = False,
     select: Sequence[str] = (),
     ignore: Sequence[str] = (),
-    analysis: Optional[bool] = None,
 ) -> LintResult:
     """Programmatic front door: lint ``paths`` and aggregate the results.
 
     ``isolated`` skips pyproject discovery (fixtures and tests use this);
     ``select``/``ignore`` are applied on top of whatever the config enables.
-    ``analysis`` forces the whole-program pass on (True) or off (False);
-    ``None`` defers to the config and to whether one of the whole-program
-    codes was selected.
     """
     paths = [Path(p) for p in paths]
     if config is None:
         config = LintConfig() if isolated else config_for_paths(paths)
-
-    whole_program = set(analysis_codes())
-    if analysis is None:
-        analysis = config.analysis or bool(whole_program & set(select))
 
     # A missing path is an error, but it must not hide findings from the
     # paths that do exist: lint those and aggregate both.
@@ -135,9 +125,8 @@ def lint_paths(
         findings.extend(file_findings)
         if error is not None:
             errors.append(error)
-    if analysis:
-        pairs = [(path, config.rel_path(path)) for path in files]
-        findings.extend(run_analysis(pairs, enabled_for, config))
+    pairs = [(path, config.rel_path(path)) for path in files]
+    findings.extend(run_analysis(pairs, enabled_for, config))
     findings.sort()
     errors.sort()
     return LintResult(findings, errors, len(files), warnings)
@@ -154,10 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description=(
             "AST-based determinism & protocol-invariant linter for the "
-            "epidemic pub-sub reproduction (per-file rules REP002-REP007; "
-            "whole-program rules REP101, REP104, REP200, REP203, REP204, "
-            "REP306 and the interprocedural halves of REP002/REP003 via "
-            "--analysis)"
+            "epidemic pub-sub reproduction (per-file rules REP003, REP004, "
+            "REP007; whole-program rules REP002, REP101, REP104, REP200, "
+            "REP203, REP204, REP306)"
         ),
     )
     parser.add_argument("paths", nargs="*", help="files or directories to lint")
@@ -171,22 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--select",
         metavar="CODES",
         help="comma-separated rule codes to run (default: all)",
-    )
-    parser.add_argument(
-        "--rules",
-        metavar="CODES",
-        help="alias for --select (merged with it)",
-    )
-    analysis_group = parser.add_mutually_exclusive_group()
-    analysis_group.add_argument(
-        "--analysis",
-        action="store_true",
-        help="run the whole-program analysis too",
-    )
-    analysis_group.add_argument(
-        "--no-analysis",
-        action="store_true",
-        help="never run the whole-program analysis (overrides config)",
     )
     parser.add_argument(
         "--ignore",
@@ -216,14 +188,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list_rules:
-        for rule in (*RULES, *ANALYSIS_RULES):
+        for rule in sorted((*RULES, *ANALYSIS_RULES), key=lambda r: r.code):
             print(f"{rule.code}  {rule.name}: {rule.summary}")
         return 0
 
     if not args.paths:
         parser.error("no paths given (try: repro-lint src benchmarks)")
 
-    select = _parse_codes(args.select) + _parse_codes(args.rules)
+    select = _parse_codes(args.select)
     ignore = _parse_codes(args.ignore)
     known = all_codes() + analysis_codes()
     unknown = [c for c in (*select, *ignore) if c not in known]
@@ -232,12 +204,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"unknown rule code(s): {', '.join(unknown)} "
             f"(known: {', '.join(known)})"
         )
-    analysis: Optional[bool] = None
-    if args.no_analysis:
-        analysis = False
-    elif args.analysis:
-        analysis = True
-
     config: Optional[LintConfig] = None
     try:
         if args.config:
@@ -255,7 +221,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             isolated=args.isolated,
             select=select,
             ignore=ignore,
-            analysis=analysis,
         )
     except RuntimeError as exc:  # no TOML parser on this interpreter
         print(f"error: {exc}", file=sys.stderr)

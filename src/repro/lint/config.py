@@ -6,7 +6,6 @@ Recognised keys::
     exclude = ["tests/lint/fixtures"]      # glob patterns or dir prefixes
     select  = ["REP002", "REP003"]         # only these rules (default: all)
     ignore  = ["REP004"]                   # drop these rules everywhere
-    analysis = true                        # whole-program pass by default
 
     [[tool.repro-lint.per-path]]           # ordered, later entries win
     path = "benchmarks/*"                  # fnmatch pattern vs. posix rel path
@@ -110,8 +109,8 @@ class LayersConfig:
     ``order`` lists layer names bottom (engine) to top (scenarios);
     ``members`` maps each layer to the module-name prefixes it owns.
     ``confined`` names the layers whose code may not reach the host
-    clock or host I/O through any call chain (REP002's whole-program
-    half).  An empty ``order`` leaves REP200 inert.
+    clock or host I/O through any call chain (REP002).  An empty
+    ``order`` leaves REP200 inert.
     """
 
     order: Tuple[str, ...] = ()
@@ -181,8 +180,6 @@ class LintConfig:
     select: Tuple[str, ...] = ()
     ignore: Tuple[str, ...] = ()
     per_path: Tuple[PerPath, ...] = ()
-    #: run the whole-program analysis by default (CLI flags win).
-    analysis: bool = False
     #: REP007 registry; empty ``methods`` leaves the rule inert.
     hot_path: HotPathConfig = field(default_factory=HotPathConfig)
     #: declared layer map; empty ``order`` leaves REP200 inert.
@@ -331,7 +328,6 @@ def load_config(pyproject: Path) -> LintConfig:
         select=select,
         ignore=ignore,
         per_path=per_path,
-        analysis=bool(table.get("analysis", False)),
         hot_path=hot_path,
         layers=layers,
         slots=slots,

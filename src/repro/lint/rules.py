@@ -1,4 +1,4 @@
-"""The per-file determinism rules: REP002, REP003, REP004 and REP007.
+"""The per-file determinism rules: REP003, REP004 and REP007.
 
 Each rule is a singleton object with a ``code``, a ``name``, a one-line
 ``summary``, and one or more ``check_*`` hooks the walker calls as it visits
@@ -15,29 +15,18 @@ from __future__ import annotations
 
 import ast
 import fnmatch
-from typing import Callable, List, Optional
+from typing import Callable, FrozenSet, Iterator, List, Optional
 
-__all__ = ["Rule", "RULES", "all_codes"]
+__all__ = ["Rule", "RULES", "all_codes", "set_bindings"]
 
 AddFn = Callable[[str, ast.AST, str], None]
-
-#: Wall-clock reads.  Any of these leaking into simulation logic makes a run
-#: depend on the host machine instead of the master seed.
-_WALL_CLOCK_CALLS = frozenset(
-    {
-        "time.time", "time.time_ns",
-        "time.monotonic", "time.monotonic_ns",
-        "time.perf_counter", "time.perf_counter_ns",
-        "time.process_time", "time.process_time_ns",
-        "datetime.datetime.now", "datetime.datetime.utcnow",
-        "datetime.datetime.today", "datetime.date.today",
-    }
-)
 
 #: Set-algebra methods whose result has no defined iteration order.
 _SET_ALGEBRA_METHODS = frozenset(
     {"union", "intersection", "difference", "symmetric_difference"}
 )
+#: Set-algebra operators (``a | b``, ``a & b``, ``a - b``, ``a ^ b``).
+_SET_OPS = (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
 
 
 class Rule:
@@ -60,66 +49,87 @@ class Rule:
         pass
 
 
-class WallClockRule(Rule):
-    """REP002: no wall-clock reads in simulation logic.
+def _set_expression(ctx, node: ast.expr) -> Optional[str]:
+    """What ``node`` is when it syntactically builds a set, else ``None``."""
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return "a set literal/comprehension"
+    if isinstance(node, ast.Call):
+        target = ctx.resolve_call(node)
+        if target in ("set", "frozenset"):
+            return f"{target}(...)"
+        if (
+            isinstance(node.func, ast.Attribute)
+            and node.func.attr in _SET_ALGEBRA_METHODS
+        ):
+            return f".{node.func.attr}(...)"
+    return None
 
-    This is the per-file half; with ``--analysis`` the whole-program half
-    (:class:`repro.lint.analysis.arch_rules.HostInputReachRule`) also
-    flags confined-layer code reaching the host clock or host I/O through
-    a call chain.
+
+def set_bindings(ctx, scope: ast.AST) -> FrozenSet[str]:
+    """The names ``scope`` binds to a set, for REP003.
+
+    For a function: the locals assigned a set anywhere in its body
+    (``targets = set(peers)``).  For a class: the ``self`` attributes any
+    of its methods assigns a set (``self.peers = set()``).  The walker
+    keeps the bindings of the enclosing function and class current.
     """
-
-    code = "REP002"
-    name = "wall-clock"
-    summary = (
-        "wall-clock read, or (with --analysis) host clock/host I/O "
-        "reachable from confined-layer code through a call chain; "
-        "simulation time must come from Simulator.now so runs replay "
-        "bit-identically"
+    if isinstance(scope, ast.ClassDef):
+        return frozenset(
+            target.attr
+            for item in scope.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for target in _set_targets(ctx, item)
+            if _is_self_attr(target)
+        )
+    return frozenset(
+        target.id
+        for target in _set_targets(ctx, scope)
+        if isinstance(target, ast.Name)
     )
 
-    def check_call(self, ctx, node: ast.Call, add: AddFn) -> None:
-        target = ctx.resolve_call(node)
-        if target in _WALL_CLOCK_CALLS:
-            add(
-                self.code,
-                node,
-                f"{target}() reads the wall clock; use Simulator.now (or "
-                "suppress if this only times the run for reporting)",
-            )
+
+def _set_targets(ctx, body: ast.AST) -> Iterator[ast.expr]:
+    """Every assignment target in ``body`` whose value builds a set."""
+    for node in ast.walk(body):
+        if isinstance(node, ast.Assign) and _set_expression(ctx, node.value):
+            yield from node.targets
+
+
+def _is_self_attr(node: ast.expr) -> bool:
+    return (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    )
 
 
 class UnorderedIterationRule(Rule):
     """REP003: no iteration whose order the language does not define.
 
-    This is the per-file half; with ``--analysis`` the whole-program half
-    (:class:`repro.lint.analysis.arch_rules.SetOrderEmissionRule`) also
-    follows set-typed variables into send/schedule calls, directly or
-    through a callee.
+    Flags a loop or comprehension over a set built in place, over a local
+    or ``self`` attribute bound to one (see :func:`set_bindings`), or over
+    set algebra (``a | b``) on either; and a bare ``dict.popitem()``.
     """
 
     code = "REP003"
     name = "unordered-iteration"
     summary = (
-        "iteration over a set/frozenset (or bare dict.popitem) has no "
-        "defined order, and (with --analysis) set-typed variables must "
-        "not feed send/schedule directly or through a callee; sort, or "
-        "keep an ordered container"
+        "iteration over a set/frozenset, or over a local or self attribute "
+        "bound to one (or bare dict.popitem), has no defined order; sort, "
+        "or keep an ordered container"
     )
 
     def _is_unordered(self, ctx, node: ast.expr) -> Optional[str]:
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return "a set literal/comprehension"
-        if isinstance(node, ast.Call):
-            target = ctx.resolve_call(node)
-            if target in ("set", "frozenset"):
-                return f"{target}(...)"
-            if (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr in _SET_ALGEBRA_METHODS
-            ):
-                return f".{node.func.attr}(...)"
-        return None
+        if isinstance(node, ast.Name) and node.id in ctx.set_locals:
+            return f"'{node.id}', a local bound to a set"
+        if _is_self_attr(node) and node.attr in ctx.set_attrs:
+            return f"self.{node.attr}, an attribute bound to a set"
+        if isinstance(node, ast.BinOp) and isinstance(node.op, _SET_OPS):
+            inner = self._is_unordered(ctx, node.left) or self._is_unordered(
+                ctx, node.right
+            )
+            return None if inner is None else f"set algebra over {inner}"
+        return _set_expression(ctx, node)
 
     def check_iter(self, ctx, node: ast.AST, iter_node: ast.expr, add: AddFn) -> None:
         what = self._is_unordered(ctx, iter_node)
@@ -288,7 +298,6 @@ class HotPathGuardRule(Rule):
 
 
 RULES: List[Rule] = [
-    WallClockRule(),
     UnorderedIterationRule(),
     IdBasedIdentityRule(),
     HotPathGuardRule(),

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .config import HotPathConfig
 from .findings import Finding, LintError
-from .rules import RULES, Rule
+from .rules import RULES, Rule, set_bindings
 from .suppress import parse_suppressions
 
 __all__ = ["FileContext", "lint_file"]
@@ -40,6 +40,11 @@ class FileContext:
         self.module_aliases: Dict[str, str] = {}
         #: local name -> "module.original", e.g. {"clock": "time.perf_counter"}
         self.from_imports: Dict[str, str] = {}
+        #: names bound to a set by the enclosing function(s) and ``self``
+        #: attributes bound to one by the enclosing class (REP003); the
+        #: dispatcher keeps both current as it walks.
+        self.set_locals: FrozenSet[str] = frozenset()
+        self.set_attrs: FrozenSet[str] = frozenset()
         #: direct method node -> "Class.method" (nested defs excluded: only
         #: methods can be hot-path entry points bound at construction).
         self._method_qualnames: Dict[ast.AST, str] = {}
@@ -138,10 +143,19 @@ class _Dispatcher(ast.NodeVisitor):
     def _visit_function(self, node) -> None:
         for rule in self.rules:
             rule.check_function(self.ctx, node, self._add)
+        outer = self.ctx.set_locals
+        self.ctx.set_locals = outer | set_bindings(self.ctx, node)
         self.generic_visit(node)
+        self.ctx.set_locals = outer
 
     visit_FunctionDef = _visit_function
     visit_AsyncFunctionDef = _visit_function
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        outer = self.ctx.set_attrs
+        self.ctx.set_attrs = set_bindings(self.ctx, node)
+        self.generic_visit(node)
+        self.ctx.set_attrs = outer
 
 
 def lint_file(

@@ -27,9 +27,7 @@ BAD_EXPECTATIONS = [
 
 @pytest.mark.parametrize("filename,code,count", BAD_EXPECTATIONS)
 def test_bad_fixture_fires_exactly_its_rule(filename, code, count):
-    result = lint_paths(
-        [FIXTURES / filename], isolated=True, analysis=True
-    )
+    result = lint_paths([FIXTURES / filename], isolated=True)
     assert result.errors == []
     codes = [finding.code for finding in result.findings]
     assert codes == [code] * count, "\n".join(
@@ -46,9 +44,7 @@ def test_bad_fixture_fires_exactly_its_rule(filename, code, count):
     ],
 )
 def test_good_fixture_is_clean(filename):
-    result = lint_paths(
-        [FIXTURES / filename], isolated=True, analysis=True
-    )
+    result = lint_paths([FIXTURES / filename], isolated=True)
     assert result.errors == []
     assert result.findings == [], "\n".join(
         finding.render() for finding in result.findings
@@ -57,7 +53,7 @@ def test_good_fixture_is_clean(filename):
 
 def test_whole_fixture_directory_counts():
     """One project build over all fixtures keeps the per-file attribution."""
-    result = lint_paths([FIXTURES], isolated=True, analysis=True)
+    result = lint_paths([FIXTURES], isolated=True)
     by_code: dict = {}
     for finding in result.findings:
         by_code[finding.code] = by_code.get(finding.code, 0) + 1
@@ -72,12 +68,7 @@ def test_analysis_findings_honor_inline_suppression(tmp_path):
     )
     target = tmp_path / "suppressed_send.py"
     target.write_text(patched, encoding="utf-8")
-    result = lint_paths([target], isolated=True, analysis=True)
-    assert result.findings == []
-
-
-def test_analysis_off_by_default_when_isolated():
-    result = lint_paths([FIXTURES / "rep101_bad.py"], isolated=True)
+    result = lint_paths([target], isolated=True)
     assert result.findings == []
 
 
@@ -87,12 +78,3 @@ def test_selecting_rep1xx_code_enables_analysis():
     )
     assert [finding.code for finding in result.findings] == ["REP104", "REP104"]
 
-
-def test_analysis_false_wins_over_selection():
-    result = lint_paths(
-        [FIXTURES / "rep104_bad.py"],
-        isolated=True,
-        select=["REP104"],
-        analysis=False,
-    )
-    assert result.findings == []

@@ -5,10 +5,9 @@ stack — ``eng`` (engine) < ``net`` (transport) < ``proto_*`` (confined
 protocol layer) < ``app`` (wiring) — small enough to hand-check yet deep
 enough to exercise every rule: an upward import, a slotless per-node
 class, a slotted per-node class keyed by hot strings, off-contract RNG
-stream names, and set iteration order escaping into the transport
-(REP003's whole-program half).  The
-layer map lives here (not in a pyproject) so each expectation names the
-exact config that produced it.
+stream names, and a set-typed attribute's iteration order escaping into
+the transport (REP003).  The layer map lives here (not in a pyproject)
+so each expectation names the exact config that produced it.
 
 Alongside the per-rule expectations this module carries the tree-wide
 REP2xx gate over the real sources and the analyzer runtime budget; both
@@ -28,7 +27,7 @@ from repro.lint.config import LayersConfig, LintConfig
 ARCH = pathlib.Path(__file__).parents[1] / "fixtures" / "arch"
 
 ARCH_CODES = ("REP200", "REP203", "REP204")
-#: proto_emission.py demonstrates REP003's whole-program half.
+#: proto_emission.py demonstrates REP003 on a set-typed attribute.
 FIXTURE_CODES = (*ARCH_CODES, "REP003")
 
 PROTO_MODULES = (

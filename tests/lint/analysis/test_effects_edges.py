@@ -1,7 +1,8 @@
 """Edge cases of the effect fixpoint the whole-program rules lean on.
 
-REP003's chain check and REP002's host-clock reachability resolve call
-targets through three constructs the original extractor skipped: ``functools.partial`` wrappers, per-instance
+REP002's host-clock reachability and REP204's stream attribution resolve
+call targets through constructs the original extractor skipped:
+``functools.partial`` wrappers, per-instance
 bound entry points (the ``Dispatcher.send_gossip`` pattern — ``__init__``
 rebinds ``self.send_gossip`` to ``self._send_gossip_tracked`` or
 ``_plain`` at setup time), and ``@property`` getters whose *read* runs
@@ -47,7 +48,7 @@ def test_partial_target_propagates_effects(tmp_path):
         """,
     )
     effects = effects_of(project)
-    record = effects.of("partials.kick")
+    record = effects.functions["partials.kick"]
     assert WALL_CLOCK in record.effects
     assert ("partials.settle", False) in record.callees
 
@@ -69,7 +70,7 @@ def test_partial_over_bound_method_resolves(tmp_path):
         """,
     )
     effects = effects_of(project)
-    record = effects.of("bound_partial.Timer.arm")
+    record = effects.functions["bound_partial.Timer.arm"]
     assert WALL_CLOCK in record.effects
     cls = project.classes["bound_partial.Timer"]
     arm = cls.methods["arm"]
@@ -112,7 +113,7 @@ def test_instance_bound_entry_point_inherits_effects(tmp_path):
         """,
     )
     effects = effects_of(project)
-    record = effects.of("bound_entry.Gossiper.round")
+    record = effects.functions["bound_entry.Gossiper.round"]
     # Both candidate implementations become call edges; the tracked
     # one's blocking effect reaches the caller.
     callees = {qualname for qualname, _ in record.callees}
@@ -141,9 +142,9 @@ def test_property_read_runs_the_getter(tmp_path):
         """,
     )
     effects = effects_of(project)
-    getter = effects.of("props.Probe.elapsed")
+    getter = effects.functions["props.Probe.elapsed"]
     assert WALL_CLOCK in getter.effects
-    record = effects.of("props.Probe.sample")
+    record = effects.functions["props.Probe.sample"]
     assert WALL_CLOCK in record.effects, (
         "reading a @property must inherit the getter's effects"
     )
@@ -174,5 +175,32 @@ def test_decorated_method_keeps_its_effects(tmp_path):
         """,
     )
     effects = effects_of(project)
-    assert WALL_CLOCK in effects.of("decorated.Worker.nap").effects
-    assert WALL_CLOCK in effects.of("decorated.Worker.shift").effects
+    assert WALL_CLOCK in effects.functions["decorated.Worker.nap"].effects
+    assert WALL_CLOCK in effects.functions["decorated.Worker.shift"].effects
+
+
+def test_every_clock_read_is_inherited(tmp_path):
+    # The call-chain check and the direct-read check share one table, so
+    # a helper reading the date taints its caller like time.time() does.
+    project = project_from(
+        tmp_path,
+        "dates",
+        """
+        import datetime
+        import time
+
+        def stamp():
+            return datetime.date.today()
+
+        def cpu():
+            return time.process_time_ns()
+
+        def label():
+            return f"{stamp()}-{cpu()}"
+        """,
+    )
+    effects = effects_of(project)
+    assert WALL_CLOCK in effects.functions["dates.stamp"].direct
+    assert WALL_CLOCK in effects.functions["dates.cpu"].direct
+    label = effects.functions["dates.label"]
+    assert WALL_CLOCK in label.effects - label.direct

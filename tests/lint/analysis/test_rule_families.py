@@ -12,6 +12,11 @@ Three families used to check one property at two or three depths:
   REP005, which the seeded-regression audit deleted: the test suite
   fails on both of its seeds (docs/LINTING.md).
 
+Each surviving code now has one implementation: REP003 flags any loop or
+comprehension over a set-bound local or ``self`` attribute, whatever the
+body does, and REP002 is one whole-program rule for direct clock reads
+and call chains alike.
+
 Each table row is ``(fixture, line, retired code, code that flags it)``.
 Every finding of the family's codes in those fixtures must be a row, so
 the quiet forms inside the bad fixtures stay quiet too.
@@ -60,12 +65,11 @@ def fixture_findings():
     """``(file name, line, code)`` for both fixture trees under their own
     layer maps, plus the per-file good fixtures, whole program on."""
     results = [
-        lint_paths([FIXTURES / "arch"], arch_config(), analysis=True),
-        lint_paths([FIXTURES / "protocol"], protocol_config(), analysis=True),
+        lint_paths([FIXTURES / "arch"], arch_config()),
+        lint_paths([FIXTURES / "protocol"], protocol_config()),
         lint_paths(
             [FIXTURES / name for name in GOOD if "/" not in name],
             isolated=True,
-            analysis=True,
         ),
     ]
     for result in results:

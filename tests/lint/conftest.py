@@ -1,7 +1,7 @@
 """Shared fixtures for the linter tests.
 
-The whole-program pass over ``src``, ``benchmarks`` and ``examples`` is
-the slowest thing these tests do, and several gates ask questions of the
+The lint of ``src``, ``benchmarks`` and ``examples`` is the slowest
+thing these tests do, and several gates ask questions of the
 same pass (clean overall, clean per rule family, inside the time
 budget).  :func:`tree_lint` runs it once per session and times it, so
 each gate reads the one result.  Gates over a different file set keep
@@ -29,8 +29,8 @@ class TimedLint(NamedTuple):
 
 @pytest.fixture(scope="session")
 def tree_lint() -> TimedLint:
-    """``python -m repro.lint --analysis src benchmarks examples``, once."""
+    """``python -m repro.lint src benchmarks examples``, once."""
     config = load_config(REPO / "pyproject.toml")
     start = time.perf_counter()
-    result = lint_paths(list(TREE), config, analysis=True)
+    result = lint_paths(list(TREE), config)
     return TimedLint(result, time.perf_counter() - start)

@@ -1,4 +1,4 @@
-"""Arch fixture, *proto* layer (REP003's whole-program half): set order
+"""Arch fixture, *proto* layer (REP003): a set-typed attribute's order
 escaping into sends."""
 
 

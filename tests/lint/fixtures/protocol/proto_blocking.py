@@ -3,7 +3,7 @@
 ``settle`` waits on the host clock directly; ``converge`` reaches the
 same wait through a call chain, and ``load_peers`` reads a host file.
 Neither the wait nor the file is fixed by the master seed, so the call
-chain and the file read are REP002's whole-program half.
+chain and the file read are REP002's call-chain part.
 """
 
 import time

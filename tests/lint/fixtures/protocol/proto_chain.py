@@ -2,7 +2,7 @@
 
 ``flood`` iterates a set and calls a helper that sends — the loop body
 never emits itself, but the emission order still inherits the set's
-hash order through the call chain: REP003's whole-program half.
+hash order through the call chain: REP003, at the loop.
 ``flood_sorted`` is the quiet form.
 """
 

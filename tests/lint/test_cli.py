@@ -116,13 +116,8 @@ class TestSelection:
         # benchmarks/record.py times the host on purpose; only the repo
         # config's per-path entry for benchmarks/* makes it clean.
         record = REPO_ROOT / "benchmarks" / "record.py"
-        assert main(["--isolated", "--no-analysis", str(record)]) == 1
+        assert main(["--isolated", str(record)]) == 1
         exit_code = main(
-            [
-                "--config",
-                str(REPO_ROOT / "pyproject.toml"),
-                "--no-analysis",
-                str(record),
-            ]
+            ["--config", str(REPO_ROOT / "pyproject.toml"), str(record)]
         )
         assert exit_code == 0

@@ -69,7 +69,6 @@ class TestCliSarif:
         exit_code = main(
             [
                 "--isolated",
-                "--analysis",
                 "--format=sarif",
                 str(FIXTURES / "analysis" / "rep101_bad.py"),
             ]
@@ -83,7 +82,6 @@ class TestCliSarif:
         exit_code = main(
             [
                 "--isolated",
-                "--analysis",
                 "--format=sarif",
                 str(FIXTURES / "analysis" / "rep101_good.py"),
             ]

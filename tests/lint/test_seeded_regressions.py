@@ -1,8 +1,9 @@
-"""One seeded regression per rule code: the bug each rule is kept for.
+"""Seeded regressions for every rule code: the bugs each rule is kept for.
 
 A rule earns its place only by catching a regression the rest of the
 test suite misses.  Each entry below puts its rule's bug class at a real
-site in ``src/`` that the suite executes.  In the audit recorded in
+site in ``src/`` that the suite executes; a code has one seed per form
+of the bug its one implementation must report.  In the audit recorded in
 docs/LINTING.md, every one of these seeds left the tier-1 suite (minus
 ``tests/lint``) green: the rule is the only check that reports it.
 
@@ -22,6 +23,8 @@ from typing import Dict, NamedTuple, Set, Tuple
 import pytest
 
 from repro.lint import ANALYSIS_RULES, RULES, lint_paths, load_config
+from repro.lint.analysis.rules import AnalysisRule
+from repro.lint.rules import Rule
 
 from .conftest import REPO, TREE
 
@@ -38,6 +41,12 @@ class Seed(NamedTuple):
     edits: Tuple[Tuple[str, str], ...]
     #: Unique text on the line the rule must report.
     flagged: str
+    #: Tells apart the seeds of one code in test ids.
+    variant: str = ""
+
+    @property
+    def label(self) -> str:
+        return f"{self.code}-{self.variant}" if self.variant else self.code
 
 
 SEEDS = (
@@ -65,6 +74,27 @@ SEEDS = (
         ),
         "if _wall.monotonic() > wall_deadline:",
     ),
+    # Host input (suite green): a publish-rate override read from a file
+    # in the protocol layer.  No test run has the file, so every result
+    # is unchanged; a host that has it runs another workload from the
+    # same seed.  Only REP002's call-chain part sees host I/O.
+    Seed(
+        "REP002",
+        "src/repro/workload/publishers.py",
+        ((
+            "    publishers = []\n"
+            "    for node_id in range(system.node_count):\n",
+            "    publishers = []\n"
+            "    try:\n"
+            '        with open("publishers.override", encoding="utf-8") as handle:\n'
+            "            rate = float(handle.read())\n"
+            "    except OSError:\n"
+            "        pass\n"
+            "    for node_id in range(system.node_count):\n",
+        ),),
+        'with open("publishers.override", encoding="utf-8") as handle:',
+        "host-io",
+    ),
     # Set order (suite green): de-duplicating the neighbour list with a
     # set.  Node ids are small ints, whose set order happens to be
     # ascending, so every frozen signature still matches; any identity
@@ -79,6 +109,22 @@ SEEDS = (
             "            if neighbor == exclude:",
         ),),
         "for neighbor in set(self.neighbors()):",
+    ),
+    # The same set, bound to a name first (suite green), in the sibling
+    # loop that withdraws subscriptions: it behaves exactly like the seed
+    # above at run time, and REP003 must follow the binding.
+    Seed(
+        "REP003",
+        "src/repro/pubsub/dispatcher.py",
+        ((
+            "        for neighbor in self.neighbors():\n"
+            "            if not self.table.was_forwarded(pattern, neighbor):",
+            "        targets = set(self.neighbors())\n"
+            "        for neighbor in targets:\n"
+            "            if not self.table.was_forwarded(pattern, neighbor):",
+        ),),
+        "for neighbor in targets:",
+        "bound",
     ),
     # Identity ordering (suite green): ordering retransmission targets by
     # hash().  hash() of an int is the int, so the order is unchanged
@@ -236,7 +282,6 @@ def seeded_lint(tmp_path_factory) -> Tuple[Set[Location], Dict[Seed, Location]]:
     result = lint_paths(
         [root / d.relative_to(REPO) for d in TREE],
         load_config(root / "pyproject.toml"),
-        analysis=True,
     )
     assert result.errors == []
     expected = {}
@@ -248,11 +293,25 @@ def seeded_lint(tmp_path_factory) -> Tuple[Set[Location], Dict[Seed, Location]]:
 
 
 def test_every_surviving_code_has_a_seed():
-    codes = sorted({rule.code for rule in (*RULES, *ANALYSIS_RULES)})
-    assert sorted(seed.code for seed in SEEDS) == codes
+    codes = {rule.code for rule in (*RULES, *ANALYSIS_RULES)}
+    assert {seed.code for seed in SEEDS} == codes
 
 
-@pytest.mark.parametrize("seed", SEEDS, ids=lambda seed: seed.code)
+def test_one_implementation_per_code():
+    """Every rule class answers to its own code and is catalogued."""
+    classes = set()
+    stack = [Rule, AnalysisRule]
+    while stack:
+        cls = stack.pop()
+        stack.extend(cls.__subclasses__())
+        if cls.code:
+            classes.add(cls)
+    codes = sorted(cls.code for cls in classes)
+    assert len(codes) == len(set(codes)), codes
+    assert classes == {type(rule) for rule in (*RULES, *ANALYSIS_RULES)}
+
+
+@pytest.mark.parametrize("seed", SEEDS, ids=lambda seed: seed.label)
 def test_rule_reports_its_seed(seed, seeded_lint):
     source = _source(seed)
     for original, _seeded in seed.edits:

@@ -1,29 +1,17 @@
 """The linter ships clean on its own codebase (the acceptance gate).
 
-``python -m repro.lint src benchmarks`` from the repo root must exit 0 —
-this is exactly what CI runs.  Running it through the API here keeps the
-guarantee under plain pytest too.
+``python -m repro.lint src benchmarks examples`` from the repo root must
+exit 0 — exactly what CI runs.  The session ``tree_lint`` fixture makes
+that run once; this gate and the per-family gates read its result.
 """
 
 from __future__ import annotations
 
-import pathlib
 
-from repro.lint import lint_paths, load_config
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
-
-
-def test_src_and_benchmarks_lint_clean():
-    config = load_config(REPO_ROOT / "pyproject.toml")
-    result = lint_paths([REPO_ROOT / "src", REPO_ROOT / "benchmarks"], config)
+def test_full_acceptance_command_is_clean(tree_lint):
+    result = tree_lint.result
     assert result.errors == []
-    assert result.findings == [], "\n".join(f.render() for f in result.findings)
-    assert result.files_checked >= 60
-
-
-def test_examples_lint_clean():
-    config = load_config(REPO_ROOT / "pyproject.toml")
-    result = lint_paths([REPO_ROOT / "examples"], config)
-    assert result.errors == []
-    assert result.findings == [], "\n".join(f.render() for f in result.findings)
+    assert result.exit_code == 0, "\n".join(
+        f.render() for f in result.findings
+    )
+    assert result.files_checked >= 90

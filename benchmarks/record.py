@@ -416,8 +416,8 @@ def _sweep_config(quick: bool) -> SimulationConfig:
 
 
 def bench_lint_analysis(quick: bool) -> Optional[Dict[str, object]]:
-    """Full-tree lint with the whole-program pass on: exactly the
-    ``python -m repro.lint src benchmarks examples`` gate.
+    """Full-tree lint, every rule over one parsed project model: exactly
+    the ``python -m repro.lint src benchmarks examples`` gate.
 
     The analyzer is part of every push (CI's ``static`` job and the
     tree-clean test gates), so its wall time is a developer-facing hot

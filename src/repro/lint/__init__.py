@@ -4,20 +4,16 @@ The paper's evaluation stands on bit-identical seeded re-runs: every curve
 in Figs. 3–10 must replay exactly from a master seed.  The test suite's
 frozen signatures catch most ways of breaking that; this package checks,
 statically, the hazards that leave today's results unchanged.  Every run
-judges each file on its own with the per-file rules:
-
-========  =======================================================
-REP003    iteration over a set, or a name bound to one / bare
-          ``dict.popitem()``
-REP004    ``id()``/``hash()``-derived ordering or hashing
-REP007    per-event branches on setup-time config in hot paths
-========  =======================================================
-
-and the whole program with the rules of :mod:`repro.lint.analysis`:
+reads and parses each file once into one project model, and every rule
+judges that model:
 
 ========  =======================================================
 REP002    wall-clock reads; host clock/host I/O reachable from
           confined-layer code through a call chain
+REP003    iteration over a set, or a name bound to one / bare
+          ``dict.popitem()``
+REP004    ``id()``/``hash()``-derived ordering or hashing
+REP007    per-event branches on setup-time config in hot paths
 REP101    shared forward ``Message`` mutated after send/schedule
 REP104    non-picklable callable submitted to an executor
 REP200    import from a higher layer of the declared layer map
@@ -36,14 +32,12 @@ suppression / configuration syntax.
 
 from __future__ import annotations
 
-from .analysis import ANALYSIS_RULES, analysis_codes, run_analysis
+from .analysis import RULES, all_codes, run_analysis
 from .cli import LintResult, lint_paths, main
 from .config import LintConfig, PerPath, load_config
 from .findings import Finding, LintError
-from .rules import RULES, all_codes
 
 __all__ = [
-    "ANALYSIS_RULES",
     "Finding",
     "LintConfig",
     "LintError",
@@ -51,7 +45,6 @@ __all__ = [
     "PerPath",
     "RULES",
     "all_codes",
-    "analysis_codes",
     "lint_paths",
     "load_config",
     "main",

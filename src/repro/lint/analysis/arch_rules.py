@@ -12,7 +12,8 @@ REP204    RNG stream requested off the consuming subsystem's declared
           named streams, or with a dynamic name (reproducibility)
 ========  ==============================================================
 
-All of them share one :class:`ArchContext` — the resolved layer map, the
+Every rule of a run, these and the rest, takes one :class:`ArchContext`
+— the project model, the configuration, the resolved layer map, the
 interprocedural effect sets, and the per-node class closure — built once
 per run.  The layer map comes from ``[tool.repro-lint.layers]``; with no
 declared layers, REP200, REP203 and REP002's call-chain part are inert,
@@ -24,9 +25,10 @@ from __future__ import annotations
 
 import ast
 import fnmatch
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from ..config import LintConfig
+from ..rules import AddFn, Rule
 from .effects import (
     EffectMap,
     FunctionEffects,
@@ -41,9 +43,14 @@ from .effects import (
 )
 from .layers import LayerMap, build_layer_map
 from .model import ClassInfo, Project, dotted_parts
-from .rules import AddFn, AnalysisRule
 
-__all__ = ["ArchContext", "ArchRule", "ARCH_RULES"]
+__all__ = [
+    "ArchContext",
+    "LayerImportRule",
+    "RngStreamRule",
+    "SlotsRule",
+    "WallClockRule",
+]
 
 #: Base-class names (suffix match) whose subclasses need no ``__slots__``
 #: audit: enum members are singletons, protocols/ABCs are never
@@ -55,7 +62,7 @@ _SLOTS_EXEMPT_BASES = (
 
 
 class ArchContext:
-    """Everything the REP200-series shares: one build per analysis run."""
+    """Everything the rules read: one build per lint run."""
 
     def __init__(self, project: Project, config: LintConfig) -> None:
         self.project = project
@@ -106,19 +113,7 @@ class ArchContext:
         return best
 
 
-class ArchRule(AnalysisRule):
-    """Base class for rules that consume the shared :class:`ArchContext`."""
-
-    def run(self, project: Project, add: AddFn) -> None:  # pragma: no cover
-        raise RuntimeError(
-            f"{self.code} needs an ArchContext; use run_arch()"
-        )
-
-    def run_arch(self, ctx: ArchContext, add: AddFn) -> None:
-        raise NotImplementedError
-
-
-class LayerImportRule(ArchRule):
+class LayerImportRule(Rule):
     """REP200: no layer imports a layer above it."""
 
     code = "REP200"
@@ -128,7 +123,7 @@ class LayerImportRule(ArchRule):
         "engine/transport must stay ignorant of the protocol built on it"
     )
 
-    def run_arch(self, ctx: ArchContext, add: AddFn) -> None:
+    def run(self, ctx: ArchContext, add: AddFn) -> None:
         for edge in ctx.layer_map.violations():
             add(
                 edge.source,
@@ -141,7 +136,7 @@ class LayerImportRule(ArchRule):
             )
 
 
-class SlotsRule(ArchRule):
+class SlotsRule(Rule):
     """REP203: per-node/per-event classes carry ``__slots__`` and avoid
     string-keyed hot dicts."""
 
@@ -158,7 +153,7 @@ class SlotsRule(ArchRule):
     #: dict methods whose first argument is the key.
     _DICT_KEY_METHODS = frozenset({"get", "setdefault", "pop"})
 
-    def run_arch(self, ctx: ArchContext, add: AddFn) -> None:
+    def run(self, ctx: ArchContext, add: AddFn) -> None:
         reported: Set[str] = set()
         for qualname in sorted(ctx.per_node):
             cls = ctx.project.classes.get(qualname)
@@ -342,7 +337,7 @@ class SlotsRule(ArchRule):
         return False
 
 
-class RngStreamRule(ArchRule):
+class RngStreamRule(Rule):
     """REP204: stream requests stay on the consumer's declared streams."""
 
     code = "REP204"
@@ -353,7 +348,7 @@ class RngStreamRule(ArchRule):
         "the reproducibility contract between subsystems"
     )
 
-    def run_arch(self, ctx: ArchContext, add: AddFn) -> None:
+    def run(self, ctx: ArchContext, add: AddFn) -> None:
         for qualname in sorted(ctx.effects.functions):
             record = ctx.effects.functions[qualname]
             for request in record.stream_requests:
@@ -420,7 +415,7 @@ class RngStreamRule(ArchRule):
                 )
 
 
-class WallClockRule(ArchRule):
+class WallClockRule(Rule):
     """REP002: no wall-clock reads, and no host input reachable from
     confined-layer code.
 
@@ -442,7 +437,7 @@ class WallClockRule(ArchRule):
         "come from Simulator.now so runs replay bit-identically"
     )
 
-    def run_arch(self, ctx: ArchContext, add: AddFn) -> None:
+    def run(self, ctx: ArchContext, add: AddFn) -> None:
         for module in ctx.project.modules.values():
             for node in ast.walk(module.tree):
                 if not isinstance(node, ast.Call):
@@ -489,11 +484,3 @@ class WallClockRule(ArchRule):
                 "run stops replaying -- use Simulator.now and keep I/O in "
                 "the scenarios layer",
             )
-
-
-ARCH_RULES: List[ArchRule] = [
-    WallClockRule(),
-    LayerImportRule(),
-    SlotsRule(),
-    RngStreamRule(),
-]

@@ -11,14 +11,14 @@ from __future__ import annotations
 import ast
 from typing import List, Optional
 
-from .arch_rules import ArchContext, ArchRule
+from ..rules import AddFn, Rule
+from .arch_rules import ArchContext
 from .model import ModuleInfo, dotted_parts
-from .rules import AddFn
 
-__all__ = ["NonAtomicWriteRule", "DURABLE_RULES"]
+__all__ = ["NonAtomicWriteRule"]
 
 
-class NonAtomicWriteRule(ArchRule):
+class NonAtomicWriteRule(Rule):
     """REP306: durable artifacts are written via write-then-rename.
 
     The registry of durable modules lives in ``[tool.repro-lint.durable]``
@@ -47,7 +47,7 @@ class NonAtomicWriteRule(ArchRule):
     _RENAME_METHODS = frozenset({"replace", "rename"})
     _WRITE_MODES = "wax"
 
-    def run_arch(self, ctx: ArchContext, add: AddFn) -> None:
+    def run(self, ctx: ArchContext, add: AddFn) -> None:
         durable = ctx.config.durable
         if not durable.modules:
             return
@@ -156,6 +156,3 @@ class NonAtomicWriteRule(ArchRule):
             and len(node.args) == 1
             and not node.keywords
         )
-
-
-DURABLE_RULES: List[ArchRule] = [NonAtomicWriteRule()]

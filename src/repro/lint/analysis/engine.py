@@ -1,31 +1,58 @@
-"""Orchestration: run the whole-program rules over a set of files.
+"""Orchestration: the rule registry, and one lint run over a project.
 
-:func:`run_analysis` takes the same ``(path, rel_path)`` pairs the per-file
-walker lints, builds one :class:`~repro.lint.analysis.model.Project` over all
-of them, runs every whole-program rule, and filters the raw findings
-through the same per-path configuration and inline-suppression machinery
-as the per-file rules — a ``# repro-lint: disable=REP101`` comment works
-identically for both.
+:data:`RULES` holds every rule, sorted by code.  :func:`run_analysis`
+builds the run's :class:`~repro.lint.analysis.arch_rules.ArchContext` over
+one parsed :class:`~repro.lint.analysis.model.Project`, runs every rule,
+and passes the raw findings through the one filter: the per-path enabled
+codes, then the inline suppressions.  A module's suppression comments are
+tokenized only when one of its findings gets that far.
 """
 
 from __future__ import annotations
 
 import ast
-from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Set, Tuple
 
 from ..config import LintConfig
 from ..findings import Finding
+from ..rules import (
+    HotPathGuardRule,
+    IdBasedIdentityRule,
+    Rule,
+    UnorderedIterationRule,
+)
 from ..suppress import SuppressionMap, parse_suppressions
-from .arch_rules import ARCH_RULES, ArchContext
-from .durable import DURABLE_RULES
-from .model import ModuleInfo, build_project
-from .rules import ANALYSIS_RULES as CORE_ANALYSIS_RULES
+from .arch_rules import (
+    ArchContext,
+    LayerImportRule,
+    RngStreamRule,
+    SlotsRule,
+    WallClockRule,
+)
+from .durable import NonAtomicWriteRule
+from .model import ModuleInfo, Project
+from .rules import ExecutorPicklableRule, MessageAliasRule
 
-__all__ = ["run_analysis", "ALL_ANALYSIS_RULES"]
+__all__ = ["RULES", "all_codes", "run_analysis"]
 
-#: Every whole-program rule, in catalogue order.
-ALL_ANALYSIS_RULES = [*CORE_ANALYSIS_RULES, *ARCH_RULES, *DURABLE_RULES]
+#: Every rule, sorted by code: one implementation per code.
+RULES: List[Rule] = [
+    WallClockRule(),
+    UnorderedIterationRule(),
+    IdBasedIdentityRule(),
+    HotPathGuardRule(),
+    MessageAliasRule(),
+    ExecutorPicklableRule(),
+    LayerImportRule(),
+    SlotsRule(),
+    RngStreamRule(),
+    NonAtomicWriteRule(),
+]
+
+
+def all_codes() -> List[str]:
+    return [rule.code for rule in RULES]
+
 
 #: rel-path → enabled rule codes for that file (the CLI passes a closure
 #: over the loaded LintConfig).
@@ -33,26 +60,18 @@ EnabledFn = Callable[[str], Set[str]]
 
 
 def run_analysis(
-    files: Sequence[Tuple[Path, str]],
-    enabled_for: EnabledFn,
-    config: Optional[LintConfig] = None,
+    project: Project, config: LintConfig, enabled_for: EnabledFn
 ) -> List[Finding]:
-    """Run REP002, REP101, REP104, REP200, REP203, REP204 and REP306 over
-    ``files`` and return suppression-filtered findings sorted in the
-    standard order."""
-    if config is None:
-        config = LintConfig()
-    project = build_project(files)
+    """Run every rule over ``project`` and return the enabled, unsuppressed
+    findings sorted in the standard order."""
     raw: List[Tuple[ModuleInfo, ast.AST, str, str]] = []
 
     def add(module: ModuleInfo, node: ast.AST, code: str, message: str) -> None:
         raw.append((module, node, code, message))
 
-    for rule in CORE_ANALYSIS_RULES:
-        rule.run(project, add)
     context = ArchContext(project, config)
-    for arch_rule in (*ARCH_RULES, *DURABLE_RULES):
-        arch_rule.run_arch(context, add)
+    for rule in RULES:
+        rule.run(context, add)
 
     suppression_cache: Dict[str, SuppressionMap] = {}
     findings: List[Finding] = []
@@ -63,6 +82,8 @@ def run_analysis(
         if suppressions is None:
             suppressions = parse_suppressions(module.source, module.tree)
             suppression_cache[module.rel] = suppressions
+        # A directive on any line the node spans counts, so it also works
+        # on the closing paren of a multi-line call.
         line = getattr(node, "lineno", 0)
         end_line = getattr(node, "end_lineno", None) or line
         if suppressions.is_suppressed_span(code, line, end_line):

@@ -1,10 +1,10 @@
 """The project model: modules, classes, functions, and name resolution.
 
-The per-file linter (:mod:`repro.lint.rules`) reasons about one tree at a
-time; the whole-program rules need to know *what a name means across the
-project*: which class a base name refers to, which function a call resolves
-to, which methods a class inherits.  This module builds
-that model in one pass over the analyzed files:
+Every rule of a lint run reads this one model.  Some judge one module at a
+time; the rest need to know *what a name means across the project*: which
+class a base name refers to, which function a call resolves to, which
+methods a class inherits.  This module builds the model in one pass over
+the analyzed files, reading and parsing each file once:
 
 * :class:`ModuleInfo` — one parsed file: import aliases (absolute *and*
   relative imports resolved to canonical dotted names), top-level functions,
@@ -16,8 +16,9 @@ that model in one pass over the analyzed files:
   ``lookup`` (dotted name → class/function, chasing re-exports), and
   ``mro_method`` (method lookup through the class hierarchy).
 
-Everything is syntactic; files that fail to parse are skipped (the per-file
-walker already reports them as errors).
+Everything is syntactic.  A file that cannot be read or parsed is left out
+of the model and recorded in ``Project.errors`` as a
+:class:`~repro.lint.findings.LintError`; the rest are still judged.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+
+from ..findings import LintError
 
 __all__ = [
     "FunctionInfo",
@@ -225,6 +228,8 @@ class Project:
         self.modules: Dict[str, ModuleInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
         self.functions: Dict[str, FunctionInfo] = {}
+        #: files left out of the model: unreadable or not valid Python.
+        self.errors: List[LintError] = []
 
     # ------------------------------------------------------------------
     def lookup(self, qualname: str, _depth: int = 0) -> Union[
@@ -301,18 +306,33 @@ def _collect_module(module: ModuleInfo) -> None:
 def build_project(files: Sequence[Tuple[Path, str]]) -> Project:
     """Parse ``(path, rel_path)`` pairs into a linked :class:`Project`.
 
-    Unreadable or syntactically-invalid files are skipped silently — the
-    per-file walker has already reported them as :class:`LintError`\\ s.
+    Unreadable or syntactically-invalid files go to ``Project.errors``.
     """
     project = Project()
     for path, rel in files:
         try:
             source = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            project.errors.append(LintError(path=rel, message=str(exc)))
+            continue
+        try:
             tree = ast.parse(source, filename=str(path))
-        except (OSError, UnicodeDecodeError, SyntaxError):
+        except SyntaxError as exc:
+            project.errors.append(
+                LintError(
+                    path=rel,
+                    message=f"syntax error on line {exc.lineno}: {exc.msg}",
+                )
+            )
             continue
         module = ModuleInfo(path, rel, _module_name_for(rel), tree, source)
         _collect_module(module)
+        # Two files can map to one dotted name (``a.py`` beside
+        # ``a/__init__.py``): the name resolves to the later one, and the
+        # earlier one stays in the model under its path, so it is judged.
+        clash = project.modules.pop(module.name, None)
+        if clash is not None:
+            project.modules[clash.rel] = clash
         project.modules[module.name] = module
     for module in project.modules.values():
         project.classes.update(

@@ -1,29 +1,27 @@
 """The whole-program protocol rules, REP101 and REP104.
 
-Where the per-file rules police what one file *says*, these rules police
-cross-module contracts:
+Where REP003, REP004 and REP007 police what one module *says*, these
+rules police cross-module contracts:
 
 ========  ==============================================================
 REP101    shared forward ``Message`` mutated after send/schedule escape
 REP104    non-module-level callable submitted to an experiment executor
 ========  ==============================================================
 
-Each rule is a singleton with ``code``/``name``/``summary`` (mirroring the
-per-file family) and a ``run(project, add)`` hook; ``add(module, node, code,
-message)`` records one finding.  Findings then flow through the exact same
-per-path configuration and inline-suppression machinery as REP0xx.
+Both subclass :class:`~repro.lint.rules.Rule` and read the project model
+at ``ctx.project``.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Callable, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
-from .model import ModuleInfo, Project, dotted_parts
+from ..rules import AddFn, Rule
+from .arch_rules import ArchContext
+from .model import ModuleInfo, dotted_parts
 
-__all__ = ["AnalysisRule", "ANALYSIS_RULES"]
-
-AddFn = Callable[[ModuleInfo, ast.AST, str, str], None]
+__all__ = ["MessageAliasRule", "ExecutorPicklableRule"]
 
 #: Attribute names whose call hands a value to the network layer.
 _SEND_ATTRS = frozenset({"send", "send_oob", "transmit", "send_gossip"})
@@ -37,30 +35,19 @@ _EXECUTOR_FACTORIES = frozenset(
 )
 
 def _walk_functions(module: ModuleInfo):
-    """Yield (function-ish node, enclosing ClassInfo or None)."""
+    """Yield the node of every module-level function and method."""
     for fn in module.functions.values():
-        yield fn.node, None
+        yield fn.node
     for cls in module.classes.values():
         for method in cls.methods.values():
-            yield method.node, cls
+            yield method.node
 
 
 def _pos(node: ast.AST) -> Tuple[int, int]:
     return (getattr(node, "lineno", 0), getattr(node, "col_offset", 0))
 
 
-class AnalysisRule:
-    """Base class for whole-program rules."""
-
-    code: str = ""
-    name: str = ""
-    summary: str = ""
-
-    def run(self, project: Project, add: AddFn) -> None:
-        raise NotImplementedError
-
-
-class MessageAliasRule(AnalysisRule):
+class MessageAliasRule(Rule):
     """REP101: no mutation of a ``Message`` after it escaped into a send."""
 
     code = "REP101"
@@ -70,9 +57,9 @@ class MessageAliasRule(AnalysisRule):
         "network shares one envelope, so the mutation races the delivery"
     )
 
-    def run(self, project: Project, add: AddFn) -> None:
-        for module in project.modules.values():
-            for func, _cls in _walk_functions(module):
+    def run(self, ctx: ArchContext, add: AddFn) -> None:
+        for module in ctx.project.modules.values():
+            for func in _walk_functions(module):
                 self._check_function(module, func, add)
 
     @staticmethod
@@ -149,7 +136,7 @@ class MessageAliasRule(AnalysisRule):
                 )
 
 
-class ExecutorPicklableRule(AnalysisRule):
+class ExecutorPicklableRule(Rule):
     """REP104: executor submissions are module-level, closure-free callables."""
 
     code = "REP104"
@@ -159,10 +146,10 @@ class ExecutorPicklableRule(AnalysisRule):
         "executor; worker processes can only import module-level callables"
     )
 
-    def run(self, project: Project, add: AddFn) -> None:
-        for module in project.modules.values():
-            for func, _cls in _walk_functions(module):
-                self._check_function(project, module, func, add)
+    def run(self, ctx: ArchContext, add: AddFn) -> None:
+        for module in ctx.project.modules.values():
+            for func in _walk_functions(module):
+                self._check_function(module, func, add)
 
     @staticmethod
     def _executor_locals(module: ModuleInfo, func: ast.AST) -> Set[str]:
@@ -187,7 +174,7 @@ class ExecutorPicklableRule(AnalysisRule):
         return names
 
     def _check_function(
-        self, project: Project, module: ModuleInfo, func: ast.AST, add: AddFn
+        self, module: ModuleInfo, func: ast.AST, add: AddFn
     ) -> None:
         executor_locals = self._executor_locals(module, func)
         local_defs = {
@@ -268,9 +255,3 @@ class ExecutorPicklableRule(AnalysisRule):
             isinstance(func_expr, ast.Attribute)
             and func_expr.attr in ("partial", "partialmethod")
         )
-
-
-ANALYSIS_RULES: List[AnalysisRule] = [
-    MessageAliasRule(),
-    ExecutorPicklableRule(),
-]

@@ -10,10 +10,10 @@
 Exit status: **0** clean, **1** findings, **2** errors (unreadable or
 syntactically-invalid files, bad arguments).
 
-Every run is the whole-program run: the per-file rules (REP003, REP004,
-REP007) judge each file on its own, and the whole-program rules (REP002,
-REP101, REP104, REP200, REP203, REP204, REP306) judge one project model
-built over all the files given.
+Every run reads and parses each file once into one project model over all
+the files given, runs every rule (REP002, REP003, REP004, REP007, REP101,
+REP104, REP200, REP203, REP204, REP306) over it, and filters the findings
+through the per-path configuration and the inline suppressions.
 """
 
 from __future__ import annotations
@@ -23,12 +23,10 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence, Set, Tuple
 
-from .analysis import ANALYSIS_RULES, analysis_codes, run_analysis
+from .analysis import RULES, all_codes, build_project, run_analysis
 from .config import LintConfig, config_for_paths, load_config
 from .findings import Finding, LintError
 from .report import render_json, render_sarif, render_text
-from .rules import RULES, all_codes
-from .walker import lint_file
 
 __all__ = ["main", "build_parser", "lint_paths", "LintResult"]
 
@@ -106,8 +104,7 @@ def lint_paths(
     ]
     paths = [p for p in paths if p.exists()]
 
-    codes = all_codes() + analysis_codes()
-    findings: List[Finding] = []
+    codes = all_codes()
     files, warnings = _collect_files(paths, config)
 
     def enabled_for(rel: str) -> Set[str]:
@@ -117,17 +114,9 @@ def lint_paths(
         enabled -= set(ignore)
         return enabled
 
-    for path in files:
-        rel = config.rel_path(path)
-        file_findings, error = lint_file(
-            path, rel, enabled_for(rel), hot_path=config.hot_path
-        )
-        findings.extend(file_findings)
-        if error is not None:
-            errors.append(error)
-    pairs = [(path, config.rel_path(path)) for path in files]
-    findings.extend(run_analysis(pairs, enabled_for, config))
-    findings.sort()
+    project = build_project([(path, config.rel_path(path)) for path in files])
+    findings = run_analysis(project, config, enabled_for)
+    errors.extend(project.errors)
     errors.sort()
     return LintResult(findings, errors, len(files), warnings)
 
@@ -143,9 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description=(
             "AST-based determinism & protocol-invariant linter for the "
-            "epidemic pub-sub reproduction (per-file rules REP003, REP004, "
-            "REP007; whole-program rules REP002, REP101, REP104, REP200, "
-            "REP203, REP204, REP306)"
+            "epidemic pub-sub reproduction: every rule (REP002, REP003, "
+            "REP004, REP007, REP101, REP104, REP200, REP203, REP204, "
+            "REP306) runs on one project model parsed from the given files"
         ),
     )
     parser.add_argument("paths", nargs="*", help="files or directories to lint")
@@ -188,7 +177,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list_rules:
-        for rule in sorted((*RULES, *ANALYSIS_RULES), key=lambda r: r.code):
+        for rule in RULES:
             print(f"{rule.code}  {rule.name}: {rule.summary}")
         return 0
 
@@ -197,7 +186,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     select = _parse_codes(args.select)
     ignore = _parse_codes(args.ignore)
-    known = all_codes() + analysis_codes()
+    known = all_codes()
     unknown = [c for c in (*select, *ignore) if c not in known]
     if unknown:
         parser.error(

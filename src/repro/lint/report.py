@@ -42,12 +42,11 @@ def render_json(findings: List[Finding], errors: List[LintError], files: int) ->
 
 
 def _rule_catalogue() -> List[Dict[str, object]]:
-    """SARIF ``tool.driver.rules`` metadata for all rule families."""
-    from .analysis import ANALYSIS_RULES
-    from .rules import RULES
+    """SARIF ``tool.driver.rules`` metadata for every rule."""
+    from .analysis import RULES
 
     catalogue: List[Dict[str, object]] = []
-    for rule in (*RULES, *ANALYSIS_RULES):
+    for rule in RULES:
         catalogue.append(
             {
                 "id": rule.code,

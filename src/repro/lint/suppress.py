@@ -82,9 +82,9 @@ def parse_suppressions(
 ) -> SuppressionMap:
     """Extract suppression directives from ``source``.
 
-    Tokenisation errors are swallowed: a file that does not tokenise will
-    already be reported as a syntax error by the walker, and a best-effort
-    (possibly empty) map is fine for it.
+    Tokenisation errors are swallowed: a file that does not tokenise is
+    reported as a syntax error when the project model is built, and a
+    best-effort (possibly empty) map is fine for it.
 
     When ``tree`` is given, decorator lines of each decorated definition
     are recorded as redirects to the ``def``/``class`` line, so a directive

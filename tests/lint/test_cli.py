@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import shutil
 
 import pytest
 
@@ -57,6 +58,20 @@ class TestExitCodes:
         assert main(["--isolated", str(target)]) == 2
         assert "syntax error" in capsys.readouterr().out
 
+    def test_syntax_error_does_not_hide_findings(self, tmp_path, capsys):
+        """The model builder reports the broken file and judges the rest,
+        under rules that read one module and rules that read them all."""
+        (tmp_path / "broken.py").write_text("def oops(:\n")
+        shutil.copy(FIXTURES / "rep004_bad.py", tmp_path)
+        shutil.copy(FIXTURES / "analysis" / "rep101_bad.py", tmp_path)
+        exit_code = main(["--isolated", "--format=json", str(tmp_path)])
+        payload = json.loads(capsys.readouterr().out)
+        assert exit_code == 2
+        [error] = payload["errors"]
+        assert error["path"].endswith("broken.py")
+        assert error["message"].startswith("syntax error on line 1: ")
+        assert {"REP004", "REP101"} <= set(payload["counts"])
+
     def test_no_paths_is_a_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main([])
@@ -102,9 +117,17 @@ class TestFormats:
 
 class TestSelection:
     def test_select_narrows_to_one_rule(self, capsys):
-        main(["--isolated", "--format=json", "--select=REP003", str(FIXTURES)])
-        payload = json.loads(capsys.readouterr().out)
-        assert set(payload["counts"]) == {"REP003"}
+        # REP003 judges one module at a time, REP101 the whole program;
+        # each input also holds findings of other codes.
+        for code, directory in (
+            ("REP003", FIXTURES),
+            ("REP101", FIXTURES / "analysis"),
+        ):
+            main(
+                ["--isolated", "--format=json", f"--select={code}", str(directory)]
+            )
+            payload = json.loads(capsys.readouterr().out)
+            assert set(payload["counts"]) == {code}
 
     def test_ignore_drops_a_rule(self, capsys):
         main(["--isolated", "--format=json", "--ignore=REP003", str(FIXTURES)])

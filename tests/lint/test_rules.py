@@ -8,7 +8,7 @@ import pathlib
 
 import pytest
 
-from repro.lint import all_codes, analysis_codes, lint_paths, load_config
+from repro.lint import all_codes, lint_paths, load_config
 from repro.lint.config import HotPathConfig, LintConfig
 
 from .conftest import REPO
@@ -48,9 +48,12 @@ def codes_in(filename: str, config: LintConfig = None) -> set:
 
 
 def test_rule_registry_matches_documented_codes():
-    # REP002 is judged over the whole program; its fixtures live here.
-    assert all_codes() == ["REP003", "REP004", "REP007"]
-    assert "REP002" in analysis_codes()
+    # One registry, sorted by code; the fixtures of these four live here.
+    assert all_codes() == [
+        "REP002", "REP003", "REP004", "REP007",
+        "REP101", "REP104", "REP200", "REP203", "REP204", "REP306",
+    ]
+    assert set(ALL_CODES) <= set(all_codes())
 
 
 @pytest.mark.parametrize("code", ALL_CODES)

@@ -22,8 +22,7 @@ from typing import Dict, NamedTuple, Set, Tuple
 
 import pytest
 
-from repro.lint import ANALYSIS_RULES, RULES, lint_paths, load_config
-from repro.lint.analysis.rules import AnalysisRule
+from repro.lint import RULES, lint_paths, load_config
 from repro.lint.rules import Rule
 
 from .conftest import REPO, TREE
@@ -293,14 +292,14 @@ def seeded_lint(tmp_path_factory) -> Tuple[Set[Location], Dict[Seed, Location]]:
 
 
 def test_every_surviving_code_has_a_seed():
-    codes = {rule.code for rule in (*RULES, *ANALYSIS_RULES)}
+    codes = {rule.code for rule in RULES}
     assert {seed.code for seed in SEEDS} == codes
 
 
 def test_one_implementation_per_code():
     """Every rule class answers to its own code and is catalogued."""
     classes = set()
-    stack = [Rule, AnalysisRule]
+    stack = [Rule]
     while stack:
         cls = stack.pop()
         stack.extend(cls.__subclasses__())
@@ -308,7 +307,7 @@ def test_one_implementation_per_code():
             classes.add(cls)
     codes = sorted(cls.code for cls in classes)
     assert len(codes) == len(set(codes)), codes
-    assert classes == {type(rule) for rule in (*RULES, *ANALYSIS_RULES)}
+    assert classes == {type(rule) for rule in RULES}
 
 
 @pytest.mark.parametrize("seed", SEEDS, ids=lambda seed: seed.label)

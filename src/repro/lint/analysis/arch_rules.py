@@ -220,7 +220,7 @@ class SlotsRule(Rule):
         """Instance attributes assigned a dict (literal, comprehension,
         ``dict()``/``defaultdict()``/``Counter()``) in any method."""
         attrs: Set[str] = set()
-        for method in cls.methods.values():
+        for method in cls.defs:
             for node in ast.walk(method.node):
                 if not isinstance(node, ast.Assign):
                     continue
@@ -247,7 +247,7 @@ class SlotsRule(Rule):
     ) -> Dict[str, ast.AST]:
         """attr name -> first site where it is keyed by a string literal."""
         sites: Dict[str, ast.AST] = {}
-        for method in cls.methods.values():
+        for method in cls.defs:
             for node in ast.walk(method.node):
                 attr: Optional[str] = None
                 key: Optional[ast.expr] = None
@@ -349,8 +349,7 @@ class RngStreamRule(Rule):
     )
 
     def run(self, ctx: ArchContext, add: AddFn) -> None:
-        for qualname in sorted(ctx.effects.functions):
-            record = ctx.effects.functions[qualname]
+        for record in ctx.effects.by_qualname():
             for request in record.stream_requests:
                 self._check_request(ctx, record, request, add)
             self._check_inherited(ctx, record, add)
@@ -455,8 +454,7 @@ class WallClockRule(Rule):
         self._check_confined(ctx, add)
 
     def _check_confined(self, ctx: ArchContext, add: AddFn) -> None:
-        for qualname in sorted(ctx.effects.functions):
-            record = ctx.effects.functions[qualname]
+        for record in ctx.effects.by_qualname():
             function = record.function
             if not ctx.layer_map.is_confined(function.module.name):
                 continue
@@ -479,7 +477,7 @@ class WallClockRule(Rule):
                 function.module,
                 site,
                 self.code,
-                f"{qualname} ({layer} layer) {how}; the host clock and "
+                f"{function.qualname} ({layer} layer) {how}; the host clock and "
                 "host I/O are inputs the master seed does not fix, so the "
                 "run stops replaying -- use Simulator.now and keep I/O in "
                 "the scenarios layer",

@@ -170,10 +170,19 @@ class EffectMap:
 
     def __init__(self, project: Project) -> None:
         self.project = project
+        #: one record per ``def`` in the project, in model order.
+        self.records: List[FunctionEffects] = []
+        #: qualname → the record of the ``def`` the name resolves to (the
+        #: last one), for call-graph edges.
         self.functions: Dict[str, FunctionEffects] = {}
 
+    def by_qualname(self) -> List[FunctionEffects]:
+        """Every record, sorted by qualname (source order among
+        redefinitions): the deterministic order rules report in."""
+        return sorted(self.records, key=lambda record: record.function.qualname)
+
     def all_constructions(self) -> Iterable[Construction]:
-        for record in self.functions.values():
+        for record in self.records:
             yield from record.constructions
 
 
@@ -341,7 +350,7 @@ def _instance_bindings(
         return hit
     bindings: Dict[str, List[FunctionInfo]] = {}
     for ancestor in reversed(cls.mro()):
-        for method in ancestor.methods.values():
+        for method in ancestor.defs:
             for node in ast.walk(method.node):
                 if not isinstance(node, ast.Assign):
                     continue
@@ -570,35 +579,24 @@ class _Extractor:
 def infer_effects(project: Project) -> EffectMap:
     """Extract direct effects and run the call-graph fixpoint."""
     effect_map = EffectMap(project)
-    registry_cache: Dict[str, Dict[str, List[ClassInfo]]] = {}
     bound_cache: Dict[str, Dict[str, List[FunctionInfo]]] = {}
 
-    def functions() -> Iterable[FunctionInfo]:
-        for module in project.modules.values():
-            yield from module.functions.values()
-            for cls in module.classes.values():
-                yield from cls.methods.values()
-
-    for function in functions():
-        record = FunctionEffects(function)
-        module = function.module
-        registries = registry_cache.get(module.name)
-        if registries is None:
-            registries = module_class_registries(module, project)
-            registry_cache[module.name] = registries
-        _Extractor(
-            project, record, registries, bound_cache
-        ).run()
-        for request in record.stream_requests:
-            name = request.name if request.name is not None else "?"
-            record.direct.add(f"{STREAM_PREFIX}{name}@{module.name}")
-        record.effects = set(record.direct)
-        effect_map.functions[function.qualname] = record
+    for module in project.modules.values():
+        registries = module_class_registries(module, project)
+        for function in module.all_defs():
+            record = FunctionEffects(function)
+            _Extractor(project, record, registries, bound_cache).run()
+            for request in record.stream_requests:
+                name = request.name if request.name is not None else "?"
+                record.direct.add(f"{STREAM_PREFIX}{name}@{module.name}")
+            record.effects = set(record.direct)
+            effect_map.records.append(record)
+            effect_map.functions[function.qualname] = record
 
     changed = True
     while changed:
         changed = False
-        for record in effect_map.functions.values():
+        for record in effect_map.records:
             for callee, _in_loop in record.callees:
                 callee_record = effect_map.functions.get(callee)
                 if callee_record is None:
@@ -652,7 +650,7 @@ def per_node_classes(
     if factory_scope is None:
         factory_scope = in_scope
     called_in_loop: Set[str] = set()
-    for record in effect_map.functions.values():
+    for record in effect_map.records:
         if not in_scope(record.function.module.name):
             continue
         for callee, in_loop in record.callees:

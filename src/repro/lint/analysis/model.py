@@ -10,7 +10,11 @@ the analyzed files, reading and parsing each file once:
   relative imports resolved to canonical dotted names), top-level functions,
   classes.
 * :class:`ClassInfo` / :class:`FunctionInfo` — the class and callable
-  records.
+  records.  ``ModuleInfo.defs`` and ``ClassInfo.defs`` list every ``def``
+  in source order, so a rule that judges bodies sees each one; the
+  ``functions`` and ``methods`` dicts map a name to its *last* ``def``
+  (a redefinition, a property setter, the implementation after
+  ``typing.overload`` stubs), which is what the name resolves to.
 * :class:`Project` — the index over everything, plus the resolution helpers
   the rules use: ``resolve_name`` (local name → project symbol),
   ``lookup`` (dotted name → class/function, chasing re-exports), and
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from ..findings import LintError
 
@@ -98,7 +102,7 @@ class ClassInfo:
     """One ``class`` statement with its methods and (resolved) bases."""
 
     __slots__ = ("name", "qualname", "node", "module", "base_names", "bases",
-                 "methods")
+                 "methods", "defs")
 
     def __init__(
         self, name: str, qualname: str, node: ast.ClassDef, module: "ModuleInfo"
@@ -112,7 +116,10 @@ class ClassInfo:
         self.base_names: List[str] = []
         #: bases resolved to in-project ClassInfo records (second pass).
         self.bases: List[ClassInfo] = []
+        #: name → the method's last ``def`` (what ``self.name`` resolves to).
         self.methods: Dict[str, FunctionInfo] = {}
+        #: every ``def`` in the class body, in source order.
+        self.defs: List[FunctionInfo] = []
 
     def mro(self) -> List["ClassInfo"]:
         """Linearized ancestry (self first, DFS, duplicates dropped)."""
@@ -151,7 +158,7 @@ class ModuleInfo:
     """One analyzed file."""
 
     __slots__ = ("path", "rel", "name", "tree", "source", "imports",
-                 "functions", "classes")
+                 "functions", "defs", "classes")
 
     def __init__(
         self, path: Path, rel: str, name: str, tree: ast.Module, source: str
@@ -164,8 +171,17 @@ class ModuleInfo:
         #: local alias → canonical dotted target ("np" → "numpy",
         #: "Message" → "repro.network.message.Message").
         self.imports: Dict[str, str] = {}
+        #: name → the function's last top-level ``def``.
         self.functions: Dict[str, FunctionInfo] = {}
+        #: every top-level ``def``, in source order.
+        self.defs: List[FunctionInfo] = []
         self.classes: Dict[str, ClassInfo] = {}
+
+    def all_defs(self) -> Iterator[FunctionInfo]:
+        """Every top-level function and every method body of the module."""
+        yield from self.defs
+        for cls in self.classes.values():
+            yield from cls.defs
 
     # ------------------------------------------------------------------
     def _package(self, level: int) -> str:
@@ -281,9 +297,9 @@ def _collect_module(module: ModuleInfo) -> None:
     for node in module.tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             qualname = f"{module.name}.{node.name}"
-            module.functions[node.name] = FunctionInfo(
-                node.name, qualname, node, module
-            )
+            function = FunctionInfo(node.name, qualname, node, module)
+            module.functions[node.name] = function
+            module.defs.append(function)
         elif isinstance(node, ast.ClassDef):
             qualname = f"{module.name}.{node.name}"
             cls = ClassInfo(node.name, qualname, node, module)
@@ -293,13 +309,11 @@ def _collect_module(module: ModuleInfo) -> None:
                     cls.base_names.append(resolved)
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    cls.methods[item.name] = FunctionInfo(
-                        item.name,
-                        f"{qualname}.{item.name}",
-                        item,
-                        module,
-                        cls,
+                    method = FunctionInfo(
+                        item.name, f"{qualname}.{item.name}", item, module, cls
                     )
+                    cls.methods[item.name] = method
+                    cls.defs.append(method)
             module.classes[node.name] = cls
 
 

@@ -34,15 +34,6 @@ _EXECUTOR_FACTORIES = frozenset(
     {"ProcessExecutor", "SerialExecutor", "get_executor", "ProcessPoolExecutor"}
 )
 
-def _walk_functions(module: ModuleInfo):
-    """Yield the node of every module-level function and method."""
-    for fn in module.functions.values():
-        yield fn.node
-    for cls in module.classes.values():
-        for method in cls.methods.values():
-            yield method.node
-
-
 def _pos(node: ast.AST) -> Tuple[int, int]:
     return (getattr(node, "lineno", 0), getattr(node, "col_offset", 0))
 
@@ -59,8 +50,8 @@ class MessageAliasRule(Rule):
 
     def run(self, ctx: ArchContext, add: AddFn) -> None:
         for module in ctx.project.modules.values():
-            for func in _walk_functions(module):
-                self._check_function(module, func, add)
+            for function in module.all_defs():
+                self._check_function(module, function.node, add)
 
     @staticmethod
     def _root_name(node: ast.expr) -> Optional[str]:
@@ -148,8 +139,8 @@ class ExecutorPicklableRule(Rule):
 
     def run(self, ctx: ArchContext, add: AddFn) -> None:
         for module in ctx.project.modules.values():
-            for func in _walk_functions(module):
-                self._check_function(module, func, add)
+            for function in module.all_defs():
+                self._check_function(module, function.node, add)
 
     @staticmethod
     def _executor_locals(module: ModuleInfo, func: ast.AST) -> Set[str]:

@@ -307,8 +307,6 @@ _DEFAULT_HOT_PATH_GUARDS = (
     "peers",
     "_loss_model",
     "_oob_loss_model",
-    "_jitter_fn",
-    "fault_hooks",
     "faults",
     "degradation",
 )
@@ -338,7 +336,7 @@ class HotPathGuardRule(Rule):
         guards = hot_path.guards or _DEFAULT_HOT_PATH_GUARDS
         for module in ctx.project.modules.values():
             for cls in module.classes.values():
-                for method in cls.methods.values():
+                for method in cls.defs:
                     qualname = f"{cls.name}.{method.name}"
                     if any(
                         fnmatch.fnmatch(qualname, pattern)

@@ -16,18 +16,16 @@ between two dispatchers:
 * **Outage**: a link can be taken ``down`` by the reconfiguration engine;
   transmissions attempted while down are lost (and counted as drops).
 
-Zero-cost hooks
----------------
-``_drop`` and ``_deliver`` are *instance attributes bound at setup time*,
-not methods: the constructor picks the loss draw (none, Bernoulli, or loss
-model) and the fast or crash-checked delivery variant once, so the single
-``transmit`` body never branches on configuration that cannot change
-mid-run (see docs/PERFORMANCE.md, "Setup-time method binding").  A
-fault-free link therefore pays nothing for the fault machinery -- no
-``loss_model is None`` test, no ``error_rate > 0`` test, no
-down-destination lookup -- and a lossless link's draw consumes no
-randomness.  The only mutation that can change the draw,
-:meth:`set_error_rate`, rebinds it.
+Setup-time loss draw
+--------------------
+``_drop`` is an *instance attribute bound at setup time*, not a method:
+the constructor picks the loss draw (none, Bernoulli, or loss model)
+once, so the single ``transmit`` body never branches on the loss
+configuration and a lossless link's draw consumes no randomness (see
+docs/PERFORMANCE.md, "Setup-time method binding").  The only mutation
+that can change the draw, :meth:`set_error_rate`, rebinds it.  Delivery
+has one body: its checks -- a link that went down, a destination that
+crashed -- are on run-time data, not configuration.
 """
 
 from __future__ import annotations
@@ -68,8 +66,8 @@ class Link:
         Optional stateful loss model (e.g. Gilbert--Elliott burst loss);
         when set, it replaces the inline Bernoulli ``error_rate`` draw.
 
-    The loss draw ``_drop() -> bool`` and ``_deliver`` are bound
-    per-instance in the constructor (see the module docstring).
+    The loss draw ``_drop() -> bool`` is bound per-instance in the
+    constructor (see the module docstring).
     """
 
     __slots__ = (
@@ -84,10 +82,9 @@ class Link:
         "up",
         "_busy_until",
         "_peer",
-        # Setup-time-bound hot-path callables (instance attributes so the
-        # per-message path never branches on static configuration).
+        # Setup-time-bound loss draw (an instance attribute so the
+        # per-message path never branches on the loss configuration).
         "_drop",
-        "_deliver",
     )
 
     def __init__(
@@ -120,9 +117,6 @@ class Link:
         self._busy_until = {node_a: 0.0, node_b: 0.0}
         # Sender id -> opposite endpoint, precomputed for the hot path.
         self._peer = {node_a: node_b, node_b: node_a}
-        self._deliver: Callable[[Message, int, int], None] = (
-            self._deliver_checked if network.fault_hooks else self._deliver_fast
-        )
         self._drop: Callable[[], bool]
         self._bind_drop()
 
@@ -210,33 +204,19 @@ class Link:
         return self.loss_model.should_drop(self.rng)
 
     # ------------------------------------------------------------------
-    # delivery variants -- ``self._deliver`` is bound to exactly one.
-    # ------------------------------------------------------------------
-    def _deliver_fast(self, message: Message, from_node: int, to_node: int) -> None:
-        """Delivery without crash checks (no fault injection configured)."""
-        # A link that went down while the message was in flight also loses
-        # it: the physical channel is gone.  This is a *dynamic* protocol
-        # condition (reconfiguration), not a configuration flag, so the test
-        # stays even on the fast path.
-        network = self.network
-        if not self.up:
-            network.dropped_tally[message.kind] += 1
-            return
-        network.delivered_tally[message.kind] += 1
-        network._nodes[to_node].receive(message, from_node)
+    def _deliver(self, message: Message, from_node: int, to_node: int) -> None:
+        """Hand ``message`` to ``to_node`` at the end of its flight.
 
-    def _deliver_checked(
-        self, message: Message, from_node: int, to_node: int
-    ) -> None:
-        """Delivery with crashed-destination accounting (fault hooks on)."""
+        A link that went down while the message was in flight loses it:
+        the physical channel is gone.  A destination that crashed (or
+        vanished) meanwhile is a counted drop, never a ``KeyError``.
+        """
         network = self.network
         if not self.up:
             network.dropped_tally[message.kind] += 1
             return
         node = network._receivers.get(to_node)
         if node is None:
-            # Destination crashed (or vanished) while the message was in
-            # flight: counted drop, never a KeyError.
             network.dropped_tally[message.kind] += 1
             network.down_drops += 1
             return

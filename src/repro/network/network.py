@@ -6,9 +6,9 @@ also hosts the out-of-band unicast channel used by the recovery algorithms
 for requests and retransmissions: a direct, connectionless path between any
 two dispatchers, independent of the tree, with its own latency and loss.
 
-It is also the run's one traffic account.  Every counting path -- the
-links' transmit and delivery variants, the out-of-band send and delivery
-variants, and a send onto a missing link -- indexes the network's tallies
+It is also the run's one traffic account.  Every counting path -- a
+link's transmit and delivery, the out-of-band send and delivery, and a
+send onto a missing link -- indexes the network's tallies
 in place, with no call per message:
 
 * ``sent_tally``, ``dropped_tally``, ``delivered_tally``: per
@@ -87,14 +87,9 @@ class Network:
     oob_loss_model:
         Optional shared loss model for the out-of-band channel, replacing
         the Bernoulli ``oob_error_rate`` draw.
-    fault_hooks:
-        ``True`` when a fault injector may crash nodes mid-run.  The flag
-        selects, once at construction, the crash-aware variants of the
-        per-message delivery paths (``Link._deliver``, ``send_oob``, the
-        out-of-band delivery callback); with the default ``False`` those
-        paths carry zero fault-accounting work and :meth:`set_node_down`
-        refuses to run (see docs/PERFORMANCE.md, "Setup-time method
-        binding").
+
+    Delivery is crash-aware on every run: a message whose destination is
+    down (see :meth:`set_node_down`) or unknown is a counted drop.
     """
 
     def __init__(
@@ -104,7 +99,6 @@ class Network:
         loss_rng: random.Random,
         loss_model_factory: Optional[Callable[[int, int], "LossModel"]] = None,
         oob_loss_model: Optional["LossModel"] = None,
-        fault_hooks: bool = False,
     ) -> None:
         self.sim = sim
         self.config = config
@@ -123,33 +117,18 @@ class Network:
         self.oob_by_node = array("q")
         self._loss_model_factory = loss_model_factory
         self._oob_loss_model = oob_loss_model
-        self.fault_hooks = fault_hooks
         self._nodes: Dict[int, Node] = {}
         # Nodes currently able to receive: ``_nodes`` minus crashed nodes.
-        # Crash-aware delivery paths do a single ``.get`` here, so a down
-        # (or vanished) destination costs nothing extra on the healthy path.
+        # Delivery does a single ``.get`` here, so a down (or vanished)
+        # destination costs nothing extra on the healthy path.
         self._receivers: Dict[int, Node] = {}
-        self._down: Set[int] = set()
         #: Messages dropped because their destination was down or gone.
         self.down_drops = 0
         # adjacency: node id -> {neighbor id -> Link}
         self._adjacency: Dict[int, Dict[int, Link]] = {}
         self._links: Dict[Tuple[int, int], Link] = {}
-        # Setup-time binding of the out-of-band hot path: pick the variant
-        # matching the static configuration so the per-message path never
-        # re-tests it.  A stateful oob loss model implies the checked path
-        # (loss models are a fault-injection feature).
-        self._deliver_oob: Callable[[Message, int, int], None]
-        self.send_oob: Callable[[int, int, Message], bool]
-        if fault_hooks or oob_loss_model is not None:
-            self._deliver_oob = self._deliver_oob_checked
-            self.send_oob = self._send_oob_checked
-        else:
-            self._deliver_oob = self._deliver_oob_fast
-            if config.oob_error_rate > 0.0:
-                self.send_oob = self._send_oob_bernoulli
-            else:
-                self.send_oob = self._send_oob_lossless
+        self._oob_drop: Callable[[], bool]
+        self._bind_oob_drop()
 
     # ------------------------------------------------------------------
     # Node / link management
@@ -177,27 +156,19 @@ class Network:
         is discarded on arrival as a counted drop, like frames sent to a
         powered-off host.
         """
-        if not self.fault_hooks:
-            raise RuntimeError(
-                "set_node_down requires fault hooks: construct the Network "
-                "with fault_hooks=True (the scenario builder does this "
-                "automatically when a FaultPlan is configured)"
-            )
         if node_id not in self._nodes:
             raise KeyError(f"unknown node {node_id}")
         if down:
-            self._down.add(node_id)
             self._receivers.pop(node_id, None)
         else:
-            self._down.discard(node_id)
             self._receivers[node_id] = self._nodes[node_id]
 
     def is_down(self, node_id: int) -> bool:
-        return node_id in self._down
+        return node_id in self._nodes and node_id not in self._receivers
 
     def down_nodes(self) -> Set[int]:
-        """Ids of currently-crashed nodes (copy; sorted iteration safe)."""
-        return set(self._down)
+        """Ids of currently-crashed nodes (a new set; sorted iteration safe)."""
+        return self._nodes.keys() - self._receivers.keys()
 
     def nodes(self) -> Iterator[Node]:
         return iter(self._nodes.values())
@@ -298,108 +269,76 @@ class Network:
     def set_oob_error_rate(self, rate: float) -> None:
         """Change the out-of-band Bernoulli loss rate mid-run.
 
-        The loss decision is compiled into the bound ``send_oob`` variant
-        (see ``__init__``), so replacing ``config`` directly would not take
-        effect on the fast path; this setter swaps the config *and* rebinds
-        the variant.  While the checked variant is bound (fault hooks or a
-        stateful oob loss model) no rebinding is needed -- it reads the
-        config dynamically.
+        The loss decision is compiled into the bound ``_oob_drop`` draw, so
+        replacing ``config`` directly would not take effect; this setter
+        swaps the config *and* rebinds the draw.  Ignored for the loss
+        decision while an out-of-band loss model is installed.
         """
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"oob_error_rate must be in [0, 1], got {rate}")
         self.config = replace(self.config, oob_error_rate=rate)
-        if self.fault_hooks or self._oob_loss_model is not None:
-            return
-        self.send_oob = (
-            self._send_oob_bernoulli if rate > 0.0 else self._send_oob_lossless
-        )
+        self._bind_oob_drop()
 
     # ------------------------------------------------------------------
-    # Out-of-band channel -- ``self.send_oob`` is bound at construction to
-    # exactly one of the variants below (see __init__); they share the
-    # docstring semantics of the checked variant and differ only in which
-    # static checks they can skip.
+    # Out-of-band channel
     # ------------------------------------------------------------------
-    def _send_oob_checked(self, from_node: int, to_node: int, message: Message) -> bool:
+    def _bind_oob_drop(self) -> None:
+        """Select the out-of-band loss draw for the current configuration."""
+        if self._oob_loss_model is not None:
+            self._oob_drop = self._oob_drop_model
+        elif self.config.oob_error_rate > 0.0:
+            self._oob_drop = self._oob_drop_bernoulli
+        else:
+            self._oob_drop = self._oob_drop_never
+
+    def send_oob(self, from_node: int, to_node: int, message: Message) -> bool:
         """Send over the out-of-band unicast channel (direct, UDP-like).
 
         The channel is independent of the tree: constant latency, optional
-        Bernoulli loss, no queueing (recovery traffic is small compared to
-        the 10 Mbit/s links, and the paper treats this path as out of band).
+        loss, no queueing (recovery traffic is small compared to the
+        10 Mbit/s links, and the paper treats this path as out of band).
+        Returns ``False`` for an unknown destination, ``True`` otherwise
+        (lost or not).
         """
-        self.sent_tally[message.kind] += 1
+        kind = message.kind
+        self.sent_tally[kind] += 1
         self.oob_by_node[from_node] += 1
         if to_node not in self._nodes:
             # Unknown destination (e.g. stale peer knowledge): counted drop,
             # never an exception -- UDP to a vanished host just disappears.
-            self.dropped_tally[message.kind] += 1
+            self.dropped_tally[kind] += 1
             self.down_drops += 1
             return False
-        oob_model = self._oob_loss_model
-        if oob_model is not None:
-            if oob_model.should_drop(self._loss_rng):
-                self.dropped_tally[message.kind] += 1
-                return True
-        elif (
-            self.config.oob_error_rate > 0.0
-            and self._loss_rng.random() < self.config.oob_error_rate
-        ):
-            self.dropped_tally[message.kind] += 1
+        if self._oob_drop():
+            self.dropped_tally[kind] += 1
             return True
         self.sim.schedule_call(
             self.config.oob_latency, self._deliver_oob, message, from_node, to_node
         )
         return True
 
-    def _send_oob_bernoulli(
-        self, from_node: int, to_node: int, message: Message
-    ) -> bool:
-        """Out-of-band send, fault-free network, Bernoulli oob loss.
+    # loss draws -- ``self._oob_drop`` is bound to exactly one.
+    def _oob_drop_never(self) -> bool:
+        """Lossless channel, no loss model: nothing is drawn."""
+        return False
 
-        Without fault injection nodes never leave ``_nodes``, and recovery
-        peers are drawn from the membership, so the unknown-destination
-        check is dead code here.
-        """
-        self.sent_tally[message.kind] += 1
-        self.oob_by_node[from_node] += 1
-        if self._loss_rng.random() < self.config.oob_error_rate:
-            self.dropped_tally[message.kind] += 1
-            return True
-        self.sim.schedule_call(
-            self.config.oob_latency, self._deliver_oob, message, from_node, to_node
-        )
-        return True
+    def _oob_drop_bernoulli(self) -> bool:
+        """i.i.d. Bernoulli(``oob_error_rate``) loss."""
+        return self._loss_rng.random() < self.config.oob_error_rate
 
-    def _send_oob_lossless(
-        self, from_node: int, to_node: int, message: Message
-    ) -> bool:
-        """Out-of-band send, fault-free network, lossless oob channel."""
-        self.sent_tally[message.kind] += 1
-        self.oob_by_node[from_node] += 1
-        self.sim.schedule_call(
-            self.config.oob_latency, self._deliver_oob, message, from_node, to_node
-        )
-        return True
+    def _oob_drop_model(self) -> bool:
+        """A stateful loss model's decision (burst loss injection)."""
+        return self._oob_loss_model.should_drop(self._loss_rng)
 
-    # ------------------------------------------------------------------
-    # Out-of-band delivery (``self._deliver_oob`` is bound to one variant)
-    # ------------------------------------------------------------------
-    def _deliver_oob_checked(
-        self, message: Message, from_node: int, to_node: int
-    ) -> None:
+    def _deliver_oob(self, message: Message, from_node: int, to_node: int) -> None:
         node = self._receivers.get(to_node)
         if node is None:
+            # Destination crashed while the message was in flight.
             self.dropped_tally[message.kind] += 1
             self.down_drops += 1
             return
         self.delivered_tally[message.kind] += 1
         node.receive_oob(message, from_node)
-
-    def _deliver_oob_fast(
-        self, message: Message, from_node: int, to_node: int
-    ) -> None:
-        self.delivered_tally[message.kind] += 1
-        self._nodes[to_node].receive_oob(message, from_node)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Network nodes={len(self._nodes)} links={len(self._links)}>"

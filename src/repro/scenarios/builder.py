@@ -116,9 +116,6 @@ class Simulation:
             self.streams.stream("loss"),
             loss_model_factory=self._link_loss_factory,
             oob_loss_model=self._oob_loss_model,
-            # Crash-aware delivery variants are only bound when a fault plan
-            # exists; otherwise the hot path carries zero fault accounting.
-            fault_hooks=plan is not None,
         )
         self.pattern_space = PatternSpace(config.n_patterns)
         algorithm_cls = ALGORITHMS[config.algorithm]

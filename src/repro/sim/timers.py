@@ -28,16 +28,12 @@ class PeriodicTimer:
     phase:
         Delay before the first tick.  Gossip timers use a random phase in
         ``[0, T)`` so that dispatchers do not gossip in lockstep.
-    jitter_fn:
-        Optional callable returning an additive jitter (may be negative as
-        long as the effective period stays positive) applied to each
-        interval.  Used by the adaptive gossip extension.
 
     The timer does not start automatically; call :meth:`start`.
     """
 
-    __slots__ = ("_sim", "period", "_callback", "_phase", "_jitter_fn",
-                 "_handle", "_ticks", "_running", "_fire")
+    __slots__ = ("_sim", "period", "_callback", "_phase", "_handle",
+                 "_ticks", "_running")
 
     def __init__(
         self,
@@ -45,7 +41,6 @@ class PeriodicTimer:
         period: float,
         callback: Callable[[], Any],
         phase: float = 0.0,
-        jitter_fn: Optional[Callable[[], float]] = None,
     ) -> None:
         if period <= 0.0:
             raise SimulationError(f"timer period must be positive, got {period}")
@@ -55,16 +50,9 @@ class PeriodicTimer:
         self.period = period
         self._callback = callback
         self._phase = phase
-        self._jitter_fn = jitter_fn
         self._handle: Optional[ScheduledEvent] = None
         self._ticks = 0
         self._running = False
-        # Tick handler bound once: most timers never jitter, and their tick
-        # path runs once per gossip round per dispatcher -- no reason to ask
-        # "is there a jitter function?" millions of times per run.
-        self._fire: Callable[[], None] = (
-            self._fire_plain if jitter_fn is None else self._fire_jitter
-        )
 
     @property
     def ticks(self) -> int:
@@ -95,7 +83,7 @@ class PeriodicTimer:
             raise SimulationError(f"timer period must be positive, got {period}")
         self.period = period
 
-    def _fire_plain(self) -> None:
+    def _fire(self) -> None:
         if not self._running:
             return
         self._ticks += 1
@@ -103,19 +91,7 @@ class PeriodicTimer:
         if not self._running:
             # The callback may have stopped the timer.
             return
-        self._handle = self._sim.schedule(self.period, self._fire_plain)
-
-    def _fire_jitter(self) -> None:
-        if not self._running:
-            return
-        self._ticks += 1
-        self._callback()
-        if not self._running:
-            # The callback may have stopped the timer.
-            return
-        assert self._jitter_fn is not None  # bound only when jitter is set
-        delay = max(1e-9, self.period + self._jitter_fn())
-        self._handle = self._sim.schedule(delay, self._fire_jitter)
+        self._handle = self._sim.schedule(self.period, self._fire)
 
 
 class Timeout:

@@ -1,13 +1,12 @@
-"""The fault layer must cost *nothing* when it is switched off.
+"""Setup-time binding wherever the variant changes the work or the draws.
 
-PR 5 replaced per-event ``if faults:`` branches with setup-time method
-binding: every hot-path entry point (`Link`'s loss draw, OOB send/deliver,
-`Dispatcher.receive`, recovery forwarding) is bound to either a *fast*
-variant (no fault or degradation bookkeeping at all) or a *checked*
-variant at construction time.  These tests pin the binding decisions
-themselves, so a future change cannot silently re-route the fault-free
-path through the instrumented variants (a correctness-preserving but
-performance-destroying regression the behavioural suites would miss).
+The loss draws (`Link._drop`, `Network._oob_drop`), `Dispatcher.receive`
+and recovery forwarding are bound once at construction to the variant
+the configuration needs: a lossless channel draws no randomness, and
+without a degradation config no per-peer bookkeeping runs.  These tests
+pin the binding decisions themselves, so a future change cannot
+silently re-route a run through a variant that does more work or draws
+differently (a regression the behavioural suites could miss).
 """
 
 from __future__ import annotations
@@ -49,13 +48,10 @@ class TestFastPathBinding:
     def test_no_faults_binds_fast_variants(self):
         simulation = Simulation(_config())
         network = simulation.network
-        assert network.fault_hooks is False
-        # OOB path: no membership checks, no drop accounting.
-        assert network.send_oob.__func__ is Network._send_oob_lossless
-        assert network._deliver_oob.__func__ is Network._deliver_oob_fast
+        # Lossless out-of-band channel: no draw.
+        assert network._oob_drop.__func__ is Network._oob_drop_never
         link = _a_link(network)
         assert link._drop.__func__ is Link._drop_bernoulli
-        assert link._deliver.__func__ is Link._deliver_fast
         # No degradation config -> no per-peer bookkeeping in forwarding.
         for dispatcher in simulation.system.dispatchers:
             recovery = dispatcher.recovery
@@ -83,12 +79,6 @@ class TestFastPathBinding:
         simulation = Simulation(
             _config(faults=plan, degradation=DegradationConfig())
         )
-        network = simulation.network
-        assert network.fault_hooks is True
-        assert network.send_oob.__func__ is Network._send_oob_checked
-        assert network._deliver_oob.__func__ is Network._deliver_oob_checked
-        link = _a_link(network)
-        assert link._deliver.__func__ is Link._deliver_checked
         for dispatcher in simulation.system.dispatchers:
             recovery = dispatcher.recovery
             assert recovery.peers is not None
@@ -97,11 +87,6 @@ class TestFastPathBinding:
                 is type(recovery)._forward_along_pattern_tracked
             )
             assert dispatcher.receive.__func__ is type(dispatcher)._receive_tracked
-
-    def test_set_node_down_requires_fault_hooks(self):
-        simulation = Simulation(_config())
-        with pytest.raises(RuntimeError, match="fault_hooks=True"):
-            simulation.network.set_node_down(0, True)
 
     def test_set_error_rate_rebinds_transmit(self):
         simulation = Simulation(_config(error_rate=0.0))
@@ -116,10 +101,24 @@ class TestFastPathBinding:
         simulation = Simulation(_config())
         network = simulation.network
         network.set_oob_error_rate(0.5)
-        assert network.send_oob.__func__ is Network._send_oob_bernoulli
+        assert network._oob_drop.__func__ is Network._oob_drop_bernoulli
         assert network.config.oob_error_rate == 0.5
         network.set_oob_error_rate(0.0)
-        assert network.send_oob.__func__ is Network._send_oob_lossless
+        assert network._oob_drop.__func__ is Network._oob_drop_never
+
+    def test_oob_error_rate_binds_bernoulli_draw(self):
+        simulation = Simulation(_config(oob_error_rate=0.2))
+        network = simulation.network
+        assert network._oob_drop.__func__ is Network._oob_drop_bernoulli
+
+    def test_oob_loss_model_binds_model_draw(self):
+        plan = FaultPlan(oob_loss=GilbertElliottConfig.from_epsilon(0.1))
+        network = Simulation(_config(faults=plan)).network
+        assert network._oob_drop.__func__ is Network._oob_drop_model
+        # A loss model outranks the rate: changing it leaves the model in
+        # charge.
+        network.set_oob_error_rate(0.5)
+        assert network._oob_drop.__func__ is Network._oob_drop_model
 
 
 class TestFusedHopBinding:

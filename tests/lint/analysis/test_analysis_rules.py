@@ -72,6 +72,20 @@ def test_analysis_findings_honor_inline_suppression(tmp_path):
     assert result.findings == []
 
 
+def test_redefined_method_keeps_the_earlier_body_judged(tmp_path):
+    """A second ``def forward`` in the class must not hide the first
+    body, which mutates a sent ``Message``."""
+    source = (FIXTURES / "rep101_bad.py").read_text(encoding="utf-8")
+    target = tmp_path / "redefined_forward.py"
+    target.write_text(
+        source + "\n    def forward(self, payload, directions):\n"
+        "        return None\n",
+        encoding="utf-8",
+    )
+    result = lint_paths([target], isolated=True)
+    assert [(f.code, f.line) for f in result.findings] == [("REP101", 14)]
+
+
 def test_selecting_rep1xx_code_enables_analysis():
     result = lint_paths(
         [FIXTURES / "rep104_bad.py"], isolated=True, select=["REP104"]

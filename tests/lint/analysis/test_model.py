@@ -95,6 +95,42 @@ class TestLookupAndReexports:
         assert "m.Base" in child.ancestry_names()
 
 
+class TestRedefinitions:
+    """Every ``def`` is in the model; a name resolves to its last one."""
+
+    def test_every_def_kept_last_one_resolves(self, tmp_path):
+        project = _project(
+            tmp_path,
+            {
+                "src/m.py": (
+                    "def helper():\n"
+                    "    return 1\n"
+                    "\n"
+                    "\n"
+                    "def helper():\n"
+                    "    return 2\n"
+                    "\n"
+                    "\n"
+                    "class Forwarder:\n"
+                    "    def forward(self):\n"
+                    "        return 1\n"
+                    "\n"
+                    "    def forward(self):\n"
+                    "        return 2\n"
+                )
+            },
+        )
+        module = project.modules["m"]
+        assert [fn.node.lineno for fn in module.defs] == [1, 5]
+        assert module.functions["helper"] is module.defs[-1]
+        assert project.lookup("m.helper") is module.defs[-1]
+        cls = project.classes["m.Forwarder"]
+        assert [fn.node.lineno for fn in cls.defs] == [10, 13]
+        assert cls.methods["forward"] is cls.defs[-1]
+        assert cls.mro_method("forward") is cls.defs[-1]
+        assert [fn.node.lineno for fn in module.all_defs()] == [1, 5, 10, 13]
+
+
 class TestDottedParts:
     def test_shapes(self):
         expr = ast.parse("a.b.c", mode="eval").body

@@ -190,23 +190,23 @@ SEEDS = (
         ),),
         "from repro.network.message import Message",
     ),
-    # Hot-path guard (suite green): folding the jitter variant back into
-    # the plain tick.  _fire_plain is only bound when there is no jitter,
-    # so results are identical; every gossip tick just pays the branch
-    # the setup-time binding removed.
+    # Hot-path guard (suite green): folding the degradation filter of the
+    # tracked variant back into plain forwarding.  The plain variant is
+    # only bound when there is no peer tracker, so results are identical;
+    # every gossip copy just pays the branch the setup-time binding
+    # removed.
     Seed(
         "REP007",
-        "src/repro/sim/timers.py",
+        "src/repro/recovery/base.py",
         ((
-            "            return\n"
-            "        self._handle = self._sim.schedule(self.period, self._fire_plain)",
-            "            return\n"
-            "        delay = self.period\n"
-            "        if self._jitter_fn is not None:\n"
-            "            delay = max(1e-9, delay + self._jitter_fn())\n"
-            "        self._handle = self._sim.schedule(delay, self._fire_plain)",
+            "        for neighbor in self.dispatcher.gossip_targets(pattern, exclude):\n"
+            "            if self.rng.random() < p_forward:",
+            "        for neighbor in self.dispatcher.gossip_targets(pattern, exclude):\n"
+            "            if self.peers is not None and not self.peers.allow(neighbor):\n"
+            "                continue\n"
+            "            if self.rng.random() < p_forward:",
         ),),
-        "if self._jitter_fn is not None:",
+        "if self.peers is not None and not self.peers.allow(neighbor):",
     ),
     # Per-node slots (suite green): a per-event class without __slots__.
     # Results are identical; every message sent just carries a

@@ -8,17 +8,14 @@ import pytest
 
 from repro.network.message import Message, MessageKind
 from repro.network.network import Network, NetworkConfig
+from repro.scenarios.builder import Simulation
+from repro.scenarios.config import SimulationConfig
 from repro.sim.engine import Simulator
 from tests.network.test_link import Recorder, event_message
 
 
-def make_network(sim, n=3, config=None, seed=0, fault_hooks=False):
-    network = Network(
-        sim,
-        config or NetworkConfig(error_rate=0.0),
-        random.Random(seed),
-        fault_hooks=fault_hooks,
-    )
+def make_network(sim, n=3, config=None, seed=0):
+    network = Network(sim, config or NetworkConfig(error_rate=0.0), random.Random(seed))
     nodes = [Recorder(i, sim) for i in range(n)]
     for node in nodes:
         network.add_node(node)
@@ -81,12 +78,24 @@ class TestOutOfBand:
         """UDP to a vanished host just disappears: counted drop (send +
         drop + down_drops), never a KeyError."""
         sim = Simulator()
-        network, nodes = make_network(sim, fault_hooks=True)
+        network, nodes = make_network(sim)
         assert network.send_oob(0, 99, Message(MessageKind.OOB_EVENT, "e", 0)) is False
         sim.run()
         assert network.sent_tally[MessageKind.OOB_EVENT] == 1
         assert network.dropped_tally[MessageKind.OOB_EVENT] == 1
         assert network.oob_by_node[0] == 1
+        assert network.down_drops == 1
+
+    def test_oob_unknown_destination_in_a_fault_free_scenario(self):
+        """A network built by a scenario without a fault plan has the same
+        crash-aware out-of-band path as any other."""
+        simulation = Simulation(SimulationConfig(n_dispatchers=4, seed=1))
+        network = simulation.network
+        message = Message(MessageKind.OOB_REQUEST, "r", 0)
+        assert network.send_oob(0, 99, message) is False
+        simulation.sim.run()
+        assert network.sent_tally[MessageKind.OOB_REQUEST] == 1
+        assert network.dropped_tally[MessageKind.OOB_REQUEST] == 1
         assert network.down_drops == 1
 
     def test_oob_statistical_loss(self):
@@ -106,7 +115,7 @@ class TestCrashedNodeDelivery:
 
     def test_link_message_in_flight_when_node_crashes(self):
         sim = Simulator()
-        network, nodes = make_network(sim, fault_hooks=True)
+        network, nodes = make_network(sim)
         network.add_link(0, 1)
         assert network.send(0, 1, event_message()) is True
         network.set_node_down(1, True)  # crash while the frame is on the wire
@@ -118,7 +127,7 @@ class TestCrashedNodeDelivery:
 
     def test_oob_message_in_flight_when_node_crashes(self):
         sim = Simulator()
-        network, nodes = make_network(sim, fault_hooks=True)
+        network, nodes = make_network(sim)
         assert network.send_oob(0, 2, Message(MessageKind.OOB_EVENT, "e", 0)) is True
         network.set_node_down(2, True)
         sim.run()
@@ -128,7 +137,7 @@ class TestCrashedNodeDelivery:
 
     def test_restart_reenables_delivery(self):
         sim = Simulator()
-        network, nodes = make_network(sim, fault_hooks=True)
+        network, nodes = make_network(sim)
         network.add_link(0, 1)
         network.set_node_down(1, True)
         network.send(0, 1, event_message())
@@ -140,9 +149,21 @@ class TestCrashedNodeDelivery:
         assert len(nodes[1].received) == 1
         assert network.down_drops == 1  # only the crash-epoch frame
 
+    def test_down_state_is_derived_from_receivers(self):
+        sim = Simulator()
+        network, nodes = make_network(sim)
+        assert network.down_nodes() == set()
+        network.set_node_down(2, True)
+        assert network.is_down(2) and not network.is_down(1)
+        assert network.down_nodes() == {2}
+        network.set_node_down(2, False)
+        assert not network.is_down(2)
+        assert network.down_nodes() == set()
+        assert not network.is_down(99)
+
     def test_set_node_down_rejects_unknown_node(self):
         sim = Simulator()
-        network, nodes = make_network(sim, fault_hooks=True)
+        network, nodes = make_network(sim)
         with pytest.raises(KeyError):
             network.set_node_down(99, True)
 

@@ -70,16 +70,6 @@ class TestPeriodicTimer:
         sim.run(until=6.0)
         assert ticks == [0.0, 1.0, 2.0, 4.0, 6.0]
 
-    def test_jitter_function_is_applied(self):
-        sim = Simulator()
-        ticks = []
-        timer = PeriodicTimer(
-            sim, 1.0, lambda: ticks.append(sim.now), jitter_fn=lambda: 0.5
-        )
-        timer.start()
-        sim.run(until=3.5)
-        assert ticks == [0.0, 1.5, 3.0]
-
     def test_invalid_period_rejected(self):
         sim = Simulator()
         with pytest.raises(SimulationError):

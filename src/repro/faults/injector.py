@@ -15,7 +15,8 @@ timer and publisher are stopped.  On restart, volatile state is wiped
 ``EventCache.clear`` and ``RecoveryAlgorithm.on_restart``; durable
 identity (node id, subscriptions, its column of the received-id matrix
 -- the delivery log lives with the application, not the dispatcher's
-buffers) survives, and the timer/publisher resume.
+buffers -- and its per-pattern publish log, so loss keys stay unique)
+survives, and the timer/publisher resume.
 
 Partition semantics
 -------------------

@@ -319,16 +319,17 @@ class HotPathGuardRule(Rule):
     (``Class.method`` fnmatch patterns); without it the rule is inert.  A
     branch on a guard attribute inside a registered method means static
     configuration is being re-checked on every simulated message -- the
-    decision belongs at construction time, as a bound method variant
-    (see docs/PERFORMANCE.md).
+    decision belongs at construction time, as a bound method variant only
+    where the variants differ in work or draws (see docs/PERFORMANCE.md,
+    "Setup-time method binding").
     """
 
     code = "REP007"
     name = "hot-path-guard"
     summary = (
         "per-event branch on setup-time configuration inside a registered "
-        "hot-path method; bind a fast/checked method variant at "
-        "construction instead"
+        "hot-path method; decide at construction instead, binding a method "
+        "variant only where it changes the work or the draws"
     )
 
     def run(self, ctx: "ArchContext", add: AddFn) -> None:
@@ -369,6 +370,7 @@ class HotPathGuardRule(Rule):
                             self.code,
                             f"hot-path method {qualname} branches on "
                             f"self.{sub.attr} per event; the attribute is "
-                            "fixed at setup time -- bind a fast/checked "
-                            "method variant at construction instead",
+                            "fixed at setup time -- bind a variant at "
+                            "construction only where it changes the work "
+                            "or the draws",
                         )

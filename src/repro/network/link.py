@@ -178,10 +178,12 @@ class Link:
             network.dropped_tally[kind] += 1
             return True
         # Deliveries are never cancelled, so the handle-free fast path
-        # avoids one object allocation per transmission.
+        # avoids one object allocation per transmission, and scheduling the
+        # plain function rather than a bound method avoids another.
         sim.schedule_call_at(
             done + self.propagation_delay,
-            self._deliver,
+            Link._deliver,
+            self,
             message,
             from_node,
             self._peer[from_node],

@@ -6,12 +6,12 @@ elements.  In our simulations we adopted a simple FIFO buffering strategy
 where each dispatcher caches only events for which it is either the
 publisher or a subscriber."*
 
-:class:`EventCache` is that buffer, with two lookup indexes:
-
-* by :class:`~repro.pubsub.event.EventId` -- used by the push algorithm
-  (positive digests carry event ids);
-* by ``(source, pattern, pattern_seq)`` -- used by the pull algorithms
-  (negative digests carry loss-detection triples).
+:class:`EventCache` is that buffer, keyed by
+:class:`~repro.pubsub.event.EventId`.  Push digests carry event ids and
+probe it directly; pull's negative digests carry loss keys ``(source,
+pattern, pattern_seq)``, which the system-wide publish log
+(:attr:`EventIdRegistry.published <repro.pubsub.event.EventIdRegistry>`)
+turns into event ids, so the cache keeps nothing per loss key.
 
 Eviction policies
 -----------------
@@ -32,6 +32,7 @@ therefore supports:
 from __future__ import annotations
 
 import random
+from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.pubsub.event import Event, EventId
@@ -40,12 +41,14 @@ __all__ = ["EventCache", "CACHE_POLICIES"]
 
 LossKey = Tuple[int, int, int]  # (source, pattern, pattern_seq)
 
+_NO_STREAMS = MappingProxyType({})  # an unknown source's streams
+
 #: Supported eviction policies.
 CACHE_POLICIES = ("fifo", "lru", "random")
 
 
 class EventCache:
-    """FIFO cache of β events with id- and loss-key indexes.
+    """FIFO cache of β events, keyed by event id.
 
     >>> cache = EventCache(capacity=2)
     >>> from repro.pubsub.event import Event, EventId
@@ -63,9 +66,9 @@ class EventCache:
     """
 
     __slots__ = ("capacity", "policy", "_is_random", "_is_lru", "_rng",
-                 "_id_list", "_id_pos", "_events", "_by_loss_key",
-                 "_by_pattern", "_loss_index_active", "_pattern_index_active",
-                 "insertions", "evictions", "hits", "misses")
+                 "_id_list", "_id_pos", "_events", "_by_pattern",
+                 "_pattern_index_active", "insertions", "evictions", "hits",
+                 "misses")
 
     def __init__(
         self,
@@ -94,14 +97,11 @@ class EventCache:
         # OrderedDict on every hot operation; FIFO eviction pops
         # ``next(iter(...))`` and LRU refreshes via pop + reinsert.
         self._events: Dict[EventId, Event] = {}
-        # Secondary indexes are built lazily: the loss-key index serves the
-        # pull algorithms, the per-pattern index serves push digests, and no
-        # run needs both.  Until first use an index is skipped entirely in
-        # insert/evict; activation rebuilds it from ``_events`` (whose
-        # insertion order it inherits) and maintains it from then on.
-        self._by_loss_key: Dict[LossKey, EventId] = {}
+        # The per-pattern index serves push digests only, so it is built
+        # lazily: until first use it is skipped entirely in insert/evict;
+        # activation rebuilds it from ``_events`` (whose insertion order it
+        # inherits) and maintains it from then on.
         self._by_pattern: Dict[int, Dict[EventId, Event]] = {}
-        self._loss_index_active = False
         self._pattern_index_active = False
         self.insertions = 0
         self.evictions = 0
@@ -129,11 +129,6 @@ class EventCache:
         if self._is_random:
             self._id_pos[event_id] = len(self._id_list)
             self._id_list.append(event_id)
-        if self._loss_index_active:
-            by_loss_key = self._by_loss_key
-            source = event_id.source
-            for pattern, seq in event.pattern_seqs.items():
-                by_loss_key[(source, pattern, seq)] = event_id
         if self._pattern_index_active:
             by_pattern = self._by_pattern
             for pattern in event.pattern_seqs:
@@ -161,11 +156,6 @@ class EventCache:
             events = self._events
             event_id = next(iter(events))
             event = events.pop(event_id)
-        if self._loss_index_active:
-            by_loss_key = self._by_loss_key
-            source = event_id.source
-            for pattern, seq in event.pattern_seqs.items():
-                by_loss_key.pop((source, pattern, seq), None)
         if self._pattern_index_active:
             by_pattern = self._by_pattern
             for pattern in event.pattern_seqs:
@@ -177,16 +167,6 @@ class EventCache:
         self.evictions += 1
 
     # ------------------------------------------------------------------
-    # Lazy index activation
-    # ------------------------------------------------------------------
-    def _activate_loss_index(self) -> None:
-        by_loss_key = self._by_loss_key
-        for event_id, event in self._events.items():
-            source = event_id.source
-            for pattern, seq in event.pattern_seqs.items():
-                by_loss_key[(source, pattern, seq)] = event_id
-        self._loss_index_active = True
-
     def _activate_pattern_index(self) -> None:
         by_pattern = self._by_pattern
         for event_id, event in self._events.items():
@@ -214,27 +194,30 @@ class EventCache:
         return event
 
     def split_loss_keys(
-        self, entries: Iterable[LossKey]
+        self,
+        entries: Iterable[LossKey],
+        published: Dict[int, Dict[int, List[EventId]]],
     ) -> Tuple[List[Event], Tuple[LossKey, ...]]:
         """Look up a whole negative digest in one call: the cached events
         in entry order (once per entry met) and the tuple of unmet
         entries.  Each entry met is a hit (and refreshes it under LRU),
-        each unmet one a miss."""
-        if not self._loss_index_active:
-            self._activate_loss_index()
-        by_loss_key = self._by_loss_key
+        each unmet one a miss.  ``published`` is the system's publish log
+        (``EventIdRegistry.published``): entry ``(source, pattern, seq)``
+        is met iff ``published[source][pattern][seq - 1]`` is cached."""
         events = self._events
         found: List[Event] = []
         unmet: List[LossKey] = []
         for entry in entries:
-            event_id = by_loss_key.get(entry)
-            if event_id is None:
+            source, pattern, seq = entry
+            ids = published.get(source, _NO_STREAMS).get(pattern, ())
+            event = events.get(ids[seq - 1]) if 0 < seq <= len(ids) else None
+            if event is None:
                 unmet.append(entry)
-            elif self._is_lru:
-                found.append(events.pop(event_id))
-                events[event_id] = found[-1]  # refresh: back of the order
             else:
-                found.append(events[event_id])
+                found.append(event)
+                if self._is_lru:  # refresh: back of the order
+                    del events[event.event_id]
+                    events[event.event_id] = event
         self.hits += len(found)
         self.misses += len(unmet)
         return found, tuple(unmet)
@@ -257,17 +240,15 @@ class EventCache:
         """Drop every cached event and all index state.
 
         Crash-recovery semantics: the buffer is volatile memory, so a
-        restarted dispatcher comes back with an empty cache.  Lazy-index
-        activation flags are reset too -- the next lookup rebuilds from the
-        (empty) store.  Cumulative statistics survive; the wipe is not an
-        eviction.
+        restarted dispatcher comes back with an empty cache.  The lazy
+        index's activation flag is reset too -- the next lookup rebuilds
+        from the (empty) store.  Cumulative statistics survive; the wipe
+        is not an eviction.
         """
         self._events.clear()
         self._id_list.clear()
         self._id_pos.clear()
-        self._by_loss_key.clear()
         self._by_pattern.clear()
-        self._loss_index_active = False
         self._pattern_index_active = False
 
     def __len__(self) -> int:

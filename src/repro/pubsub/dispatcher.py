@@ -118,8 +118,7 @@ class Dispatcher:
                  "tree_routing_enabled", "recovery", "receive",
                  "receive_oob", "send_gossip", "send_oob_request",
                  "observe_event", "event_registry", "seen", "seen_col",
-                 "seen_bit", "_match_memo", "_next_event_seq",
-                 "_pattern_counters")
+                 "seen_bit", "_match_memo", "_next_event_seq")
 
     def __init__(
         self,
@@ -183,8 +182,6 @@ class Dispatcher:
         self.seen_bit = 1 << (node_id & 7)
         #: next event-id sequence number for events published here.
         self._next_event_seq = 1
-        #: per-pattern sequence counters for loss-detection tags.
-        self._pattern_counters: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Wiring
@@ -280,11 +277,6 @@ class Dispatcher:
             self.pattern_space.validate(pattern)
         if len(set(patterns)) != len(patterns):
             raise ValueError(f"event patterns must be distinct, got {patterns}")
-        pattern_seqs: Dict[int, int] = {}
-        for pattern in patterns:
-            seq = self._pattern_counters.get(pattern, 0) + 1
-            self._pattern_counters[pattern] = seq
-            pattern_seqs[pattern] = seq
         # Intern the content once at the source: every copy of the event
         # shares one canonical pattern tuple, and downstream hot paths key
         # their match memos on the small ``content_id`` int.
@@ -292,6 +284,12 @@ class Dispatcher:
             tuple(sorted(patterns))
         )
         event_id = EventId(self.node_id, self._next_event_seq)
+        streams = self.event_registry.published.setdefault(self.node_id, {})
+        pattern_seqs: Dict[int, int] = {}
+        for pattern in patterns:
+            ids = streams.setdefault(pattern, [])
+            ids.append(event_id)
+            pattern_seqs[pattern] = len(ids)  # the loss key names this event
         event = Event(
             event_id,
             canonical,

@@ -22,7 +22,7 @@ publisher-based pull travels in the event *message*, not in the event
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["EventId", "Event", "EventIdRegistry"]
 
@@ -154,15 +154,23 @@ class EventIdRegistry:
     a hash set per node pays ~60 bytes per received id.  :attr:`rows`
     maps each id to its row offset for the one reader that holds bare
     ids, push's digest check.
+
+    :attr:`published` is the system's one loss-key index: a pattern's
+    sequence number at its source is the length of the source's id list
+    for it after the append, so the pull loss key ``(source, pattern,
+    seq)`` names ``published[source][pattern][seq - 1]`` for the whole
+    run (a restart wipes a node's cache, never its log).
     """
 
-    __slots__ = ("stride", "rows", "seen")
+    __slots__ = ("stride", "rows", "seen", "published")
 
     def __init__(self, node_count: int) -> None:
         self.stride = (node_count + 7) >> 3
         #: event id -> byte offset of its row in :attr:`seen`.
         self.rows: Dict[EventId, int] = {}
         self.seen = bytearray()
+        #: source -> {pattern: ids it published on it, oldest first}.
+        self.published: Dict[int, Dict[int, List[EventId]]] = {}
 
     def intern(self, event_id: EventId) -> int:
         """Append a zeroed row for the newly published ``event_id`` and

@@ -314,7 +314,8 @@ class RecoveryAlgorithm:
     def serve_from_cache(self, entries, requester: int):
         """Pull-style short-circuit: retransmit the cached subset of a
         negative digest and return the entries still unmet."""
-        events, remaining = self.dispatcher.cache.split_loss_keys(entries)
+        published = self.dispatcher.event_registry.published
+        events, remaining = self.dispatcher.cache.split_loss_keys(entries, published)
         if events:
             for event in events:
                 self.dispatcher.send_oob_event(requester, event)

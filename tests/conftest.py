@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.network.network import Network, NetworkConfig
-from repro.pubsub.event import Event, EventId
+from repro.pubsub.event import Event, EventId, EventIdRegistry
 from repro.pubsub.pattern import PatternSpace
 from repro.pubsub.system import PubSubSystem
 from repro.sim.engine import Simulator
@@ -42,6 +42,24 @@ def make_event(
     if pattern_seqs is None:
         pattern_seqs = {pattern: seq for pattern in patterns}
     return Event(EventId(source, seq), patterns, pattern_seqs, publish_time)
+
+
+def publish_event(
+    registry: EventIdRegistry, source: int = 0, seq: int = 1, patterns=(5,)
+) -> Event:
+    """An event recorded in ``registry``'s publish log the way
+    ``Dispatcher.publish`` records it: each pattern's sequence number is
+    the length of ``source``'s id list for that pattern after the append,
+    so the event's loss keys resolve through ``registry.published``."""
+    event_id = EventId(source, seq)
+    streams = registry.published.setdefault(source, {})
+    patterns = tuple(sorted(patterns))
+    pattern_seqs = {}
+    for pattern in patterns:
+        ids = streams.setdefault(pattern, [])
+        ids.append(event_id)
+        pattern_seqs[pattern] = len(ids)
+    return Event(event_id, patterns, pattern_seqs, 0.0)
 
 
 def make_system_event(system: PubSubSystem, **kwargs) -> Event:

@@ -102,6 +102,38 @@ class TestCrashes:
         assert result.faults.restarts == 1
         assert detector.detected < 30
 
+    def test_restart_keeps_the_publish_log(self):
+        """Loss keys name one event for the whole run: a restart wipes the
+        publisher's cache but not its per-pattern sequence numbers, so its
+        next publish continues each pattern's sequence, and a pre-crash
+        key is still served from another node's cache."""
+        plan = FaultPlan(crashes=(CrashEvent(node=3, at=1.0, duration=0.5),))
+        simulation = make_simulation(plan, buffer_size=5000)
+        simulation.run(until=0.99)
+        streams = simulation.system.event_registry.published[3]
+        pattern = max(sorted(streams), key=lambda p: len(streams[p]))
+        seq = len(streams[pattern])
+        event_id = streams[pattern][-1]
+        simulation.run(until=1.55)  # just past the restart
+        assert not simulation.network.is_down(3)
+        assert simulation.fault_injector.stats.restarts == 1
+        publisher = simulation.system.dispatchers[3]
+        event = publisher.publish((pattern,))
+        assert event.pattern_seqs[pattern] == len(streams[pattern]) > seq
+        # The restarted node's cache is gone; a subscriber still holds it.
+        key = (3, pattern, seq)
+        assert simulation.recoveries[3].serve_from_cache((key,), 0) == (key,)
+        holders = [
+            node
+            for node, dispatcher in enumerate(simulation.system.dispatchers)
+            if node != 3 and dispatcher.cache.contains(event_id)
+        ]
+        assert holders
+        recovery = simulation.recoveries[holders[0]]
+        sent = recovery.stats.retransmissions_sent
+        assert recovery.serve_from_cache((key,), 3) == ()
+        assert recovery.stats.retransmissions_sent == sent + 1
+
 
 class TestChurn:
     def test_churn_crashes_and_restarts_nodes(self):

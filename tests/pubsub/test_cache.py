@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.pubsub.cache import EventCache
-from tests.conftest import make_event
+from repro.pubsub.event import EventIdRegistry
+from tests.conftest import make_event, publish_event
 
 
 class TestBasics:
@@ -65,21 +66,25 @@ class TestBasics:
 class TestIndexes:
     def test_loss_key_lookup(self):
         cache = EventCache(10)
-        event = make_event(source=2, seq=5, patterns=(3, 8), pattern_seqs={3: 11, 8: 4})
+        registry = EventIdRegistry(3)
+        publish_event(registry, source=2, seq=1, patterns=(3,))
+        event = publish_event(registry, source=2, seq=2, patterns=(3, 8))
         cache.insert(event)
         found, unmet = cache.split_loss_keys(
-            ((2, 3, 11), (2, 8, 4), (2, 3, 12), (9, 3, 11))
+            ((2, 3, 2), (2, 8, 1), (2, 3, 3), (2, 3, 1), (9, 3, 2)),
+            registry.published,
         )
         assert found == [event, event]
-        assert unmet == ((2, 3, 12), (9, 3, 11))
+        assert unmet == ((2, 3, 3), (2, 3, 1), (9, 3, 2))
 
     def test_loss_key_removed_on_eviction(self):
         cache = EventCache(1)
-        e1 = make_event(source=0, seq=1, patterns=(3,), pattern_seqs={3: 1})
-        e2 = make_event(source=0, seq=2, patterns=(4,), pattern_seqs={4: 1})
+        registry = EventIdRegistry(1)
+        e1 = publish_event(registry, source=0, seq=1, patterns=(3,))
+        e2 = publish_event(registry, source=0, seq=2, patterns=(4,))
         cache.insert(e1)
         cache.insert(e2)
-        assert cache.split_loss_keys(((0, 3, 1), (0, 4, 1))) == (
+        assert cache.split_loss_keys(((0, 3, 1), (0, 4, 1)), registry.published) == (
             [e2], ((0, 3, 1),)
         )
 
@@ -123,19 +128,19 @@ class TestProperties:
     )
     def test_indexes_agree_with_contents(self, capacity, count):
         cache = EventCache(capacity)
+        registry = EventIdRegistry(3)
         for i in range(count):
             cache.insert(
-                make_event(
-                    source=i % 3,
-                    seq=i + 1,
-                    patterns=(i % 4, 4 + i % 3),
-                    pattern_seqs={i % 4: i + 1, 4 + i % 3: i + 1},
+                publish_event(
+                    registry, source=i % 3, seq=i + 1, patterns=(i % 4, 4 + i % 3)
                 )
             )
         for event in cache:
             for pattern, seq in event.pattern_seqs.items():
                 key = (event.source, pattern, seq)
-                assert cache.split_loss_keys((key,)) == ([event], ())
+                assert cache.split_loss_keys((key,), registry.published) == (
+                    [event], ()
+                )
                 assert event.event_id in cache.matching_ids(pattern)
         for pattern in range(8):
             for event_id in cache.matching_ids(pattern):

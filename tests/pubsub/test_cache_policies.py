@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.pubsub.cache import CACHE_POLICIES, EventCache
-from tests.conftest import make_event
+from repro.pubsub.event import EventIdRegistry
+from tests.conftest import make_event, publish_event
 
 
 class TestPolicyValidation:
@@ -37,12 +38,13 @@ class TestLru:
 
     def test_loss_key_hit_also_refreshes(self):
         cache = EventCache(2, policy="lru")
-        e1 = make_event(source=0, seq=1, patterns=(3,), pattern_seqs={3: 1})
-        e2 = make_event(source=0, seq=2, patterns=(4,), pattern_seqs={4: 1})
-        e3 = make_event(source=0, seq=3, patterns=(5,), pattern_seqs={5: 1})
+        registry = EventIdRegistry(1)
+        e1 = publish_event(registry, source=0, seq=1, patterns=(3,))
+        e2 = publish_event(registry, source=0, seq=2, patterns=(4,))
+        e3 = publish_event(registry, source=0, seq=3, patterns=(5,))
         cache.insert(e1)
         cache.insert(e2)
-        cache.split_loss_keys(((0, 3, 1),))
+        cache.split_loss_keys(((0, 3, 1),), registry.published)
         cache.insert(e3)
         assert cache.contains(e1.event_id)
         assert not cache.contains(e2.event_id)
@@ -84,17 +86,19 @@ class TestRandom:
     )
     def test_indexes_stay_consistent(self, capacity, count, seed):
         cache = EventCache(capacity, policy="random", rng=random.Random(seed))
+        registry = EventIdRegistry(3)
         for i in range(count):
             cache.insert(
-                make_event(source=i % 3, seq=i + 1, patterns=(i % 5,),
-                           pattern_seqs={i % 5: i + 1})
+                publish_event(registry, source=i % 3, seq=i + 1, patterns=(i % 5,))
             )
         assert len(cache) == min(capacity, count)
         for event in cache:
             assert cache.get(event.event_id) is event
             for pattern, seq in event.pattern_seqs.items():
                 key = (event.source, pattern, seq)
-                assert cache.split_loss_keys((key,)) == ([event], ())
+                assert cache.split_loss_keys((key,), registry.published) == (
+                    [event], ()
+                )
                 assert event.event_id in cache.matching_ids(pattern)
 
 

@@ -46,10 +46,12 @@ __all__ = ["CampaignJournal", "JournalEntry", "atomic_write_text"]
 
 #: Bumped when the record layout changes incompatibly; loaders skip (and
 #: report) records from other schemas instead of mis-parsing them.
-#: Version 2 dropped four ``SimulationConfig`` fields and version 3 two
-#: more (``subscriptions_exact``, ``push_skip_empty``): older configs no
-#: longer decode, and every cell digest changed.
-SCHEMA_VERSION = 3
+#: Version 2 dropped four ``SimulationConfig`` fields, version 3 two
+#: more (``subscriptions_exact``, ``push_skip_empty``) and version 4
+#: seven that no experiment set (three model variants and four
+#: single-valued knobs, now module constants): older configs no longer
+#: decode, and every cell digest changed.
+SCHEMA_VERSION = 4
 
 
 def atomic_write_text(path: Path, text: str) -> None:

@@ -187,6 +187,10 @@ def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args, algorithm: Optional[str] = None) -> SimulationConfig:
+    # The default window drops a 1.5 s tail; runs too short for that end
+    # halfway between the warm-up and the horizon, so the window is never
+    # empty.
+    measure_start = min(1.0, args.sim_time / 4)
     return SimulationConfig(
         n_dispatchers=args.n,
         n_patterns=args.patterns,
@@ -196,7 +200,8 @@ def _config_from_args(args, algorithm: Optional[str] = None) -> SimulationConfig
         buffer_size=args.buffer_size,
         gossip_interval=args.gossip_interval,
         sim_time=args.sim_time,
-        measure_start=min(1.0, args.sim_time / 4),
+        measure_start=measure_start,
+        measure_end=max(args.sim_time - 1.5, (measure_start + args.sim_time) / 2),
         reconfiguration_interval=args.reconfiguration_interval,
         algorithm=algorithm or args.algorithm,
         seed=args.seed,

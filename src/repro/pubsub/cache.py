@@ -7,9 +7,9 @@ where each dispatcher caches only events for which it is either the
 publisher or a subscriber."*
 
 :class:`EventCache` is that buffer, keyed by
-:class:`~repro.pubsub.event.EventId`.  Push digests carry event ids and
-probe it directly; pull's negative digests carry loss keys ``(source,
-pattern, pattern_seq)``, which the system-wide publish log
+:class:`~repro.pubsub.event.EventId`.  Push digests carry the cached
+events matching a pattern; pull's negative digests carry loss keys
+``(source, pattern, pattern_seq)``, which the system-wide publish log
 (:attr:`EventIdRegistry.published <repro.pubsub.event.EventIdRegistry>`)
 turns into event ids, so the cache keeps nothing per loss key.
 
@@ -225,15 +225,15 @@ class EventCache:
     def contains(self, event_id: EventId) -> bool:
         return event_id in self._events
 
-    def matching_ids(self, pattern: int) -> List[EventId]:
-        """Ids of cached events matching ``pattern``, oldest first.
+    def matching_events(self, pattern: int) -> List[Event]:
+        """Cached events matching ``pattern``, oldest first.
 
         Used by the push algorithm to build its positive digest.
         """
         if not self._pattern_index_active:
             self._activate_pattern_index()
         bucket = self._by_pattern.get(pattern)
-        return list(bucket) if bucket else []
+        return list(bucket.values()) if bucket else []
 
     # ------------------------------------------------------------------
     def clear(self) -> None:

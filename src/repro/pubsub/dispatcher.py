@@ -296,7 +296,7 @@ class Dispatcher:
             pattern_seqs,
             self.sim.now,
             content_id,
-            self.event_registry.intern(event_id),
+            self.event_registry.new_row(),
         )
         self._next_event_seq += 1
 
@@ -395,16 +395,14 @@ class Dispatcher:
     # ------------------------------------------------------------------
     # Primitives offered to the recovery algorithms
     # ------------------------------------------------------------------
-    def unreceived(self, event_ids: Tuple[EventId, ...]) -> Tuple[EventId, ...]:
-        """The ids in ``event_ids`` never received here (push's digest
-        check).  Each advertised id was interned at its publish, so the
-        registry maps it to its row of the received-id matrix."""
-        rows = self.event_registry.rows
+    def unreceived(self, events: Tuple[Event, ...]) -> Tuple[EventId, ...]:
+        """The ids of the ``events`` never received here (push's digest
+        check), read from each event's row of the received-id matrix."""
         seen = self.seen
         col = self.seen_col
         bit = self.seen_bit
         return tuple([
-            event_id for event_id in event_ids if not seen[rows[event_id] + col] & bit
+            event.event_id for event in events if not seen[event.row + col] & bit
         ])
 
     def gossip_targets(self, pattern: int, exclude: Optional[int]) -> list[int]:

@@ -147,13 +147,13 @@ class EventIdRegistry:
     received".  Both read one ``bytearray`` matrix, :attr:`seen`, owned
     by the :class:`~repro.pubsub.system.PubSubSystem`: one row of
     ``stride = ceil(N/8)`` bytes per published event, appended (zeroed)
-    by :meth:`intern` at publish time.  Node ``i`` owns byte column
+    by :meth:`new_row` at publish time.  Node ``i`` owns byte column
     ``i >> 3`` and bit ``1 << (i & 7)`` of every row, so a node's dedup
     test is ``seen[event.row + column] & bit`` -- no hash probe and no
     method call -- and the whole system pays N/8 bytes per event, where
-    a hash set per node pays ~60 bytes per received id.  :attr:`rows`
-    maps each id to its row offset for the one reader that holds bare
-    ids, push's digest check.
+    a hash set per node pays ~60 bytes per received id.  Push digests
+    carry the cached events themselves, so every reader of the matrix
+    holds an event and its ``row``; the registry keeps no id-to-row map.
 
     :attr:`published` is the system's one loss-key index: a pattern's
     sequence number at its source is the length of the source's id list
@@ -162,20 +162,17 @@ class EventIdRegistry:
     run (a restart wipes a node's cache, never its log).
     """
 
-    __slots__ = ("stride", "rows", "seen", "published")
+    __slots__ = ("stride", "seen", "published")
 
     def __init__(self, node_count: int) -> None:
         self.stride = (node_count + 7) >> 3
-        #: event id -> byte offset of its row in :attr:`seen`.
-        self.rows: Dict[EventId, int] = {}
         self.seen = bytearray()
         #: source -> {pattern: ids it published on it, oldest first}.
         self.published: Dict[int, Dict[int, List[EventId]]] = {}
 
-    def intern(self, event_id: EventId) -> int:
-        """Append a zeroed row for the newly published ``event_id`` and
-        return its offset."""
+    def new_row(self) -> int:
+        """Append a zeroed row for a newly published event and return its
+        offset."""
         row = len(self.seen)
-        self.rows[event_id] = row
         self.seen += bytes(self.stride)
         return row

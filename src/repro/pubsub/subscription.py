@@ -168,10 +168,6 @@ class SubscriptionTable:
         if mask == 0:
             self._known -= 1
 
-    def clear(self) -> None:
-        """Drop all routing state (used when routes are rebuilt)."""
-        self.load({}, {})
-
     def load(self, routes: Mapping[int, int], forwarded: Mapping[int, int]) -> None:
         """Replace the whole table in one step (the route oracle's install).
 

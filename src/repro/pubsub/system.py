@@ -231,30 +231,6 @@ class PubSubSystem:
                 forwarded[child] = above[child]
             dispatcher.table.load(routes, forwarded)
 
-    def repair_routes_via_protocol(self) -> None:
-        """Rebuild routes with *real* subscription messages.
-
-        The message-level alternative to the :meth:`rebuild_routes`
-        oracle: every table (and its forwarded marks) is flushed, then
-        each dispatcher re-issues its local subscriptions through the
-        normal subscription-forwarding protocol.  Routes come back only
-        as the SUBSCRIBE messages propagate hop by hop -- so events
-        published during the transient can be lost even after the link is
-        physically repaired, which is precisely the realism the oracle
-        trades away.
-
-        Intended for reliable-link scenarios (the paper's Figure 3(b)
-        setting); on lossy links subscription messages themselves can be
-        lost, leaving routes permanently broken -- a deliberate
-        difference, flagged in DESIGN.md.
-        """
-        for dispatcher in self.dispatchers:
-            dispatcher.table.clear()
-        for node_id in sorted(self._subscriptions):
-            dispatcher = self.dispatchers[node_id]
-            for pattern in sorted(self._subscriptions[node_id]):
-                dispatcher.subscribe(pattern)
-
     # ------------------------------------------------------------------
     # Publishing
     # ------------------------------------------------------------------

@@ -8,9 +8,10 @@ dynamically according to the current state of the system, as suggested in
 :class:`AdaptivePushRecovery` implements a simple multiplicative-increase /
 multiplicative-decrease controller on the gossip interval, driven by
 observed demand: if nobody requested anything from our digests since the
-last round, gossip is evidently not needed and the interval grows (up to
-``adaptive_max_interval``); as soon as a request arrives, the interval
-shrinks back aggressively (down to ``adaptive_min_interval``).
+last round, gossip is evidently not needed and the interval grows by
+:data:`ADAPTIVE_FACTOR` (up to :data:`ADAPTIVE_MAX_INTERVAL`); as soon as
+a request arrives, it shrinks back by the same factor (down to
+:data:`ADAPTIVE_MIN_INTERVAL`).
 
 The ablation benchmark shows it approaches pull's low overhead on reliable
 networks while retaining push's delivery on lossy ones.
@@ -23,7 +24,18 @@ from typing import Tuple
 from repro.pubsub.event import EventId
 from repro.recovery.push import PushRecovery
 
-__all__ = ["AdaptivePushRecovery"]
+__all__ = [
+    "AdaptivePushRecovery",
+    "ADAPTIVE_MIN_INTERVAL",
+    "ADAPTIVE_MAX_INTERVAL",
+    "ADAPTIVE_FACTOR",
+]
+
+#: Bounds of the adapted gossip interval, seconds.
+ADAPTIVE_MIN_INTERVAL = 0.01
+ADAPTIVE_MAX_INTERVAL = 0.24
+#: Multiplicative step of one adaptation.
+ADAPTIVE_FACTOR = 1.5
 
 
 class AdaptivePushRecovery(PushRecovery):
@@ -43,12 +55,11 @@ class AdaptivePushRecovery(PushRecovery):
         super().gossip_round()
 
     def _adapt_interval(self) -> None:
-        factor = self.config.adaptive_factor
         current = self.timer.period
         if self._requests_since_round == 0:
-            new_period = min(current * factor, self.config.adaptive_max_interval)
+            new_period = min(current * ADAPTIVE_FACTOR, ADAPTIVE_MAX_INTERVAL)
         else:
-            new_period = max(current / factor, self.config.adaptive_min_interval)
+            new_period = max(current / ADAPTIVE_FACTOR, ADAPTIVE_MIN_INTERVAL)
         self._requests_since_round = 0
         if new_period != current:
             self.timer.set_period(new_period)

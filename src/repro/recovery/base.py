@@ -47,10 +47,6 @@ class RecoveryConfig:
     lost_capacity: Optional[int] = None
     #: Give up on losses older than this many seconds (None = never).
     give_up_age: Optional[float] = None
-    #: Adaptive push (extension): interval bounds and adaptation factor.
-    adaptive_min_interval: float = 0.01
-    adaptive_max_interval: float = 0.24
-    adaptive_factor: float = 1.5
     #: Graceful degradation under faults: per-peer timeout/backoff/suspicion
     #: (see :mod:`repro.recovery.degrade`).  ``None`` (default) disables the
     #: machinery entirely and leaves draw sequences untouched.

@@ -2,8 +2,9 @@
 
 Each recovery algorithm labels its gossip messages differently:
 
-* push uses *positive* digests: "here is what I have" (event ids matching a
-  pattern);
+* push uses *positive* digests: "here is what I have" (the cached events
+  matching a pattern; a receiver reads only each one's id and received-id
+  row, and asks for the missing ones out of band);
 * the pull family uses *negative* digests: "here is what I know I lost"
   (loss-detection triples ``(source, pattern, pattern_seq)``).
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.pubsub.event import EventId
+from repro.pubsub.event import Event
 
 __all__ = [
     "LossEntryTuple",
@@ -32,26 +33,26 @@ LossEntryTuple = Tuple[int, int, int]
 
 
 class PushGossip:
-    """Positive digest: ids of cached events matching ``pattern``.
+    """Positive digest: the cached events matching ``pattern``.
 
     Routed along the dispatching tree toward subscribers of ``pattern``,
     like an event matching ``pattern`` (with per-neighbor probability
     ``P_forward``).
     """
 
-    __slots__ = ("gossiper", "pattern", "event_ids")
+    __slots__ = ("gossiper", "pattern", "events")
 
     def __init__(
-        self, gossiper: int, pattern: int, event_ids: Tuple[EventId, ...]
+        self, gossiper: int, pattern: int, events: Tuple[Event, ...]
     ) -> None:
         self.gossiper = gossiper
         self.pattern = pattern
-        self.event_ids = event_ids
+        self.events = events
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<PushGossip from={self.gossiper} p={self.pattern} "
-            f"|digest|={len(self.event_ids)}>"
+            f"|digest|={len(self.events)}>"
         )
 
 
@@ -141,27 +142,27 @@ class RandomPullGossip:
 class RandomPushGossip:
     """Positive digest with entirely random routing and a hop budget."""
 
-    __slots__ = ("gossiper", "pattern", "event_ids", "hops_left")
+    __slots__ = ("gossiper", "pattern", "events", "hops_left")
 
     def __init__(
         self,
         gossiper: int,
         pattern: int,
-        event_ids: Tuple[EventId, ...],
+        events: Tuple[Event, ...],
         hops_left: int,
     ) -> None:
         self.gossiper = gossiper
         self.pattern = pattern
-        self.event_ids = event_ids
+        self.events = events
         self.hops_left = hops_left
 
     def next_hop(self) -> "RandomPushGossip":
         return RandomPushGossip(
-            self.gossiper, self.pattern, self.event_ids, self.hops_left - 1
+            self.gossiper, self.pattern, self.events, self.hops_left - 1
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<RandomPushGossip from={self.gossiper} p={self.pattern} "
-            f"|digest|={len(self.event_ids)} ttl={self.hops_left}>"
+            f"|digest|={len(self.events)} ttl={self.hops_left}>"
         )

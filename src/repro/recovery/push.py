@@ -5,7 +5,8 @@ Each round the gossiper:
 1. chooses a pattern ``p`` uniformly from its *whole* subscription table --
    own and forwarded subscriptions alike, which "increases the chance of
    eventually finding all the dispatchers interested in the cached events";
-2. builds a digest with the identifiers of all cached events matching ``p``;
+2. builds a digest of all cached events matching ``p`` (a receiver reads
+   only each entry's identifier and received-id row);
 3. routes the gossip message along the dispatching tree as if it were an
    event matching ``p``, except each eligible neighbor is reached only with
    probability ``P_forward``.
@@ -39,12 +40,12 @@ class PushRecovery(RecoveryAlgorithm):
             self.stats.rounds_skipped += 1
             return
         pattern = patterns[self.rng.randrange(len(patterns))]
-        event_ids = self.dispatcher.cache.matching_ids(pattern)
-        if len(event_ids) > self.config.digest_limit:
+        events = self.dispatcher.cache.matching_events(pattern)
+        if len(events) > self.config.digest_limit:
             # Advertise the most recent events: older ones are both closer
             # to eviction and more likely to have been recovered already.
-            event_ids = event_ids[-self.config.digest_limit :]
-        payload = PushGossip(self.node_id, pattern, tuple(event_ids))
+            events = events[-self.config.digest_limit :]
+        payload = PushGossip(self.node_id, pattern, tuple(events))
         self.forward_along_pattern(pattern, payload, exclude=None)
 
     def handle_gossip(self, payload: Any, from_node: int) -> None:
@@ -52,7 +53,7 @@ class PushRecovery(RecoveryAlgorithm):
             return
         self.stats.gossip_handled += 1
         if self.dispatcher.table.is_local(payload.pattern):
-            missing = self.dispatcher.unreceived(payload.event_ids)
+            missing = self.dispatcher.unreceived(payload.events)
             if missing:
                 self.dispatcher.send_oob_request(payload.gossiper, missing)
                 self.stats.requests_sent += 1

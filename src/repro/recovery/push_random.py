@@ -34,11 +34,11 @@ class RandomPushRecovery(RecoveryAlgorithm):
             self.stats.rounds_skipped += 1
             return
         pattern = patterns[self.rng.randrange(len(patterns))]
-        event_ids = self.dispatcher.cache.matching_ids(pattern)
-        if len(event_ids) > self.config.digest_limit:
-            event_ids = event_ids[-self.config.digest_limit :]
+        events = self.dispatcher.cache.matching_events(pattern)
+        if len(events) > self.config.digest_limit:
+            events = events[-self.config.digest_limit :]
         payload = RandomPushGossip(
-            self.node_id, pattern, tuple(event_ids), self.config.random_hop_limit
+            self.node_id, pattern, tuple(events), self.config.random_hop_limit
         )
         self.forward_randomly(payload, exclude=None)
 
@@ -47,7 +47,7 @@ class RandomPushRecovery(RecoveryAlgorithm):
             return
         self.stats.gossip_handled += 1
         if self.dispatcher.table.is_local(payload.pattern):
-            missing = self.dispatcher.unreceived(payload.event_ids)
+            missing = self.dispatcher.unreceived(payload.events)
             if missing:
                 self.dispatcher.send_oob_request(payload.gossiper, missing)
                 self.stats.requests_sent += 1

@@ -39,7 +39,10 @@ from repro.topology.tree import Tree
 from repro.workload.publishers import AggregatePublisherPool, PublisherProcess
 from repro.workload.subscriptions import assign_subscriptions
 
-__all__ = ["Simulation"]
+__all__ = ["Simulation", "SERIES_BIN_WIDTH"]
+
+#: Bin width of the delivery-rate time series, seconds.
+SERIES_BIN_WIDTH = 0.1
 
 
 def _gc_paused(function: Callable[..., Any]) -> Callable[..., Any]:
@@ -85,9 +88,6 @@ class Simulation:
             config.n_dispatchers,
             self.streams.stream("topology"),
             config.max_degree,
-            graph_attach=config.graph_attach,
-            graph_neighbors=config.graph_neighbors,
-            graph_rewire=config.graph_rewire,
         )
         if self.tree.node_count != config.n_dispatchers:
             raise ValueError(
@@ -179,7 +179,6 @@ class Simulation:
                     self.system,
                     config.publish_rate,
                     self.streams.stream("workload"),
-                    max_event_patterns=config.max_event_patterns,
                 )
             ]
         else:
@@ -189,8 +188,6 @@ class Simulation:
                     node_id,
                     config.publish_rate,
                     self.streams.stream(f"workload[{node_id}]"),
-                    model=config.publish_model,
-                    max_event_patterns=config.max_event_patterns,
                 )
                 for node_id in range(config.n_dispatchers)
             ]
@@ -198,11 +195,6 @@ class Simulation:
         # --- reconfiguration ----------------------------------------------
         self.reconfiguration: Optional[ReconfigurationEngine] = None
         if config.reconfiguration_interval is not None:
-            repair_routes = (
-                self.system.rebuild_routes
-                if config.route_repair == "oracle"
-                else self.system.repair_routes_via_protocol
-            )
             self.reconfiguration = ReconfigurationEngine(
                 self.sim,
                 self.network,
@@ -210,7 +202,7 @@ class Simulation:
                 interval=config.reconfiguration_interval,
                 repair_delay=config.repair_delay,
                 max_degree=config.max_degree,
-                on_topology_changed=repair_routes,
+                on_topology_changed=self.system.rebuild_routes,
             )
 
         # --- fault injection ----------------------------------------------
@@ -298,10 +290,10 @@ class Simulation:
             ),
             delivery_full=self.tracker.stats(),
             series=self.tracker.time_series(
-                config.bin_width, 0.0, config.sim_time, include_recovery=True
+                SERIES_BIN_WIDTH, 0.0, config.sim_time, include_recovery=True
             ),
             series_baseline=self.tracker.time_series(
-                config.bin_width, 0.0, config.sim_time, include_recovery=False
+                SERIES_BIN_WIDTH, 0.0, config.sim_time, include_recovery=False
             ),
             messages=counters.snapshot(),
             gossip_per_dispatcher=counters.gossip_per_dispatcher(),

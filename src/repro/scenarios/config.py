@@ -29,6 +29,7 @@ from repro.faults.plan import FaultPlan
 from repro.network.network import NetworkConfig
 from repro.recovery.base import RecoveryConfig
 from repro.recovery.degrade import DegradationConfig
+from repro.workload.publishers import MAX_EVENT_PATTERNS
 
 __all__ = ["SimulationConfig", "COMPACT_STATE_MIN_NODES"]
 
@@ -54,32 +55,21 @@ class SimulationConfig:
     max_degree: int = 4
     #: Overlay shape: "bushy" (breadth-filled random tree; default, matches
     #: the paper's baseline delivery), "uniform" (random recursive tree
-    #: under the cap), "path", "star", "balanced", or one of the large-scale
-    #: graph overlays from :mod:`repro.topology.graphs` -- "scale-free"
-    #: (Barabási–Albert preferential attachment) and "small-world"
-    #: (Watts–Strogatz ring rewiring), both reduced to a BFS spanning tree
-    #: for the dispatching structure.
+    #: under the cap), "path", "star", "balanced", or "scale-free" (a
+    #: Barabási–Albert graph from :mod:`repro.topology.graphs`, reduced to
+    #: a BFS spanning tree for the dispatching structure).
     tree_style: str = "bushy"
-    #: Scale-free overlays: edges per new node (Barabási–Albert ``m``).
-    graph_attach: int = 2
-    #: Small-world overlays: ring neighbors per node (Watts–Strogatz ``k``,
-    #: must be even) and rewiring probability ``p``.
-    graph_neighbors: int = 4
-    graph_rewire: float = 0.1
 
     # ----------------------------------------------------------- workload
-    #: Publish operations per second per dispatcher (50 high / 5 low load).
+    #: Publish operations per second per dispatcher (50 high / 5 low load),
+    #: each dispatcher a Poisson process (exponential gaps).
     publish_rate: float = 50.0
-    #: "poisson" (exponential gaps) or "periodic".
-    publish_model: str = "poisson"
     #: Workload generator layout: "per-node" (one PublisherProcess and RNG
     #: stream per dispatcher -- the default, preserved for byte-identity
     #: with earlier baselines) or "aggregate" (one pooled Poisson process
     #: at rate N·r drawing publisher ids from a single stream; O(1) state
     #: regardless of N, required for the 10⁵-node runs).
     workload_model: str = "per-node"
-    #: At most this many patterns per event (paper footnote 5: 3).
-    max_event_patterns: int = 3
 
     # ------------------------------------------------------------ network
     #: ε, per-link-transmission loss probability.
@@ -98,11 +88,6 @@ class SimulationConfig:
     reconfiguration_interval: Optional[float] = None
     #: Outage duration before the replacement link appears (paper: 0.1 s).
     repair_delay: float = 0.1
-    #: How subscription routes come back after a repair: "oracle"
-    #: (instantaneous recomputation, modelling the completed protocol of
-    #: [7] -- the default) or "protocol" (real subscription messages
-    #: re-propagate hop by hop; reliable-link scenarios only).
-    route_repair: str = "oracle"
 
     # ----------------------------------------------------------- recovery
     #: Algorithm name from :data:`repro.recovery.ALGORITHMS`.
@@ -142,11 +127,10 @@ class SimulationConfig:
     #: Measurement window for aggregate stats: events published before
     #: ``measure_start`` (warm-up) or after ``measure_end`` (the tail that
     #: recovery has no time left to repair) are excluded.  ``None`` for
-    #: ``measure_end`` means ``sim_time - 1.5``.
+    #: ``measure_end`` means ``sim_time - 1.5``.  An empty window is
+    #: rejected: its delivery rate would be computed over no events.
     measure_start: float = 1.0
     measure_end: Optional[float] = None
-    #: Bin width of delivery-rate time series, seconds.
-    bin_width: float = 0.1
     #: Master seed for all random streams.
     seed: int = 42
 
@@ -168,27 +152,16 @@ class SimulationConfig:
             raise ValueError(f"unknown cache_policy {self.cache_policy!r}")
         if self.workload_model not in ("per-node", "aggregate"):
             raise ValueError(f"unknown workload_model {self.workload_model!r}")
-        if self.workload_model == "aggregate":
-            if self.publish_model != "poisson":
-                raise ValueError(
-                    "the aggregate workload pools Poisson processes only; "
-                    f"publish_model={self.publish_model!r} needs per-node"
-                )
-            if self.faults is not None:
-                raise ValueError(
-                    "fault injection stops/restarts per-node publishers; "
-                    "use workload_model='per-node' with a fault plan"
-                )
-        if self.graph_attach < 1:
-            raise ValueError("graph_attach must be >= 1")
-        if self.graph_neighbors < 2 or self.graph_neighbors % 2:
-            raise ValueError("graph_neighbors must be even and >= 2")
-        if not 0.0 <= self.graph_rewire <= 1.0:
-            raise ValueError("graph_rewire must be in [0, 1]")
-        if self.route_repair not in ("oracle", "protocol"):
-            raise ValueError(f"unknown route_repair {self.route_repair!r}")
-        if self.gossip_interval <= 0:
-            raise ValueError("gossip_interval must be positive")
+        if self.workload_model == "aggregate" and self.faults is not None:
+            raise ValueError(
+                "fault injection stops/restarts per-node publishers; "
+                "use workload_model='per-node' with a fault plan"
+            )
+        if not 0.0 <= self.oob_error_rate <= 1.0:
+            raise ValueError("oob_error_rate must be in [0, 1]")
+        # Validates the recovery fields (gossip interval, probabilities,
+        # limits) when the config is made, not when a run is built.
+        self.recovery_config()
         if self.sim_time <= 0:
             raise ValueError("sim_time must be positive")
         if (
@@ -211,7 +184,7 @@ class SimulationConfig:
     def effective_measure_end(self) -> float:
         if self.measure_end is not None:
             return self.measure_end
-        return max(self.measure_start + 1e-9, self.sim_time - 1.5)
+        return self.sim_time - 1.5
 
     @property
     def compact_state(self) -> bool:
@@ -265,11 +238,11 @@ class SimulationConfig:
     # ------------------------------------------------------------------
     def match_probability(self) -> float:
         """Probability a random event matches a random dispatcher's
-        subscription set, averaged over event sizes 1..max_event_patterns."""
+        subscription set, averaged over event sizes 1..MAX_EVENT_PATTERNS."""
         if self.pi_max == 0:
             return 0.0
         total = 0.0
-        sizes = range(1, min(self.max_event_patterns, self.n_patterns) + 1)
+        sizes = range(1, min(MAX_EVENT_PATTERNS, self.n_patterns) + 1)
         for k in sizes:
             miss = 1.0
             for i in range(k):

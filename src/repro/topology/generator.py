@@ -126,14 +126,11 @@ def build_tree(
     node_count: int,
     rng: random.Random,
     max_degree: int = MAX_DEGREE_DEFAULT,
-    graph_attach: int = 2,
-    graph_neighbors: int = 4,
-    graph_rewire: float = 0.1,
 ) -> Tree:
     """Dispatch on a tree-style name: ``bushy``, ``uniform``, ``path``,
-    ``star``, ``balanced``, or the graph-derived overlays ``scale-free``
-    and ``small-world`` (a generated graph reduced to its BFS spanning
-    tree; these ignore the degree cap -- hub degree is the point).
+    ``star``, ``balanced``, or ``scale-free`` (a Barabási–Albert graph
+    reduced to its BFS spanning tree; it ignores the degree cap -- hub
+    degree is the point).
     """
     if style == "bushy":
         return bushy_tree(node_count, rng, max_degree)
@@ -145,19 +142,12 @@ def build_tree(
         return star_tree(node_count)
     if style == "balanced":
         return balanced_tree(node_count, branching=max(1, max_degree - 1))
-    if style in ("scale-free", "small-world"):
+    if style == "scale-free":
         # Imported here so the tree-only styles never pay for the graph
-        # generators' module.
+        # generator's module.
         from repro.topology.graphs import graph_tree
 
-        return graph_tree(
-            style,
-            node_count,
-            rng,
-            attach=graph_attach,
-            neighbors=graph_neighbors,
-            rewire=graph_rewire,
-        )
+        return graph_tree(node_count, rng)
     raise ValueError(f"unknown tree style {style!r}")
 
 

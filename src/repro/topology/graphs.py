@@ -1,20 +1,15 @@
-"""Large-scale graph overlays: scale-free and small-world generators.
+"""Large-scale graph overlay: the scale-free generator.
 
 The paper evaluates on random trees of at most ~10³ nodes; the follow-up
 literature ("Publish-Subscribe Systems via Gossip: a Study based on
 Complex Networks", PAPERS.md) shows the interesting gossip regimes live
 on much larger overlays with realistic degree structure.  This module
-provides the two classic generators:
-
-* :func:`barabasi_albert_edges` -- preferential attachment, giving a
-  power-law degree tail (scale-free);
-* :func:`watts_strogatz_edges` -- ring-lattice rewiring, giving high
-  clustering with short paths (small-world);
-
-plus :func:`bfs_spanning_tree` to reduce either graph to the spanning
-tree the dispatching layer needs (the dispatching structure *is* a tree;
-Section II).  :func:`graph_tree` is the one-call combination used by
-``build_tree`` for the ``"scale-free"`` / ``"small-world"`` styles.
+provides :func:`barabasi_albert_edges` -- preferential attachment, giving
+a power-law degree tail (scale-free) -- and :func:`bfs_spanning_tree` to
+reduce the graph to the spanning tree the dispatching layer needs (the
+dispatching structure *is* a tree; Section II).  :func:`graph_tree` is
+the one-call combination used by ``build_tree`` for the ``"scale-free"``
+style.
 
 Everything is deterministic under a fixed ``random.Random`` stream and
 written iteratively (no recursion, no O(N²) steps), so 10⁵-node overlays
@@ -30,7 +25,6 @@ from repro.topology.tree import Tree, TreeError
 
 __all__ = [
     "barabasi_albert_edges",
-    "watts_strogatz_edges",
     "bfs_spanning_tree",
     "graph_tree",
     "degree_sequence",
@@ -38,12 +32,12 @@ __all__ = [
 
 Edge = Tuple[int, int]
 
-#: Styles :func:`graph_tree` understands.
-GRAPH_STYLES = ("scale-free", "small-world")
+#: Edges per new node of the scale-free overlay (Barabási–Albert ``m``).
+SCALE_FREE_ATTACH = 2
 
 
 def barabasi_albert_edges(
-    node_count: int, rng: random.Random, attach: int = 2
+    node_count: int, rng: random.Random, attach: int = SCALE_FREE_ATTACH
 ) -> List[Edge]:
     """Barabási–Albert preferential attachment graph, as an edge list.
 
@@ -83,74 +77,13 @@ def barabasi_albert_edges(
     return edges
 
 
-def watts_strogatz_edges(
-    node_count: int,
-    rng: random.Random,
-    neighbors: int = 4,
-    rewire: float = 0.1,
-) -> List[Edge]:
-    """Watts–Strogatz small-world graph, as an edge list.
-
-    A ring lattice where every node connects to its ``neighbors // 2``
-    nearest neighbors on each side, then each lattice edge is rewired
-    with probability ``rewire`` to a uniformly random non-duplicate
-    endpoint.  ``rewire=0`` is the pure lattice (long paths, high
-    clustering); small ``rewire`` gives the small-world regime the
-    gossip literature studies.
-    """
-    if neighbors < 2 or neighbors % 2:
-        raise ValueError(f"neighbors must be even and >= 2, got {neighbors}")
-    if not 0.0 <= rewire <= 1.0:
-        raise ValueError(f"rewire must be in [0, 1], got {rewire}")
-    if node_count <= neighbors:
-        raise ValueError(
-            f"need more than neighbors={neighbors} nodes, got {node_count}"
-        )
-    adjacency: List[Set[int]] = [set() for _ in range(node_count)]
-    for node in range(node_count):
-        for offset in range(1, neighbors // 2 + 1):
-            peer = (node + offset) % node_count
-            adjacency[node].add(peer)
-            adjacency[peer].add(node)
-    # Rewire in deterministic lattice order: for each edge (node, peer)
-    # with peer ahead of node on the ring, move the far endpoint with
-    # probability ``rewire``.
-    for offset in range(1, neighbors // 2 + 1):
-        for node in range(node_count):
-            if rng.random() >= rewire:
-                continue
-            old_peer = (node + offset) % node_count
-            if old_peer not in adjacency[node]:
-                continue  # already rewired away from the other side
-            # Keep the node's degree: pick a fresh endpoint that is not
-            # itself and not already a neighbor.  The retry loop
-            # terminates because degree < node_count - 1 (guaranteed by
-            # the node_count > neighbors check for any sane rewire load).
-            if len(adjacency[node]) >= node_count - 1:
-                continue  # saturated hub: nothing left to rewire to
-            new_peer = rng.randrange(node_count)
-            while new_peer == node or new_peer in adjacency[node]:
-                new_peer = rng.randrange(node_count)
-            adjacency[node].discard(old_peer)
-            adjacency[old_peer].discard(node)
-            adjacency[node].add(new_peer)
-            adjacency[new_peer].add(node)
-    return [
-        (node, peer)
-        for node in range(node_count)
-        for peer in sorted(adjacency[node])
-        if node < peer
-    ]
-
-
 def bfs_spanning_tree(
     node_count: int, edges: List[Edge], root: int = 0
 ) -> Tree:
     """BFS spanning tree of a connected graph, neighbors in sorted order.
 
     Deterministic for a given edge list.  Raises :class:`TreeError` if
-    the graph does not reach every node (possible for heavily rewired
-    small-world graphs, where the caller should regenerate).
+    the graph does not reach every node.
     """
     adjacency: List[List[int]] = [[] for _ in range(node_count)]
     for a, b in edges:
@@ -182,33 +115,13 @@ def bfs_spanning_tree(
     return Tree(node_count, tree_edges)
 
 
-def graph_tree(
-    style: str,
-    node_count: int,
-    rng: random.Random,
-    attach: int = 2,
-    neighbors: int = 4,
-    rewire: float = 0.1,
-) -> Tree:
-    """Generate a graph overlay and extract its dispatching spanning tree.
-
-    ``style`` is ``"scale-free"`` (Barabási–Albert, parameter ``attach``)
-    or ``"small-world"`` (Watts–Strogatz, parameters ``neighbors`` /
-    ``rewire``).  Single-node systems shortcut to the trivial tree.
-    """
+def graph_tree(node_count: int, rng: random.Random) -> Tree:
+    """Generate a scale-free overlay (Barabási–Albert, ``m`` =
+    :data:`SCALE_FREE_ATTACH`) and extract its dispatching spanning tree.
+    Single-node systems shortcut to the trivial tree."""
     if node_count == 1:
         return Tree(1, [])
-    if style == "scale-free":
-        edges = barabasi_albert_edges(node_count, rng, attach=attach)
-    elif style == "small-world":
-        edges = watts_strogatz_edges(
-            node_count, rng, neighbors=neighbors, rewire=rewire
-        )
-    else:
-        raise ValueError(
-            f"unknown graph style {style!r}; choose from {GRAPH_STYLES}"
-        )
-    return bfs_spanning_tree(node_count, edges)
+    return bfs_spanning_tree(node_count, barabasi_albert_edges(node_count, rng))
 
 
 def degree_sequence(node_count: int, edges: List[Edge]) -> List[int]:

@@ -1,14 +1,11 @@
 """Publishing processes.
 
-Each dispatcher publishes continuously at a configured rate.  Two timing
-models are offered:
-
-* ``"poisson"`` (default): exponential inter-publish gaps -- the natural
-  model for "about 50 publish/s" aggregate behaviour;
-* ``"periodic"``: fixed period with a random initial phase.
+Each dispatcher publishes continuously at a configured rate as a Poisson
+process: exponential inter-publish gaps, the natural model for "about 50
+publish/s" aggregate behaviour.
 
 Event content is drawn per publish from the pattern space (uniform, at most
-``max_event_patterns`` patterns -- the paper's footnote 5 caps it at 3).
+:data:`MAX_EVENT_PATTERNS` patterns -- the paper's footnote 5 caps it at 3).
 """
 
 from __future__ import annotations
@@ -20,7 +17,15 @@ from repro.pubsub.pattern import PatternSpace
 from repro.pubsub.system import PubSubSystem
 from repro.sim.engine import ScheduledEvent, Simulator
 
-__all__ = ["PublisherProcess", "AggregatePublisherPool", "start_publishers"]
+__all__ = [
+    "PublisherProcess",
+    "AggregatePublisherPool",
+    "start_publishers",
+    "MAX_EVENT_PATTERNS",
+]
+
+#: At most this many patterns per event (the paper's footnote 5).
+MAX_EVENT_PATTERNS = 3
 
 
 class PublisherProcess:
@@ -36,16 +41,11 @@ class PublisherProcess:
         Publish operations per simulated second (> 0).
     rng:
         Random stream for timing and event content.
-    model:
-        ``"poisson"`` or ``"periodic"``.
-    max_event_patterns:
-        Cap on the number of patterns per event (paper: 3).
     until:
         Stop publishing at this simulation time (``None`` = never).
     """
 
-    __slots__ = ("system", "node_id", "rate", "rng", "model",
-                 "max_event_patterns", "until", "published",
+    __slots__ = ("system", "node_id", "rate", "rng", "until", "published",
                  "_handle", "_running")
 
     def __init__(
@@ -54,20 +54,14 @@ class PublisherProcess:
         node_id: int,
         rate: float,
         rng: random.Random,
-        model: str = "poisson",
-        max_event_patterns: int = 3,
         until: Optional[float] = None,
     ) -> None:
         if rate <= 0:
             raise ValueError(f"publish rate must be positive, got {rate}")
-        if model not in ("poisson", "periodic"):
-            raise ValueError(f"unknown publish model {model!r}")
         self.system = system
         self.node_id = node_id
         self.rate = rate
         self.rng = rng
-        self.model = model
-        self.max_event_patterns = max_event_patterns
         self.until = until
         self.published = 0
         self._handle: Optional[ScheduledEvent] = None
@@ -82,20 +76,15 @@ class PublisherProcess:
         if self._running:
             return
         self._running = True
-        self._handle = self.sim.schedule(self._next_gap(), self._publish_one)
+        self._handle = self.sim.schedule(
+            self.rng.expovariate(self.rate), self._publish_one
+        )
 
     def stop(self) -> None:
         self._running = False
         if self._handle is not None:
             self._handle.cancel()
             self._handle = None
-
-    def _next_gap(self) -> float:
-        if self.model == "poisson":
-            return self.rng.expovariate(self.rate)
-        if self.published == 0:
-            return self.rng.random() / self.rate  # random initial phase
-        return 1.0 / self.rate
 
     def _publish_one(self) -> None:
         if not self._running:
@@ -104,11 +93,13 @@ class PublisherProcess:
             self._running = False
             return
         patterns = self.system.pattern_space.sample_event_patterns(
-            self.rng, self.max_event_patterns
+            self.rng, MAX_EVENT_PATTERNS
         )
         self.system.publish(self.node_id, patterns)
         self.published += 1
-        self._handle = self.sim.schedule(self._next_gap(), self._publish_one)
+        self._handle = self.sim.schedule(
+            self.rng.expovariate(self.rate), self._publish_one
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -129,26 +120,23 @@ class AggregatePublisherPool:
     dispatcher (≈ 300 MB and 100k heap entries at N = 10⁵), the pool
     costs one of each.
 
-    Only the ``"poisson"`` model pools exactly (periodic processes do not
-    superpose into a periodic process), and the per-node layout remains
-    the default for byte-identity with existing baselines -- draw
-    sequences differ, so this is a different (equally valid) workload,
-    selected via ``SimulationConfig.workload_model = "aggregate"``.
+    The per-node layout remains the default for byte-identity with
+    existing baselines -- draw sequences differ, so this is a different
+    (equally valid) workload, selected via
+    ``SimulationConfig.workload_model = "aggregate"``.
 
     Presents the same ``start``/``stop``/``published`` surface as
     :class:`PublisherProcess` so the builder can treat either uniformly.
     """
 
-    __slots__ = ("system", "rate_per_node", "rng", "max_event_patterns",
-                 "until", "published", "_node_count", "_total_rate",
-                 "_handle", "_running")
+    __slots__ = ("system", "rate_per_node", "rng", "until", "published",
+                 "_node_count", "_total_rate", "_handle", "_running")
 
     def __init__(
         self,
         system: PubSubSystem,
         rate_per_node: float,
         rng: random.Random,
-        max_event_patterns: int = 3,
         until: Optional[float] = None,
     ) -> None:
         if rate_per_node <= 0:
@@ -158,7 +146,6 @@ class AggregatePublisherPool:
         self.system = system
         self.rate_per_node = rate_per_node
         self.rng = rng
-        self.max_event_patterns = max_event_patterns
         self.until = until
         self.published = 0
         self._node_count = system.node_count
@@ -194,7 +181,7 @@ class AggregatePublisherPool:
         rng = self.rng
         node_id = rng.randrange(self._node_count)
         patterns = self.system.pattern_space.sample_event_patterns(
-            rng, self.max_event_patterns
+            rng, MAX_EVENT_PATTERNS
         )
         self.system.publish(node_id, patterns)
         self.published += 1
@@ -213,8 +200,6 @@ def start_publishers(
     system: PubSubSystem,
     rate: float,
     rng_factory: Callable[[int], random.Random],
-    model: str = "poisson",
-    max_event_patterns: int = 3,
     until: Optional[float] = None,
 ) -> List[PublisherProcess]:
     """Create and start one :class:`PublisherProcess` per dispatcher.
@@ -228,8 +213,6 @@ def start_publishers(
             node_id,
             rate,
             rng_factory(node_id),
-            model=model,
-            max_event_patterns=max_event_patterns,
             until=until,
         )
         publisher.start()

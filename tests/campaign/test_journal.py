@@ -100,6 +100,25 @@ class TestRecordAndLoad:
         assert outcome.report.executed == 1 and outcome.report.skipped == 0
         assert outcome.results[0].signature() == tiny_result.signature()
 
+    def test_schema_3_record_with_retired_field_is_recomputed(
+        self, tmp_path, tiny_result
+    ):
+        # A schema-3 record still carries the seven fields schema 4
+        # retired (``route_repair`` among them) and would not decode.
+        digest = config_digest(tiny_result.config)
+        journal = CampaignJournal(tmp_path)
+        journal.ensure()
+        result = result_to_dict(tiny_result)
+        result["config"]["route_repair"] = "oracle"
+        legacy = {"schema": 3, "digest": digest, "result": result}
+        (journal.cells_dir / f"{digest}.ndjson").write_text(
+            json.dumps(legacy) + "\n"
+        )
+        assert journal.load() == {}
+        outcome = run_campaign([tiny_config()], tmp_path)
+        assert outcome.report.executed == 1 and outcome.report.skipped == 0
+        assert outcome.results[0].signature() == tiny_result.signature()
+
     def test_empty_directory_loads_empty(self, tmp_path):
         assert CampaignJournal(tmp_path / "nowhere").load() == {}
 

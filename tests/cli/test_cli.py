@@ -53,6 +53,32 @@ class TestCommands:
         assert "delivery rate" in out
         assert "1.0000" in out  # reliable network: perfect delivery
 
+    def test_short_run_measures_over_published_events(self, capsys, monkeypatch):
+        """At 2 s the default window (a 1.5 s tail dropped) would be
+        empty; the printed rate must come from a window holding events."""
+        results = []
+        run_scenario = repro.cli.run_scenario
+
+        def recording(config):
+            results.append(run_scenario(config))
+            return results[-1]
+
+        monkeypatch.setattr(repro.cli, "run_scenario", recording)
+        code = main(
+            ["run", "--n", "12", "--patterns", "10", "--sim-time", "2",
+             "--error-rate", "0.5", "--algorithm", "none",
+             "--publish-rate", "10"]
+        )
+        assert code == 0
+        (result,) = results
+        assert result.delivery.events > 0
+        assert result.delivery_rate < 1.0  # half the transmissions are lost
+        (line,) = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.strip().startswith("delivery rate")
+        ]
+        assert line.split()[-1] == f"{result.delivery_rate:.4f}"
+
     def test_run_with_reconfiguration(self, capsys):
         code = main(
             ["run", "--algorithm", "none", "--error-rate", "0.0",

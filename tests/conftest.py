@@ -67,15 +67,14 @@ def make_system_event(system: PubSubSystem, **kwargs) -> Event:
     ``Dispatcher.publish`` interns the events it creates; a bare
     ``make_event`` has no row and cannot be received."""
     event = make_event(**kwargs)
-    event.row = system.event_registry.intern(event.event_id)
+    event.row = system.event_registry.new_row()
     return event
 
 
-def has_received(dispatcher, event_id: EventId) -> bool:
-    """Whether ``dispatcher`` has ever received ``event_id``."""
-    row = dispatcher.event_registry.rows.get(event_id)
-    return row is not None and bool(
-        dispatcher.seen[row + dispatcher.seen_col] & dispatcher.seen_bit
+def has_received(dispatcher, event: Event) -> bool:
+    """Whether ``dispatcher`` has ever received ``event``."""
+    return bool(
+        dispatcher.seen[event.row + dispatcher.seen_col] & dispatcher.seen_bit
     )
 
 

@@ -29,7 +29,6 @@ config_strategy = st.fixed_dictionaries(
         "cache_policy": st.sampled_from(["fifo", "lru", "random"]),
         "seed": st.integers(min_value=0, max_value=10_000),
         "reconfiguration_interval": st.sampled_from([None, 0.3]),
-        "publish_model": st.sampled_from(["poisson", "periodic"]),
     }
 )
 

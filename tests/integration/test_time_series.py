@@ -15,7 +15,6 @@ BASE = dict(
     measure_start=0.5,
     measure_end=3.5,
     buffer_size=300,
-    bin_width=0.1,
     seed=5,
 )
 

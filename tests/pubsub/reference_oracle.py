@@ -27,7 +27,7 @@ def rebuild_routes_reference(system) -> None:
         for node_id in range(system.node_count)
     }
     for dispatcher in dispatchers:
-        dispatcher.table.clear()
+        dispatcher.table.load({}, {})
     for node_id in range(system.node_count):
         table = dispatchers[node_id].table
         for pattern in system.subscriptions_of(node_id):

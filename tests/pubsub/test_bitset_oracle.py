@@ -86,7 +86,7 @@ def test_random_trees_match_reference(n, seed, cuts):
 @given(n=st.integers(min_value=3, max_value=120), seed=st.integers(),
        cuts=st.integers(min_value=0, max_value=2))
 def test_scale_free_overlays_match_reference(n, seed, cuts):
-    tree = graph_tree("scale-free", n, random.Random(seed))
+    tree = graph_tree(n, random.Random(seed))
     check_against_reference(tree, seed, cuts)
 
 

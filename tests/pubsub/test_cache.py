@@ -94,16 +94,16 @@ class TestIndexes:
         other = make_event(seq=4, patterns=(9,))
         for event in events + [other]:
             cache.insert(event)
-        assert cache.matching_ids(7) == [e.event_id for e in events]
-        assert cache.matching_ids(9) == [other.event_id]
-        assert cache.matching_ids(1) == []
+        assert cache.matching_events(7) == events
+        assert cache.matching_events(9) == [other]
+        assert cache.matching_events(1) == []
 
     def test_pattern_index_consistent_after_eviction(self):
         cache = EventCache(2)
         events = [make_event(seq=i, patterns=(7,)) for i in (1, 2, 3)]
         for event in events:
             cache.insert(event)
-        assert cache.matching_ids(7) == [events[1].event_id, events[2].event_id]
+        assert cache.matching_events(7) == [events[1], events[2]]
 
 
 class TestProperties:
@@ -141,7 +141,7 @@ class TestProperties:
                 assert cache.split_loss_keys((key,), registry.published) == (
                     [event], ()
                 )
-                assert event.event_id in cache.matching_ids(pattern)
+                assert event in cache.matching_events(pattern)
         for pattern in range(8):
-            for event_id in cache.matching_ids(pattern):
-                assert cache.contains(event_id)
+            for event in cache.matching_events(pattern):
+                assert cache.contains(event.event_id)

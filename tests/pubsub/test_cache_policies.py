@@ -99,7 +99,7 @@ class TestRandom:
                 assert cache.split_loss_keys((key,), registry.published) == (
                     [event], ()
                 )
-                assert event.event_id in cache.matching_ids(pattern)
+                assert event in cache.matching_events(pattern)
 
 
 class TestEndToEndPolicies:

@@ -59,7 +59,7 @@ class TestRecoveredEventHandling:
         assert deliveries == []
         assert not dispatcher.cache.contains(event.event_id)
         # But the event is remembered, so a later tree copy is deduped.
-        assert has_received(dispatcher, event.event_id)
+        assert has_received(dispatcher, event)
 
     def test_recovered_event_cached_for_subscriber(self):
         sim, system = make_two_node_system()

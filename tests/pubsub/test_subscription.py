@@ -44,7 +44,7 @@ class TestDirections:
         table = SubscriptionTable(16)
         table.add(5, 1)
         table.mark_forwarded(5, 2)
-        table.clear()
+        table.load({}, {})
         assert len(table) == 0
         assert not table.was_forwarded(5, 2)
 

@@ -37,7 +37,7 @@ class TestMemoInvalidation:
         table = SubscriptionTable(16)
         table.add(1, 3)
         assert _warm(table) == (3,)
-        table.clear()
+        table.load({}, {})
         assert _warm(table) == ()
 
     def test_matches_locally_tracks_mutations(self):

@@ -4,20 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.recovery.adaptive import ADAPTIVE_MAX_INTERVAL, ADAPTIVE_MIN_INTERVAL
 from repro.recovery.base import RecoveryConfig
 from repro.topology.generator import path_tree
 from tests.recovery.harness import RecoveryHarness
 
 
 def make_harness(**config_overrides):
-    config = RecoveryConfig(
-        gossip_interval=0.05,
-        p_forward=1.0,
-        adaptive_min_interval=0.02,
-        adaptive_max_interval=0.2,
-        adaptive_factor=2.0,
-        **config_overrides,
-    )
+    config = RecoveryConfig(gossip_interval=0.05, p_forward=1.0, **config_overrides)
     return RecoveryHarness(
         path_tree(2), "adaptive-push", {0: (1,), 1: (1,)}, config=config
     )
@@ -29,7 +23,7 @@ class TestAdaptiveBounds:
         harness.publish(0, (1,))
         harness.run_for(5.0)  # long idle stretch: interval keeps growing
         for recovery in harness.recoveries:
-            assert recovery.timer.period <= 0.2 + 1e-9
+            assert recovery.timer.period <= ADAPTIVE_MAX_INTERVAL + 1e-9
 
     def test_interval_growth_is_multiplicative(self):
         harness = make_harness()
@@ -48,7 +42,7 @@ class TestAdaptiveBounds:
         harness.run_for(2.0)
         grown = recovery.timer.period
         # Now fake sustained demand: a request lands before every round,
-        # so each round halves the interval.
+        # so each round shrinks the interval.
         event = harness.publish(0, (1,))
         for _ in range(40):
             recovery.handle_oob_request((event.event_id,), from_node=1)
@@ -62,4 +56,4 @@ class TestAdaptiveBounds:
         for _ in range(30):
             recovery.handle_oob_request((event.event_id,), from_node=1)
             harness.run_for(0.05)
-        assert recovery.timer.period >= 0.02 - 1e-9
+        assert recovery.timer.period >= ADAPTIVE_MIN_INTERVAL - 1e-9

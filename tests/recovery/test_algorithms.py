@@ -220,11 +220,7 @@ class TestRandomVariants:
 
 class TestAdaptivePush:
     def test_interval_grows_when_idle(self):
-        config = RecoveryConfig(
-            gossip_interval=0.05,
-            p_forward=1.0,
-            adaptive_max_interval=0.4,
-        )
+        config = RecoveryConfig(gossip_interval=0.05, p_forward=1.0)
         harness = RecoveryHarness(
             path_tree(2), "adaptive-push", {0: (1,), 1: (1,)}, config=config
         )

@@ -116,9 +116,9 @@ class TestDigestLimit:
         harness.recovery(0).gossip_round()
         pushes = [p for p in captured if isinstance(p, PushGossip)]
         assert pushes
-        ids = pushes[0].event_ids
-        assert len(ids) == 3
-        assert list(ids) == [e.event_id for e in events[-3:]]
+        advertised = pushes[0].events
+        assert len(advertised) == 3
+        assert list(advertised) == events[-3:]
 
 
 class TestForwardingPrimitives:

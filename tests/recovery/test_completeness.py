@@ -41,17 +41,20 @@ def test_all_detected_losses_recovered(n, seed, publishes):
     )
     publisher = rng.randrange(n)
     edges = tree.edges
+    published = []
     for index in range(publishes):
         patterns = (0, 1) if index % 3 == 0 else (index % 2,)
         if rng.random() < 0.5:
             dead = [edges[rng.randrange(len(edges))]]
-            harness.publish_lossy(publisher, patterns, dead_links=dead)
+            published.append(
+                harness.publish_lossy(publisher, patterns, dead_links=dead)
+            )
         else:
-            harness.publish(publisher, patterns)
+            published.append(harness.publish(publisher, patterns))
         harness.run_for(0.05)
     # A final, fully reliable event on each stream reveals any trailing
     # gaps, then a generous recovery window.
-    harness.publish(publisher, (0, 1))
+    published.append(harness.publish(publisher, (0, 1)))
     harness.run_for(4.0)
 
     for recovery in harness.recoveries:
@@ -59,34 +62,19 @@ def test_all_detected_losses_recovered(n, seed, publishes):
             f"node {recovery.node_id} still has "
             f"{recovery.detector.entries_for_source(publisher)} pending"
         )
-    # Every subscriber holds the full stream it subscribes to.
-    source = harness.system.dispatchers[publisher]
-    # Every published event has a row in the system's received-id store.
-    expected = [
-        event_id
-        for event_id in harness.system.event_registry.rows
-        if event_id.source == publisher
-    ]
-    published = len(expected)
+    # Every subscriber holds the full stream it subscribes to: each
+    # published event matching its pattern.
     for node in range(n):
         if node == publisher:
             continue
         dispatcher = harness.system.dispatchers[node]
         pattern = node % 2
         missing = [
-            event_id
-            for event_id in expected
-            if not has_received(dispatcher, event_id)
+            event.event_id
+            for event in published
+            if event.matches(pattern) and not has_received(dispatcher, event)
         ]
-        # Only events matching the node's pattern are expected; filter via
-        # the publisher's cache (which, with beta=500, still has them all).
-        really_missing = [
-            event_id
-            for event_id in missing
-            if (cached := source.cache.get(event_id)) is not None
-            and cached.matches(pattern)
-        ]
-        assert not really_missing, (
-            f"node {node} (pattern {pattern}) missing {really_missing} "
-            f"of {published} published"
+        assert not missing, (
+            f"node {node} (pattern {pattern}) missing {missing} "
+            f"of {len(published)} published"
         )

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from repro.pubsub.event import EventId
 from repro.recovery.digest import (
     PublisherPullGossip,
     PushGossip,
@@ -10,15 +9,16 @@ from repro.recovery.digest import (
     RandomPushGossip,
     SubscriberPullGossip,
 )
+from tests.conftest import make_event
 
 
 class TestPayloads:
     def test_push_gossip_fields(self):
-        ids = (EventId(0, 1), EventId(2, 5))
-        payload = PushGossip(gossiper=7, pattern=3, event_ids=ids)
+        events = (make_event(0, 1, (3,)), make_event(2, 5, (3,)))
+        payload = PushGossip(gossiper=7, pattern=3, events=events)
         assert payload.gossiper == 7
         assert payload.pattern == 3
-        assert payload.event_ids == ids
+        assert payload.events == events
 
     def test_subscriber_pull_replace_entries(self):
         payload = SubscriberPullGossip(1, 3, ((0, 3, 1), (0, 3, 2)))
@@ -42,8 +42,9 @@ class TestPayloads:
         assert hop.gossiper == 5
 
     def test_random_push_hop_budget(self):
-        payload = RandomPushGossip(5, 3, (EventId(0, 1),), hops_left=2)
+        events = (make_event(0, 1, (3,)),)
+        payload = RandomPushGossip(5, 3, events, hops_left=2)
         hop = payload.next_hop()
         assert hop.hops_left == 1
         assert hop.pattern == 3
-        assert hop.event_ids == (EventId(0, 1),)
+        assert hop.events == events

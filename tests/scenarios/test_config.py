@@ -6,6 +6,8 @@ import pytest
 
 import repro.scenarios.config as config_module
 from repro.scenarios.config import SimulationConfig
+from repro.scenarios.serialize import config_from_dict, config_to_dict
+from repro.workload.publishers import MAX_EVENT_PATTERNS
 
 
 class TestFigure2Defaults:
@@ -21,7 +23,7 @@ class TestFigure2Defaults:
         assert config.gossip_interval == 0.03  # T
         # And the accompanying prose values:
         assert config.n_patterns == 70  # Pi
-        assert config.max_event_patterns == 3  # footnote 5
+        assert MAX_EVENT_PATTERNS == 3  # footnote 5
         assert config.max_degree == 4  # "at most four others"
         assert config.sim_time == 25.0
         assert config.bandwidth_bps == 10_000_000.0  # 10 Mbit/s Ethernet
@@ -59,11 +61,34 @@ class TestValidation:
         with pytest.raises(ValueError):
             SimulationConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("oob_error_rate", 2.0),
+            ("oob_error_rate", -0.5),
+            ("p_forward", 1.5),
+            ("digest_limit", 0),
+        ],
+    )
+    def test_bad_values_rejected_at_construction_and_decoding(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SimulationConfig(**{field: value})
+        encoded = config_to_dict(SimulationConfig())
+        encoded[field] = value
+        with pytest.raises(ValueError, match=field):
+            config_from_dict(encoded)
+
     def test_measurement_window_validated(self):
         with pytest.raises(ValueError):
             SimulationConfig(sim_time=2.0, measure_start=1.9, measure_end=1.5)
         with pytest.raises(ValueError):
             SimulationConfig(sim_time=2.0, measure_start=0.5, measure_end=3.0)
+
+    def test_empty_default_window_rejected(self):
+        # The default window [1.0, sim_time - 1.5) is empty at 2 s: the
+        # run would report a delivery rate over zero events.
+        with pytest.raises(ValueError, match="measurement window"):
+            SimulationConfig(sim_time=2.0)
 
     def test_effective_measure_end_default(self):
         config = SimulationConfig(sim_time=10.0)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.scenarios.builder import SERIES_BIN_WIDTH
 from repro.scenarios.config import SimulationConfig
 from repro.scenarios.runner import run_scenario
 
@@ -43,7 +44,7 @@ class TestRunResult:
 
     def test_series_lengths_match_bins(self):
         result = run_scenario(CONFIG)
-        expected_bins = int(CONFIG.sim_time / CONFIG.bin_width)
+        expected_bins = int(CONFIG.sim_time / SERIES_BIN_WIDTH)
         assert len(result.series) == expected_bins
         assert len(result.series_baseline) == expected_bins
 

@@ -1,9 +1,8 @@
-"""Tests for the large-scale graph generators (ISSUE 7 satellite).
+"""Tests for the large-scale graph generator.
 
-Covers degree-distribution sanity (power-law tail for Barabási–Albert,
-rewiring behaviour for Watts–Strogatz), connectivity, determinism under a
-fixed RNG stream, spanning-tree extraction, and the ``build_tree`` /
-``SimulationConfig`` wiring.
+Covers degree-distribution sanity (power-law tail for Barabási–Albert),
+connectivity, determinism under a fixed RNG stream, spanning-tree
+extraction, and the ``build_tree`` / ``SimulationConfig`` wiring.
 """
 
 from __future__ import annotations
@@ -14,11 +13,11 @@ import pytest
 
 from repro.topology.generator import build_tree
 from repro.topology.graphs import (
+    SCALE_FREE_ATTACH,
     barabasi_albert_edges,
     bfs_spanning_tree,
     degree_sequence,
     graph_tree,
-    watts_strogatz_edges,
 )
 from repro.topology.tree import TreeError, is_tree
 
@@ -59,48 +58,6 @@ class TestBarabasiAlbert:
             barabasi_albert_edges(2, random.Random(1), attach=2)
 
 
-class TestWattsStrogatz:
-    def test_zero_rewire_is_pure_lattice(self):
-        n, k = 30, 4
-        edges = watts_strogatz_edges(n, random.Random(3), neighbors=k, rewire=0.0)
-        degrees = degree_sequence(n, edges)
-        assert degrees == [k] * n
-        assert len(edges) == n * k // 2
-        # Ring edges only: endpoints differ by at most k/2 (mod n).
-        for a, b in edges:
-            gap = min((b - a) % n, (a - b) % n)
-            assert 1 <= gap <= k // 2
-
-    def test_rewiring_shortens_paths(self):
-        """The small-world effect: a little rewiring collapses the
-        lattice's linear diameter."""
-        n, k = 400, 4
-        lattice = bfs_spanning_tree(
-            n, watts_strogatz_edges(n, random.Random(5), neighbors=k, rewire=0.0)
-        )
-        rewired_edges = watts_strogatz_edges(
-            n, random.Random(5), neighbors=k, rewire=0.2
-        )
-        rewired = bfs_spanning_tree(n, rewired_edges)
-        assert rewired.diameter() < lattice.diameter() / 2
-        # Rewiring conserves the edge count.
-        assert len(rewired_edges) == n * k // 2
-
-    def test_determinism_under_fixed_stream(self):
-        first = watts_strogatz_edges(200, random.Random(9), neighbors=6, rewire=0.3)
-        second = watts_strogatz_edges(200, random.Random(9), neighbors=6, rewire=0.3)
-        assert first == second
-
-    def test_parameter_validation(self):
-        rng = random.Random(1)
-        with pytest.raises(ValueError, match="even"):
-            watts_strogatz_edges(20, rng, neighbors=3)
-        with pytest.raises(ValueError, match="rewire"):
-            watts_strogatz_edges(20, rng, neighbors=4, rewire=1.5)
-        with pytest.raises(ValueError, match="nodes"):
-            watts_strogatz_edges(4, rng, neighbors=4)
-
-
 class TestSpanningTree:
     def test_extracts_valid_tree(self):
         edges = barabasi_albert_edges(150, random.Random(21), attach=2)
@@ -115,7 +72,7 @@ class TestSpanningTree:
             bfs_spanning_tree(4, [(0, 1), (2, 3)])
 
     def test_deterministic(self):
-        edges = watts_strogatz_edges(100, random.Random(2), neighbors=4, rewire=0.1)
+        edges = barabasi_albert_edges(100, random.Random(2))
         assert bfs_spanning_tree(100, edges).edges == bfs_spanning_tree(
             100, edges
         ).edges
@@ -123,29 +80,24 @@ class TestSpanningTree:
 
 class TestWiring:
     def test_graph_tree_styles(self):
-        for style in ("scale-free", "small-world"):
-            tree = graph_tree(style, 80, random.Random(6))
-            assert tree.node_count == 80
-            assert is_tree(80, tree.edges)
-        with pytest.raises(ValueError, match="unknown graph style"):
-            graph_tree("bushy", 80, random.Random(6))
+        tree = graph_tree(80, random.Random(6))
+        assert tree.node_count == 80
+        assert is_tree(80, tree.edges)
+        # The spanning tree of the m = SCALE_FREE_ATTACH graph.
+        edges = barabasi_albert_edges(80, random.Random(6), attach=SCALE_FREE_ATTACH)
+        assert tree.edges == bfs_spanning_tree(80, edges).edges
 
     def test_graph_tree_single_node(self):
-        assert graph_tree("scale-free", 1, random.Random(0)).node_count == 1
+        assert graph_tree(1, random.Random(0)).node_count == 1
 
     def test_build_tree_dispatch(self):
-        tree = build_tree("scale-free", 60, random.Random(4), graph_attach=2)
+        tree = build_tree("scale-free", 60, random.Random(4))
         assert tree.node_count == 60
-        small = build_tree(
-            "small-world",
-            60,
-            random.Random(4),
-            graph_neighbors=4,
-            graph_rewire=0.1,
-        )
-        assert small.node_count == 60
+        assert tree.edges == graph_tree(60, random.Random(4)).edges
         # Hubs are allowed: graph styles ignore the tree degree cap.
         assert tree.max_degree() >= 1
+        with pytest.raises(ValueError, match="unknown tree style"):
+            build_tree("small-world", 60, random.Random(4))
 
     def test_simulation_config_wiring(self):
         from repro.scenarios.builder import Simulation
@@ -161,23 +113,12 @@ class TestWiring:
             measure_end=0.8,
             buffer_size=30,
             tree_style="scale-free",
-            graph_attach=2,
             seed=3,
         )
         sim = Simulation(config)
         assert sim.tree.node_count == 40
         result = sim.run()
         assert result.delivery.delivery_rate > 0.0
-
-    def test_config_validates_graph_knobs(self):
-        from repro.scenarios.config import SimulationConfig
-
-        with pytest.raises(ValueError, match="graph_attach"):
-            SimulationConfig(graph_attach=0)
-        with pytest.raises(ValueError, match="graph_neighbors"):
-            SimulationConfig(graph_neighbors=3)
-        with pytest.raises(ValueError, match="graph_rewire"):
-            SimulationConfig(graph_rewire=-0.1)
 
 
 class TestApproxPathLength:

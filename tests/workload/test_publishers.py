@@ -9,7 +9,11 @@ import pytest
 from repro.pubsub.pattern import PatternSpace
 from repro.sim.engine import Simulator
 from repro.topology.generator import path_tree
-from repro.workload.publishers import PublisherProcess, start_publishers
+from repro.workload.publishers import (
+    MAX_EVENT_PATTERNS,
+    PublisherProcess,
+    start_publishers,
+)
 from tests.conftest import build_system
 
 
@@ -18,22 +22,11 @@ def make_system(sim, n=3):
 
 
 class TestPublisherProcess:
-    def test_periodic_rate_is_respected(self):
-        sim = Simulator()
-        system = make_system(sim)
-        publisher = PublisherProcess(
-            system, 0, rate=10.0, rng=random.Random(1), model="periodic"
-        )
-        publisher.start()
-        sim.run(until=2.0)
-        # 10/s for 2 s with a random phase: 19..21 publishes.
-        assert 19 <= publisher.published <= 21
-
     def test_poisson_rate_statistically(self):
         sim = Simulator()
         system = make_system(sim)
         publisher = PublisherProcess(
-            system, 0, rate=100.0, rng=random.Random(2), model="poisson"
+            system, 0, rate=100.0, rng=random.Random(2)
         )
         publisher.start()
         sim.run(until=5.0)
@@ -42,23 +35,31 @@ class TestPublisherProcess:
     def test_stop_halts_publishing(self):
         sim = Simulator()
         system = make_system(sim)
-        publisher = PublisherProcess(
-            system, 0, rate=10.0, rng=random.Random(3), model="periodic"
+        times = []
+        system.dispatchers[0].on_publish = lambda event: times.append(
+            event.publish_time
         )
+        publisher = PublisherProcess(system, 0, rate=10.0, rng=random.Random(3))
         publisher.start()
         sim.schedule(1.0, publisher.stop)
         sim.run(until=5.0)
-        assert publisher.published <= 11
+        assert times and max(times) <= 1.0
+        assert publisher.published == len(times)
 
     def test_until_bound(self):
         sim = Simulator()
         system = make_system(sim)
+        times = []
+        system.dispatchers[0].on_publish = lambda event: times.append(
+            event.publish_time
+        )
         publisher = PublisherProcess(
-            system, 0, rate=10.0, rng=random.Random(4), model="periodic", until=1.0
+            system, 0, rate=10.0, rng=random.Random(4), until=1.0
         )
         publisher.start()
         sim.run(until=5.0)
-        assert publisher.published <= 11
+        assert times and max(times) < 1.0
+        assert publisher.published == len(times)
         assert sim.peek() is None
 
     def test_events_have_valid_content(self):
@@ -66,14 +67,12 @@ class TestPublisherProcess:
         system = make_system(sim)
         published = []
         system.dispatchers[0].on_publish = published.append
-        publisher = PublisherProcess(
-            system, 0, rate=50.0, rng=random.Random(5), max_event_patterns=3
-        )
+        publisher = PublisherProcess(system, 0, rate=50.0, rng=random.Random(5))
         publisher.start()
         sim.run(until=1.0)
         assert published
         for event in published:
-            assert 1 <= len(event.patterns) <= 3
+            assert 1 <= len(event.patterns) <= MAX_EVENT_PATTERNS
             assert all(0 <= p < 10 for p in event.patterns)
 
     def test_invalid_parameters(self):
@@ -82,7 +81,7 @@ class TestPublisherProcess:
         with pytest.raises(ValueError):
             PublisherProcess(system, 0, rate=0.0, rng=random.Random(0))
         with pytest.raises(ValueError):
-            PublisherProcess(system, 0, rate=1.0, rng=random.Random(0), model="burst")
+            PublisherProcess(system, 0, rate=-1.0, rng=random.Random(0))
 
 
 class TestStartPublishers:
